@@ -40,10 +40,6 @@ class CyclotomicSum:
         )
 
 
-def cyclotomic_to_complex(s: CyclotomicSum) -> complex:
-    return s.to_complex()
-
-
 def _same_field(a: Character, b: Character) -> Field:
     if a.field != b.field:
         raise FieldMismatchError("characters live on different fields")

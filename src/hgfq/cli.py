@@ -2,9 +2,10 @@
 evaluation, and identity sweeps.
 
 Exit codes: 0 clean, 1 at least one identity failure (or a count
-cross-check mismatch), 2 usage, configuration, or domain error.  Sweep
-records stream to stdout; the pass/fail/skip summary goes to stderr so
-that stdout stays machine-parseable.
+cross-check mismatch), 2 usage, configuration, or domain error.  A sweep
+writes its records to stdout, sorted, once it has finished; the
+pass/fail/skip summary goes to stderr so that stdout stays
+machine-parseable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import HgfqError
 from .field import DEFAULT_Q_CAP, make_field
 from .hgf import series_value
 from .report import csv_header, report_to_csv_row, summarize
-from .verifier import SweepConfig, sweep
+from .verifier import THEOREM_KEYS, SweepConfig, sweep
 
 
 def _fraction(text: str) -> Fraction:
@@ -53,6 +54,15 @@ def _prime_range(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from exc
     return lo, hi
+
+
+def _or(value, default):
+    """An explicit flag value, even 0, over the default."""
+    return default if value is None else value
+
+
+def _field(args: argparse.Namespace):
+    return make_field(args.p, _or(args.e, 1), _or(args.q_cap, DEFAULT_Q_CAP))
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -118,7 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
     hg.add_argument("--q-cap", dest="q_cap", type=int)
 
     vf = sub.add_parser("verify", parents=[common], help="sweep identities over a grid")
-    vf.add_argument("--theorem", type=_str_list, help="comma list of theorem keys, or all")
+    vf.add_argument(
+        "--theorem",
+        type=_str_list,
+        help=f"comma list of theorem keys ({', '.join(THEOREM_KEYS)}), or all",
+    )
     vf.add_argument("--primes", type=_prime_range, help="prime range LO:HI")
     vf.add_argument("--degrees", type=_int_list, help="comma list of extension degrees")
     vf.add_argument("--l", dest="l_values", type=_int_list, help="comma list of exponents l")
@@ -138,7 +152,7 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
 def _cmd_fieldinfo(args: argparse.Namespace) -> int:
     _merge_config(args, {"p": ("p", int), "e": ("e", int), "q_cap": ("q_cap", int)})
     _require(args, ["p"])
-    f = make_field(args.p, args.e or 1, args.q_cap or DEFAULT_Q_CAP)
+    f = _field(args)
     orders = sorted(d for d in range(1, f.m + 1) if f.m % d == 0)
     info = {
         "p": f.p,
@@ -167,7 +181,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     _require(args, ["p", "l"])
     if args.lam is None:
         raise ValueError("missing required argument(s): --lambda")
-    f = make_field(args.p, args.e or 1, args.q_cap or DEFAULT_Q_CAP)
+    f = _field(args)
     curve = CurveSpec(args.l, args.lam)
     method = args.method or "brute"
     try:
@@ -203,13 +217,13 @@ def _cmd_hgf(args: argparse.Namespace) -> int:
         },
     )
     _require(args, ["p", "top", "bottom", "x"])
-    f = make_field(args.p, args.e or 1, args.q_cap or DEFAULT_Q_CAP)
+    f = _field(args)
     tops = [parse_character(f, spec).index for spec in args.top.split(",")]
     bottoms = [parse_character(f, spec).index for spec in args.bottom.split(",")]
     if not 0 <= args.x < f.q:
         raise ValueError(f"element encoding {args.x} outside [0, {f.q})")
     value = series_value(f, tops, bottoms, args.x)
-    tol = args.tolerance if args.tolerance is not None else 1e-6
+    tol = _or(args.tolerance, 1e-6)
     q2 = f.q * f.q
     scaled = value.real * q2
     exact = None
@@ -234,17 +248,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         },
     )
     defaults = SweepConfig()
-    primes = args.primes or (defaults.prime_min, defaults.prime_max)
+    primes = _or(args.primes, (defaults.prime_min, defaults.prime_max))
     config = SweepConfig(
         prime_min=primes[0],
         prime_max=primes[1],
-        degrees=args.degrees or defaults.degrees,
-        l_values=args.l_values or defaults.l_values,
-        lambdas=args.lambdas or defaults.lambdas,
-        theorems=args.theorem or defaults.theorems,
-        tolerance=args.tolerance if args.tolerance is not None else defaults.tolerance,
-        q_cap=args.q_cap or defaults.q_cap,
-        output_format=args.output_format or defaults.output_format,
+        degrees=_or(args.degrees, defaults.degrees),
+        l_values=_or(args.l_values, defaults.l_values),
+        lambdas=_or(args.lambdas, defaults.lambdas),
+        theorems=_or(args.theorem, defaults.theorems),
+        tolerance=_or(args.tolerance, defaults.tolerance),
+        q_cap=_or(args.q_cap, defaults.q_cap),
+        output_format=_or(args.output_format, defaults.output_format),
     )
     reports = sweep(config)
     if config.output_format == "csv":

@@ -7,8 +7,9 @@ status, never an exception and never a failure; an actual numeric mismatch
 under met hypotheses is a "fail".  Identities whose two sides are rational
 with denominator q or q**2 are additionally integer-checked after scaling.
 
-sweep() drives all verifiers over a configured grid of prime powers and
-returns reports in a deterministic sorted order.
+CATALOG maps each theorem key to the records it yields on one field, and
+sweep() runs the selected rows over a configured grid of prime powers,
+returning reports in a deterministic sorted order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .characters import Character, character_of_order
-from .curves import CurveSpec, brute_force_count, curve_values, good_reduction
+from .curves import CurveSpec, brute_force_count, cornacchia_3, curve_values, good_reduction
 from .field import Field, is_prime, make_field
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
@@ -26,19 +27,6 @@ from .report import VerificationReport, build_report, report_sort_key
 SQRT_BRANCHES = ("first", "second")
 SPECIAL_PARTS = ("i", "ii", "iii", "iv")
 LEMMA_PARTS = ("square_3f2", "one_third", "sqrt_2f1", "order3_2f1")
-THEOREM_KEYS = (
-    "ono",
-    "main",
-    "trace",
-    "lambda_third",
-    "mccarthy",
-    "3f2at4",
-    "specials",
-    "c3",
-    "chi4",
-    "lcm",
-    "charsum_lemmas",
-)
 
 
 def _phi(f: Field, x: int) -> float:
@@ -54,40 +42,63 @@ def _lambda_flags(f: Field, l: int, lam: Fraction) -> dict[str, bool]:
     return {"lambda_admissible": admissible, "good_reduction": good}
 
 
-def _skip(
-    theorem_id: str,
+def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
+    if value not in allowed:
+        raise ValueError(f"unknown {what} {value!r}")
+
+
+def _sqrt_index(f: Field, a: int, sqrt_branch: str) -> int:
+    """An index r with 2r = a (mod q-1), for even a; the "second" branch is
+    the "first" root times phi."""
+    r = (a % f.m) // 2
+    return r if sqrt_branch == "first" else (r + f.m // 2) % f.m
+
+
+def _cubic_bracket(f: Field, s: int) -> complex:
+    """(S | chi_3) + (S | chi_3^2) over the two order-3 characters; needs
+    q = 1 (mod 3)."""
+    m3 = f.m // 3
+    return f.binom_c(s, m3) + f.binom_c(s, 2 * m3)
+
+
+def _third_term(f: Field, k: int) -> complex:
+    """chi(27/8) ((chi_3 | chi) + (chi_3^2 | chi)) for the index-k character
+    chi, the summand of the lambda = 1/3 closed forms; needs q = 1 (mod 3)."""
+    m3 = f.m // 3
+    e278 = f.from_rational(Fraction(27, 8))
+    return f.char_value(k, e278) * (f.binom_c(m3, k) + f.binom_c(2 * m3, k))
+
+
+def _record(
+    tid: str,
     f: Field,
     hyps: dict[str, bool],
-    *,
-    l: int | None = None,
-    lam: Fraction | None = None,
-    char_index: int | None = None,
-    sqrt_branch: str | None = None,
-    tolerance: float = 1e-6,
+    tolerance: float,
+    lhs: complex = 0j,
+    rhs: complex = 0j,
+    exact: bool = True,
+    **where,
 ) -> VerificationReport:
-    # only reached when at least one flag is false
+    """The one record of an identity instance on f.  A skip leaves both
+    sides at 0 unless its verifier evaluated them; `where` holds the
+    instance fields l, lam, char_index and sqrt_branch that apply."""
     return build_report(
-        theorem_id=theorem_id,
+        theorem_id=tid,
         p=f.p,
         e=f.e,
         q=f.q,
-        l=l,
-        lam=lam,
-        char_index=char_index,
-        sqrt_branch=sqrt_branch,
-        lhs=0j,
-        rhs=0j,
+        lhs=lhs,
+        rhs=rhs,
         tolerance=tolerance,
         hypotheses=hyps,
+        exact_ok=exact,
+        **where,
     )
 
 
 def _w_sum(f: Field, s: int, lam_enc: int) -> complex:
     """sum over x of S((x-1)(x**2 + lambda)) for the index-s character."""
-    total = 0j
-    for v in curve_values(f, lam_enc):
-        total += f.char_value(s, v)
-    return total
+    return sum((f.char_value(s, v) for v in curve_values(f, lam_enc)), 0j)
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +111,7 @@ def verify_ono(f: Field, lam: Fraction | int, tolerance: float = 1e-6) -> Verifi
     lam = Fraction(lam)
     hyps = _lambda_flags(f, 2, lam)
     if not all(hyps.values()):
-        return _skip("ono_3f2", f, hyps, l=2, lam=lam, tolerance=tolerance)
+        return _record("ono_3f2", f, hyps, tolerance, l=2, lam=lam)
     q, h = f.q, f.m // 2
     aq = brute_force_count(f, CurveSpec(2, lam)).a_q
     le = f.from_rational(lam)
@@ -109,19 +120,7 @@ def verify_ono(f: Field, lam: Fraction | int, tolerance: float = 1e-6) -> Verifi
     sign = _phi(f, f.neg(le))
     rhs = sign * (aq * aq - q) / q**2
     exact = round(lhs.real * q * q) == round(sign) * (aq * aq - q)
-    return build_report(
-        theorem_id="ono_3f2",
-        p=f.p,
-        e=f.e,
-        q=q,
-        l=2,
-        lam=lam,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-        exact_ok=exact,
-    )
+    return _record("ono_3f2", f, hyps, tolerance, lhs, rhs, exact, l=2, lam=lam)
 
 
 def verify_main_square(
@@ -148,9 +147,10 @@ def verify_main_square(
     hyps["l_not_divisible_by_12"] = l % 3 != 0 or l % 4 != 0
     hyps["infinity_count_known"] = l != 3 or f.p % 3 == 1
     if not all(hyps.values()):
-        return _skip(tid, f, hyps, l=l, lam=lam, tolerance=tolerance)
+        return _record(tid, f, hyps, tolerance, l=l, lam=lam)
     m, q, h = f.m, f.q, f.m // 2
     u = m // l
+    # the per-summand flags only exist once l divides q-1
     for i in range(1, l):
         hyps[f"summand_{i}_order_not_3"] = (3 * i) % l != 0
         hyps[f"summand_{i}_order_not_4"] = (2 * i * u) % m != h
@@ -158,7 +158,7 @@ def verify_main_square(
         for i in range(1, l // 2):
             hyps[f"tail_{i}_order_not_3"] = (6 * i) % l != 0
     if not all(hyps.values()):
-        return _skip(tid, f, hyps, l=l, lam=lam, tolerance=tolerance)
+        return _record(tid, f, hyps, tolerance, l=l, lam=lam)
     aq = brute_force_count(f, CurveSpec(l, lam)).a_q
     le = f.from_rational(lam)
     one_plus = f.add(1, le)
@@ -167,8 +167,7 @@ def verify_main_square(
     c1 = f.neg(f.mul(four, f.pow(le, 3)))
     c2 = f.neg(f.mul(four, f.mul(le, f.mul(one_plus, one_plus))))
     phi_neg_lam = _phi(f, f.neg(le))
-    term1 = 0j
-    term2 = 0j
+    term1 = term2 = 0j
     for i in range(1, l):
         si = (i * u) % m
         jratio = f.jacobi_c(3 * si, -si) / f.jacobi_c(si, si)
@@ -191,20 +190,8 @@ def verify_main_square(
                 * series_value(f, [3 * si, 3 * si + h], [4 * si], one_plus)
             )
         rhs += (l - 2) * m - (l - 2) * aq - 2 * q * tail
-    lhs = complex(aq * aq)
-    return build_report(
-        theorem_id=tid,
-        p=f.p,
-        e=f.e,
-        q=q,
-        l=l,
-        lam=lam,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-        exact_ok=round(rhs.real) == aq * aq,
-    )
+    exact = round(rhs.real) == aq * aq
+    return _record(tid, f, hyps, tolerance, complex(aq * aq), rhs, exact, l=l, lam=lam)
 
 
 def verify_2f1_trace(
@@ -221,68 +208,43 @@ def verify_2f1_trace(
     used is recorded.  For l = 3 the sum needs no square roots.
     """
     lam = Fraction(lam)
-    if sqrt_branch not in SQRT_BRANCHES:
-        raise ValueError(f"unknown square-root branch {sqrt_branch!r}")
+    _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
     if l == 3:
         tid = "trace_2f1_cubic"
         hyps = _lambda_flags(f, 3, lam)
         hyps["congruence"] = f.m % 3 == 0
         hyps["infinity_count_known"] = f.p % 3 == 1
         if not all(hyps.values()):
-            return _skip(tid, f, hyps, l=3, lam=lam, tolerance=tolerance)
+            return _record(tid, f, hyps, tolerance, l=3, lam=lam)
         q, h = f.q, f.m // 2
         u = f.m // 3
         aq = brute_force_count(f, CurveSpec(3, lam)).a_q
         one_plus = f.add(1, f.from_rational(lam))
         rhs = 2 + q * sum(series_value(f, [h, 0], [i * u], one_plus) for i in (1, 2))
-        return build_report(
-            theorem_id=tid,
-            p=f.p,
-            e=f.e,
-            q=q,
-            l=3,
-            lam=lam,
-            lhs=complex(-aq),
-            rhs=rhs,
-            tolerance=tolerance,
-            hypotheses=hyps,
-            exact_ok=round(rhs.real) == -aq,
-        )
+        exact = round(rhs.real) == -aq
+        return _record(tid, f, hyps, tolerance, complex(-aq), rhs, exact, l=3, lam=lam)
     tid = "trace_2f1"
     hyps = _lambda_flags(f, l, lam)
     hyps["congruence"] = f.m % l == 0
     hyps["l_coprime_to_3"] = l % 3 != 0
     hyps["even_ratio"] = hyps["congruence"] and (f.m // l) % 2 == 0
+    where = {"l": l, "lam": lam, "sqrt_branch": sqrt_branch}
     if not all(hyps.values()):
-        return _skip(tid, f, hyps, l=l, lam=lam, sqrt_branch=sqrt_branch, tolerance=tolerance)
+        return _record(tid, f, hyps, tolerance, **where)
     m, q, h = f.m, f.q, f.m // 2
     u = m // l
     aq = brute_force_count(f, CurveSpec(l, lam)).a_q
     one_plus = f.add(1, f.from_rational(lam))
     total = 0j
     for i in range(1, l):
-        r0 = ((3 * i * u) % m) // 2
-        r = r0 if sqrt_branch == "first" else (r0 + h) % m
+        r = _sqrt_index(f, 3 * i * u, sqrt_branch)
         total += (
             f.jacobi_c(h, -i * u)
             / f.jacobi_c(2 * i * u - r, h - r)
             * series_value(f, [r + h, r], [2 * i * u], one_plus)
         )
     rhs = q * total
-    return build_report(
-        theorem_id=tid,
-        p=f.p,
-        e=f.e,
-        q=q,
-        l=l,
-        lam=lam,
-        sqrt_branch=sqrt_branch,
-        lhs=complex(-aq),
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-        exact_ok=round(rhs.real) == -aq,
-    )
+    return _record(tid, f, hyps, tolerance, complex(-aq), rhs, round(rhs.real) == -aq, **where)
 
 
 def verify_lambda_third(f: Field, l: int, tolerance: float = 1e-6) -> VerificationReport:
@@ -295,37 +257,20 @@ def verify_lambda_third(f: Field, l: int, tolerance: float = 1e-6) -> Verificati
         "infinity_count_known": l != 3 or f.p % 3 == 1,
     }
     if not all(hyps.values()):
-        return _skip("lambda_third", f, hyps, l=l, lam=lam, tolerance=tolerance)
+        return _record("lambda_third", f, hyps, tolerance, l=l, lam=lam)
     q, m = f.q, f.m
     aq = brute_force_count(f, CurveSpec(l, lam)).a_q
     if l != 3 and q % 3 == 2:
         rhs = 0j
     elif l != 3:
-        m3 = m // 3
-        u = m // l
-        e278 = f.from_rational(Fraction(27, 8))
-        rhs = q * sum(
-            f.char_value(i * u, e278) * (f.binom_c(m3, i * u) + f.binom_c(2 * m3, i * u))
-            for i in range(1, l)
-        )
+        rhs = q * sum(_third_term(f, i * (m // l)) for i in range(1, l))
     else:
         m3 = m // 3
         rhs = 2 + q * sum(
             f.binom_c(m3, i * m3) + f.binom_c(2 * m3, i * m3) for i in (1, 2)
         )
-    return build_report(
-        theorem_id="lambda_third",
-        p=f.p,
-        e=f.e,
-        q=q,
-        l=l,
-        lam=lam,
-        lhs=complex(-aq),
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-        exact_ok=round(complex(rhs).real) == -aq,
-    )
+    exact = round(complex(rhs).real) == -aq
+    return _record("lambda_third", f, hyps, tolerance, complex(-aq), rhs, exact, l=l, lam=lam)
 
 
 def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationReport]:
@@ -337,46 +282,24 @@ def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationRepor
     """
     lam = Fraction(1, 3)
     hyps = {"congruence": f.q % 3 == 1}
+    tids = ("mccarthy_binomial", "mccarthy_gauss")
     if not all(hyps.values()):
-        return [
-            _skip("mccarthy_binomial", f, dict(hyps), l=2, lam=lam, tolerance=tolerance),
-            _skip("mccarthy_gauss", f, dict(hyps), l=2, lam=lam, tolerance=tolerance),
-        ]
+        return [_record(tid, f, dict(hyps), tolerance, l=2, lam=lam) for tid in tids]
     q, m = f.q, f.m
     m3, h = m // 3, m // 2
     aq = brute_force_count(f, CurveSpec(2, lam)).a_q
     sign2 = _phi(f, f.neg(f.from_int(2)))
-    lhs1 = -sign2 * aq / q
+    lhs2 = -sign2 * aq
+    lhs1 = lhs2 / q
     rhs1 = 2 * f.binom_c(m3, h).real
-    first = build_report(
-        theorem_id="mccarthy_binomial",
-        p=f.p,
-        e=f.e,
-        q=q,
-        l=2,
-        lam=lam,
-        lhs=lhs1,
-        rhs=rhs1,
-        tolerance=tolerance,
-        hypotheses=dict(hyps),
-        exact_ok=round(lhs1 * q) == round(rhs1 * q),
-    )
+    exact1 = round(lhs1 * q) == round(rhs1 * q)
     quotient = f.gauss_c(m3) * f.gauss_c(h) / f.gauss_c(m3 + h)
     rhs2 = 2 * _phi(f, f.neg(1)) * quotient.real
-    second = build_report(
-        theorem_id="mccarthy_gauss",
-        p=f.p,
-        e=f.e,
-        q=q,
-        l=2,
-        lam=lam,
-        lhs=complex(-sign2 * aq),
-        rhs=rhs2,
-        tolerance=tolerance,
-        hypotheses=dict(hyps),
-        exact_ok=round(rhs2) == round(-sign2 * aq),
-    )
-    return [first, second]
+    exact2 = round(rhs2) == round(lhs2)
+    return [
+        _record(tids[0], f, dict(hyps), tolerance, lhs1, rhs1, exact1, l=2, lam=lam),
+        _record(tids[1], f, dict(hyps), tolerance, lhs2, rhs2, exact2, l=2, lam=lam),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -393,15 +316,13 @@ def verify_3f2_at_4(f: Field, chi: Character, tolerance: float = 1e-6) -> Verifi
     s = chi.index
     hyps = {"order_admissible": chi.order not in (1, 3, 4), "p_not_3": f.p != 3}
     if f.p == 3:
-        return _skip("3f2_at_4", f, hyps, char_index=s, tolerance=tolerance)
-    q, m, h = f.q, f.m, f.m // 2
+        return _record("3f2_at_4", f, hyps, tolerance, char_index=s)
+    q, h = f.q, f.m // 2
     lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], f.from_int(4))
     base = -_phi(f, f.from_rational(-3)) * f.char_value(s, f.from_int(16)) / q
-    if q % 3 == 2:
-        rhs = base
-    else:
-        m3 = m // 3
-        bracket = f.binom_c(s, m3) + f.binom_c(s, 2 * m3)
+    rhs = base
+    if q % 3 == 1:
+        bracket = _cubic_bracket(f, s)
         rhs = (
             f.char_value(s, f.from_rational(Fraction(-16, 27)))
             * f.jacobi_c(-s, -s)
@@ -410,17 +331,7 @@ def verify_3f2_at_4(f: Field, chi: Character, tolerance: float = 1e-6) -> Verifi
             * bracket
             + base
         )
-    return build_report(
-        theorem_id="3f2_at_4",
-        p=f.p,
-        e=f.e,
-        q=q,
-        char_index=s,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-    )
+    return _record("3f2_at_4", f, hyps, tolerance, lhs, rhs, char_index=s)
 
 
 def verify_2f1_specials(
@@ -439,10 +350,8 @@ def verify_2f1_specials(
     out because the transformation behind the identities excludes them; the
     sides are still evaluated and reported for those orders.
     """
-    if part not in SPECIAL_PARTS:
-        raise ValueError(f"unknown special-value part {part!r}")
-    if sqrt_branch not in SQRT_BRANCHES:
-        raise ValueError(f"unknown square-root branch {sqrt_branch!r}")
+    _check_choice(part, SPECIAL_PARTS, "special-value part")
+    _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
     s = chi.index
     tid = f"2f1_special_{part}"
     hyps = {
@@ -451,20 +360,16 @@ def verify_2f1_specials(
         "order_not_3": chi.order != 3,
         "p_not_3": f.p != 3,
     }
+    where = {"char_index": s, "sqrt_branch": sqrt_branch}
     if s % 2 or f.p == 3:
-        return _skip(tid, f, hyps, char_index=s, sqrt_branch=sqrt_branch, tolerance=tolerance)
+        return _record(tid, f, hyps, tolerance, **where)
     q, m, h = f.q, f.m, f.m // 2
-    r0 = ((-3 * s) % m) // 2
-    r = r0 if sqrt_branch == "first" else (r0 + h) % m
+    r = _sqrt_index(f, -3 * s, sqrt_branch)
     root_inv = (-2 * s - r) % m  # square root of the inverse character
     root_cube_phi = (h - r) % m  # square root of the cube, times phi
     v = (-r - s) % m  # the square root of S itself on this branch
     jratio = f.jacobi_c(root_inv, root_cube_phi) / f.jacobi_c(h, s)
-    if q % 3 == 1:
-        m3 = m // 3
-        bracket = f.binom_c(s, m3) + f.binom_c(s, 2 * m3)
-    else:
-        bracket = 0j
+    bracket = _cubic_bracket(f, s) if q % 3 == 1 else 0j
     if part == "i":
         lhs = series_value(f, [r + h, r], [-2 * s], f.from_rational(Fraction(4, 3)))
         coeff = f.char_value(s, f.from_rational(Fraction(8, 27))) * jratio
@@ -486,75 +391,41 @@ def verify_2f1_specials(
             * jratio
             / _phi(f, f.from_int(3))
         )
-    return build_report(
-        theorem_id=tid,
-        p=f.p,
-        e=f.e,
-        q=q,
-        char_index=s,
-        sqrt_branch=sqrt_branch,
-        lhs=lhs,
-        rhs=coeff * bracket,
-        tolerance=tolerance,
-        hypotheses=hyps,
-    )
+    return _record(tid, f, hyps, tolerance, lhs, coeff * bracket, **where)
 
 
 # ----------------------------------------------------------------------
 # corollaries
 
 
-def verify_corollary_c3(p: int, tolerance: float = 1e-6) -> list[VerificationReport]:
+def verify_corollary_c3(f: Field, tolerance: float = 1e-6) -> list[VerificationReport]:
     """Prime-field cubic member at lambda = -1/2: the trace against the
     x**2 + 3y**2 = p representation, and the matching 2F1(1/2) sum."""
-    f = make_field(p, 1)
+    if f.e != 1:
+        raise ValueError(f"the cubic corollary needs a prime field, got q = {f.q}")
+    p = f.p
     lam = Fraction(-1, 2)
     hyps = {"congruence": p % 3 == 1}
+    tids = ("c3_point_count", "c3_2f1_sum")
     if not all(hyps.values()):
-        return [
-            _skip("c3_point_count", f, dict(hyps), l=3, lam=lam, tolerance=tolerance),
-            _skip("c3_2f1_sum", f, dict(hyps), l=3, lam=lam, tolerance=tolerance),
-        ]
-    from .curves import cornacchia_3
-
+        return [_record(tid, f, dict(hyps), tolerance, l=3, lam=lam) for tid in tids]
     x, y = cornacchia_3(p)
     sym = 1 if x % 3 == 1 else -1
     aq = brute_force_count(f, CurveSpec(3, lam)).a_q
     phi2 = _phi(f, f.from_int(2))
     predicted = phi2 * (-1.0 if (x + y - 1) % 2 else 1.0) * sym * 2 * x
-    first = build_report(
-        theorem_id="c3_point_count",
-        p=p,
-        e=1,
-        q=p,
-        l=3,
-        lam=lam,
-        lhs=complex(aq),
-        rhs=predicted,
-        tolerance=tolerance,
-        hypotheses=dict(hyps),
-        exact_ok=round(predicted) == aq,
-    )
     m3, h = f.m // 3, f.m // 2
     half = f.from_rational(Fraction(1, 2))
     lhs2 = p * (
         series_value(f, [h, 0], [m3], half) + series_value(f, [h, 0], [2 * m3], half)
     )
     rhs2 = phi2 * (-1.0 if (x + y) % 2 else 1.0) * sym * 2 * x - 2
-    second = build_report(
-        theorem_id="c3_2f1_sum",
-        p=p,
-        e=1,
-        q=p,
-        l=3,
-        lam=lam,
-        lhs=lhs2,
-        rhs=rhs2,
-        tolerance=tolerance,
-        hypotheses=dict(hyps),
-        exact_ok=round(lhs2.real) == round(rhs2),
-    )
-    return [first, second]
+    exact1 = round(predicted) == aq
+    exact2 = round(lhs2.real) == round(rhs2)
+    return [
+        _record(tids[0], f, dict(hyps), tolerance, complex(aq), predicted, exact1, l=3, lam=lam),
+        _record(tids[1], f, dict(hyps), tolerance, lhs2, rhs2, exact2, l=3, lam=lam),
+    ]
 
 
 def verify_corollary_chi4(
@@ -566,7 +437,7 @@ def verify_corollary_chi4(
     hyps = {"congruence_mod_4": f.m % 4 == 0}
     hyps.update(_lambda_flags(f, 2, lam))
     if not all(hyps.values()):
-        return _skip("chi4_square", f, hyps, lam=lam, tolerance=tolerance)
+        return _record("chi4_square", f, hyps, tolerance, lam=lam)
     q, m, h = f.q, f.m, f.m // 2
     m4 = m // 4
     le = f.from_rational(lam)
@@ -576,18 +447,7 @@ def verify_corollary_chi4(
     inner = series_value(f, [-m4, m4], [0], one_plus)
     sign = _phi(f, le)
     rhs = sign * inner * inner - sign / q
-    return build_report(
-        theorem_id="chi4_square",
-        p=f.p,
-        e=f.e,
-        q=q,
-        lam=lam,
-        char_index=m4,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-    )
+    return _record("chi4_square", f, hyps, tolerance, lhs, rhs, lam=lam, char_index=m4)
 
 
 def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> VerificationReport:
@@ -601,36 +461,19 @@ def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> Verificat
         "infinity_count_known": l != 3 or f.p % 3 == 1,
     }
     if not all(hyps.values()):
-        return _skip("lcm_third_trace", f, hyps, l=l, lam=lam, tolerance=tolerance)
+        return _record("lcm_third_trace", f, hyps, tolerance, l=l, lam=lam)
     q, m, h = f.q, f.m, f.m // 2
     m3, u = m // 3, m // l
     aq = brute_force_count(f, CurveSpec(l, lam)).a_q
-    e278 = f.from_rational(Fraction(27, 8))
-
-    def bracket_re(i: int) -> float:
-        term = f.char_value(i * u, e278) * (f.binom_c(m3, i * u) + f.binom_c(2 * m3, i * u))
-        return term.real
-
     if l == 3:
         rhs = 2 + 2 * q * (f.binom_c(m3, m3) + f.binom_c(2 * m3, m3)).real
     elif l % 2:
-        rhs = 2 * q * sum(bracket_re(i) for i in range(1, (l - 1) // 2 + 1))
+        rhs = 2 * q * sum(_third_term(f, i * u).real for i in range(1, (l - 1) // 2 + 1))
     else:
         head = _phi(f, f.neg(f.from_int(2))) * f.binom_c(m3, h).real
-        rhs = 2 * q * (head + sum(bracket_re(i) for i in range(1, (l - 2) // 2 + 1)))
-    return build_report(
-        theorem_id="lcm_third_trace",
-        p=f.p,
-        e=f.e,
-        q=q,
-        l=l,
-        lam=lam,
-        lhs=complex(-aq),
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-        exact_ok=round(float(rhs)) == -aq,
-    )
+        rhs = 2 * q * (head + sum(_third_term(f, i * u).real for i in range(1, (l - 2) // 2 + 1)))
+    exact = round(float(rhs)) == -aq
+    return _record("lcm_third_trace", f, hyps, tolerance, complex(-aq), rhs, exact, l=l, lam=lam)
 
 
 # ----------------------------------------------------------------------
@@ -654,10 +497,8 @@ def verify_charsum_lemmas(
     The candidate argument 1+lambda is used for "order3_2f1" whose source
     leaves the argument implicit.
     """
-    if part not in LEMMA_PARTS:
-        raise ValueError(f"unknown lemma part {part!r}")
-    if sqrt_branch not in SQRT_BRANCHES:
-        raise ValueError(f"unknown square-root branch {sqrt_branch!r}")
+    _check_choice(part, LEMMA_PARTS, "lemma part")
+    _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
     s = chi.index
     q, m, h = f.q, f.m, f.m // 2
     tid = f"charsum_{part}"
@@ -665,39 +506,19 @@ def verify_charsum_lemmas(
         lam = Fraction(1, 3)
         hyps = {"nontrivial_character": s != 0, "p_not_3": f.p != 3}
         if not all(hyps.values()):
-            return _skip(tid, f, hyps, lam=lam, char_index=s, tolerance=tolerance)
+            return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
         lhs = _w_sum(f, s, f.from_rational(lam))
         if q % 3 == 2:
             rhs = 0j
         else:
-            m3 = m // 3
-            rhs = (
-                q
-                * f.char_value(s, f.from_rational(Fraction(-8, 27)))
-                * (f.binom_c(s, m3) + f.binom_c(s, 2 * m3))
-            )
-        return build_report(
-            theorem_id=tid,
-            p=f.p,
-            e=f.e,
-            q=q,
-            lam=lam,
-            char_index=s,
-            lhs=lhs,
-            rhs=rhs,
-            tolerance=tolerance,
-            hypotheses=hyps,
-        )
+            rhs = q * f.char_value(s, f.from_rational(Fraction(-8, 27))) * _cubic_bracket(f, s)
+        return _record(tid, f, hyps, tolerance, lhs, rhs, lam=lam, char_index=s)
     lam = Fraction(lam)
     if part == "square_3f2":
-        hyps = {
-            "order_not_1": s != 0,
-            "order_not_3": chi.order != 3,
-            "order_not_4": chi.order != 4,
-        }
+        hyps = {"order_not_1": s != 0, "order_not_3": chi.order != 3, "order_not_4": chi.order != 4}
         hyps.update(_lambda_flags(f, 2, lam))
         if not all(hyps.values()):
-            return _skip(tid, f, hyps, lam=lam, char_index=s, tolerance=tolerance)
+            return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
         le = f.from_rational(lam)
         arg = f.div(f.add(1, le), le)
         w = _w_sum(f, s, le)
@@ -710,33 +531,16 @@ def verify_charsum_lemmas(
             * w
             - f.char_value(2 * s, arg) * _phi(f, f.neg(le)) / q
         )
-        return build_report(
-            theorem_id=tid,
-            p=f.p,
-            e=f.e,
-            q=q,
-            lam=lam,
-            char_index=s,
-            lhs=lhs,
-            rhs=rhs,
-            tolerance=tolerance,
-            hypotheses=hyps,
-        )
+        return _record(tid, f, hyps, tolerance, lhs, rhs, lam=lam, char_index=s)
     if part == "sqrt_2f1":
-        hyps = {
-            "is_square": s % 2 == 0,
-            "order_not_1": s != 0,
-            "order_not_3": chi.order != 3,
-        }
+        hyps = {"is_square": s % 2 == 0, "order_not_1": s != 0, "order_not_3": chi.order != 3}
         hyps.update(_lambda_flags(f, 2, lam))
+        where = {"lam": lam, "char_index": s, "sqrt_branch": sqrt_branch}
         if not all(hyps.values()):
-            return _skip(
-                tid, f, hyps, lam=lam, char_index=s, sqrt_branch=sqrt_branch, tolerance=tolerance
-            )
+            return _record(tid, f, hyps, tolerance, **where)
         le = f.from_rational(lam)
         one_plus = f.add(1, le)
-        r0 = ((-3 * s) % m) // 2
-        r = r0 if sqrt_branch == "first" else (r0 + h) % m
+        r = _sqrt_index(f, -3 * s, sqrt_branch)
         root_inv = (-2 * s - r) % m
         root_cube_phi = (h - r) % m
         lhs = _w_sum(f, s, le)
@@ -746,42 +550,66 @@ def verify_charsum_lemmas(
             / f.jacobi_c(root_inv, root_cube_phi)
             * series_value(f, [r + h, r], [-2 * s], one_plus)
         )
-        return build_report(
-            theorem_id=tid,
-            p=f.p,
-            e=f.e,
-            q=q,
-            lam=lam,
-            char_index=s,
-            sqrt_branch=sqrt_branch,
-            lhs=lhs,
-            rhs=rhs,
-            tolerance=tolerance,
-            hypotheses=hyps,
-        )
+        return _record(tid, f, hyps, tolerance, lhs, rhs, **where)
     hyps = {"order_3": chi.order == 3}
     hyps.update(_lambda_flags(f, 2, lam))
     if not all(hyps.values()):
-        return _skip(tid, f, hyps, lam=lam, char_index=s, tolerance=tolerance)
+        return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
     le = f.from_rational(lam)
     lhs = _w_sum(f, s, le)
     rhs = q * series_value(f, [h, 0], [s], f.add(1, le))
-    return build_report(
-        theorem_id=tid,
-        p=f.p,
-        e=f.e,
-        q=q,
-        lam=lam,
-        char_index=s,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-    )
+    return _record(tid, f, hyps, tolerance, lhs, rhs, lam=lam, char_index=s)
 
 
 # ----------------------------------------------------------------------
-# sweep driver
+# the theorem catalog and the sweep
+
+
+def _characters(f: Field, c: SweepConfig) -> list[Character]:
+    """The canonical character of each configured order l dividing q-1."""
+    return [character_of_order(f, l) for l in c.l_values if f.m % l == 0]
+
+
+# Theorem key -> the records it yields on one field under a SweepConfig.
+# Rows name the verifiers through this module's globals, looked up at call
+# time, so a rebinding of a verify_* name reaches the sweep as well.
+CATALOG = {
+    "ono": lambda f, c: [verify_ono(f, lam, c.tolerance) for lam in c.lambdas],
+    "main": lambda f, c: [
+        verify_main_square(f, l, lam, c.tolerance) for l in c.l_values for lam in c.lambdas
+    ],
+    "trace": lambda f, c: [
+        verify_2f1_trace(f, l, lam, branch, c.tolerance)
+        for l in c.l_values
+        for lam in c.lambdas
+        for branch in (SQRT_BRANCHES[:1] if l == 3 else SQRT_BRANCHES)
+    ],
+    "lambda_third": lambda f, c: [verify_lambda_third(f, l, c.tolerance) for l in c.l_values],
+    "mccarthy": lambda f, c: verify_mccarthy(f, c.tolerance),
+    "3f2at4": lambda f, c: [verify_3f2_at_4(f, chi, c.tolerance) for chi in _characters(f, c)],
+    "specials": lambda f, c: [
+        verify_2f1_specials(f, chi, part, branch, c.tolerance)
+        for chi in _characters(f, c)
+        for part in SPECIAL_PARTS
+        for branch in SQRT_BRANCHES
+    ],
+    "c3": lambda f, c: verify_corollary_c3(f, c.tolerance) if f.e == 1 else [],
+    "chi4": lambda f, c: [verify_corollary_chi4(f, lam, c.tolerance) for lam in c.lambdas],
+    "lcm": lambda f, c: [verify_corollary_lcm(f, l, c.tolerance) for l in c.l_values],
+    "charsum_lemmas": lambda f, c: [
+        verify_charsum_lemmas(f, chi, lam, part, branch, c.tolerance)
+        for chi in _characters(f, c)
+        for part, lams, branches in (
+            ("square_3f2", c.lambdas, SQRT_BRANCHES[:1]),
+            ("one_third", (Fraction(1, 3),), SQRT_BRANCHES[:1]),
+            ("sqrt_2f1", c.lambdas, SQRT_BRANCHES),
+            ("order3_2f1", c.lambdas if chi.order == 3 else (), SQRT_BRANCHES[:1]),
+        )
+        for lam in lams
+        for branch in branches
+    ],
+}
+THEOREM_KEYS = tuple(CATALOG)
 
 
 @dataclass
@@ -807,8 +635,12 @@ class SweepConfig:
             raise ValueError("prime_min must not exceed prime_max")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.q_cap < 3:
+            raise ValueError(f"q_cap must be at least 3, got {self.q_cap}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        if not self.theorems:
+            raise ValueError("no theorem key given")
         for name in self.theorems:
             if name != "all" and name not in THEOREM_KEYS:
                 raise ValueError(f"unknown theorem key {name!r}")
@@ -820,77 +652,21 @@ def _odd_primes(lo: int, hi: int) -> list[int]:
 
 
 def sweep(config: SweepConfig) -> list[VerificationReport]:
-    """Run every selected verifier over the configured grid and return the
-    reports sorted deterministically."""
-    wanted = set(THEOREM_KEYS) if "all" in config.theorems else set(config.theorems)
-    tol = config.tolerance
+    """Run the selected catalog rows over every field of the configured grid
+    and return the reports sorted deterministically.
+
+    A prime range with no odd prime gives no reports; one whose fields all
+    exceed q_cap is an error."""
+    keys = [k for k in THEOREM_KEYS if "all" in config.theorems or k in config.theorems]
+    primes = _odd_primes(config.prime_min, config.prime_max)
+    degrees = sorted(set(config.degrees))
+    grid = [(p, e) for p in primes for e in degrees if p**e <= config.q_cap]
+    if primes and not grid:
+        raise ValueError(f"no field of the grid has q = p^e <= q_cap = {config.q_cap}")
     out: list[VerificationReport] = []
-    for p in _odd_primes(config.prime_min, config.prime_max):
-        for e in sorted(set(config.degrees)):
-            if p**e > config.q_cap:
-                continue
-            f = make_field(p, e, q_cap=config.q_cap)
-            m = f.m
-            if "ono" in wanted:
-                for lam in config.lambdas:
-                    out.append(verify_ono(f, lam, tol))
-            if "main" in wanted:
-                for l in config.l_values:
-                    for lam in config.lambdas:
-                        out.append(verify_main_square(f, l, lam, tol))
-            if "trace" in wanted:
-                for l in config.l_values:
-                    for lam in config.lambdas:
-                        if l == 3:
-                            out.append(verify_2f1_trace(f, 3, lam, "first", tol))
-                        else:
-                            for branch in SQRT_BRANCHES:
-                                out.append(verify_2f1_trace(f, l, lam, branch, tol))
-            if "lambda_third" in wanted:
-                for l in config.l_values:
-                    out.append(verify_lambda_third(f, l, tol))
-            if "mccarthy" in wanted:
-                out.extend(verify_mccarthy(f, tol))
-            if "3f2at4" in wanted:
-                for l in config.l_values:
-                    if m % l == 0:
-                        out.append(verify_3f2_at_4(f, character_of_order(f, l), tol))
-            if "specials" in wanted:
-                for l in config.l_values:
-                    if m % l == 0:
-                        chi = character_of_order(f, l)
-                        for part in SPECIAL_PARTS:
-                            for branch in SQRT_BRANCHES:
-                                out.append(verify_2f1_specials(f, chi, part, branch, tol))
-            if "c3" in wanted and e == 1:
-                out.extend(verify_corollary_c3(p, tol))
-            if "chi4" in wanted:
-                for lam in config.lambdas:
-                    out.append(verify_corollary_chi4(f, lam, tol))
-            if "lcm" in wanted:
-                for l in config.l_values:
-                    out.append(verify_corollary_lcm(f, l, tol))
-            if "charsum_lemmas" in wanted:
-                for l in config.l_values:
-                    if m % l != 0:
-                        continue
-                    chi = character_of_order(f, l)
-                    for lam in config.lambdas:
-                        out.append(
-                            verify_charsum_lemmas(f, chi, lam, "square_3f2", tolerance=tol)
-                        )
-                    out.append(
-                        verify_charsum_lemmas(f, chi, Fraction(1, 3), "one_third", tolerance=tol)
-                    )
-                    for lam in config.lambdas:
-                        for branch in SQRT_BRANCHES:
-                            out.append(
-                                verify_charsum_lemmas(f, chi, lam, "sqrt_2f1", branch, tol)
-                            )
-                    if l == 3:
-                        for lam in config.lambdas:
-                            out.append(
-                                verify_charsum_lemmas(f, chi, lam, "order3_2f1", tolerance=tol)
-                            )
+    for p, e in grid:
+        f = make_field(p, e, q_cap=config.q_cap)
+        for key in keys:
+            out.extend(CATALOG[key](f, config))
     out.sort(key=report_sort_key)
     return out

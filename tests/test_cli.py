@@ -37,6 +37,21 @@ def test_fieldinfo_rejects_composite(capsys):
     assert err.startswith("error:")
 
 
+def test_explicit_zero_is_not_a_default(capsys):
+    # --e 0 and --q-cap 0 reach the field, which rejects them
+    commands = (
+        ("fieldinfo", "--p", "7"),
+        ("count", "--p", "7", "--l", "2", "--lambda", "1"),
+        ("hgf", "--p", "7", "--top", "phi", "--bottom", "eps", "--x", "2"),
+    )
+    for argv in commands:
+        for flag in ("--e", "--q-cap"):
+            code, out, err = run(capsys, *argv, flag, "0")
+            assert code == 2 and out == "" and err.startswith("error:"), (argv[0], flag)
+    code, out, err = run(capsys, "verify", "--q-cap", "0")
+    assert code == 2 and out == "" and "q_cap" in err
+
+
 def test_count_json(capsys):
     code, out, _ = run(
         capsys, "count", "--p", "5", "--l", "2", "--lambda", "1", "--method", "both"
@@ -134,6 +149,14 @@ def test_verify_summary_and_exit_codes(capsys):
     )
     assert code == 1
     assert "fail=1" in err
+
+
+def test_verify_grid_above_cap_and_empty_range(capsys):
+    code, out, err = run(capsys, "verify", "--primes", "3001:3001")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "verify", "--primes", "24:28")
+    assert code == 0 and out == ""
+    assert err == "# pass=0 fail=0 skip=0\n"
 
 
 def test_verify_rejects_unknown_theorem(capsys):

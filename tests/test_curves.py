@@ -155,7 +155,7 @@ def test_genus_and_hasse_weil():
                 if not good_reduction(p, curve):
                     continue
                 aq = brute_force_count(f, curve).a_q
-                assert abs(aq) <= hasse_weil_bound(f.q, genus(l))
+                assert abs(aq) <= hasse_weil_bound(l, f.q)
 
 
 def test_squarefree_matches_good_reduction():

@@ -1,6 +1,8 @@
 """Verifier behavior: skip semantics, cross-identity consistency, sweep
 determinism, and pinned outcomes for the identities that do not hold."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from hgfq import (
     verify_mccarthy,
     verify_ono,
 )
+from hgfq.report import REPORT_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +49,48 @@ def test_default_sweep_failure_census(default_reports):
     # double sum, and only for l = 5
     assert {r.theorem_id for r in failed} == {"aq_square_3f2"}
     assert {(r.q, r.l) for r in failed} == {(11, 5), (121, 5)}
+
+
+# (pass, fail, skip) per theorem_id on the default grid
+DEFAULT_CENSUS = {
+    "2f1_special_i": (24, 0, 20),
+    "2f1_special_ii": (24, 0, 20),
+    "2f1_special_iii": (24, 0, 20),
+    "2f1_special_iv": (24, 0, 20),
+    "3f2_at_4": (10, 0, 12),
+    "aq_square_3f2": (38, 10, 112),
+    "c3_2f1_sum": (2, 0, 2),
+    "c3_point_count": (2, 0, 2),
+    "charsum_one_third": (22, 0, 0),
+    "charsum_order3_2f1": (29, 0, 1),
+    "charsum_sqrt_2f1": (114, 0, 106),
+    "charsum_square_3f2": (48, 0, 62),
+    "chi4_square": (28, 0, 12),
+    "lambda_third": (20, 0, 12),
+    "lcm_third_trace": (16, 0, 16),
+    "mccarthy_binomial": (6, 0, 2),
+    "mccarthy_gauss": (6, 0, 2),
+    "ono_3f2": (38, 0, 2),
+    "trace_2f1": (114, 0, 126),
+    "trace_2f1_cubic": (20, 0, 20),
+}
+DEFAULT_DIGEST = "e14f9e15a1343551bd23653a80508d4d1b15047432e2d8374e1aa1fd63bdd453"
+
+
+def test_default_sweep_golden(default_reports):
+    """Pins every record of the default sweep except its floats: the
+    instance fields, the premise flags in order, and the status."""
+    census = {}
+    for r in default_reports:
+        counts = census.setdefault(r.theorem_id, [0, 0, 0])
+        counts[("pass", "fail", "skip").index(r.status)] += 1
+    assert {k: tuple(v) for k, v in census.items()} == DEFAULT_CENSUS
+    keys = REPORT_FIELDS[: REPORT_FIELDS.index("sqrt_branch") + 1]
+    lines = []
+    for r in default_reports:
+        d = r.to_dict()
+        lines.append(json.dumps([[d[k] for k in keys], list(r.hypotheses.items()), r.status]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DEFAULT_DIGEST
 
 
 def test_sweep_is_deterministic(default_reports):
@@ -85,6 +130,13 @@ def test_empty_prime_range_gives_empty_sweep():
     assert sweep(SweepConfig(prime_min=24, prime_max=28)) == []
 
 
+def test_grid_above_q_cap_is_an_error():
+    with pytest.raises(ValueError):
+        sweep(SweepConfig(prime_min=3001, prime_max=3001))
+    with pytest.raises(ValueError):
+        sweep(SweepConfig(prime_min=11, prime_max=13, degrees=(2,), q_cap=100))
+
+
 def test_small_sweep_covers_core_families():
     cfg = SweepConfig(
         prime_min=5,
@@ -109,6 +161,11 @@ def test_sweep_config_validation():
         SweepConfig(output_format="xml")
     with pytest.raises(ValueError):
         SweepConfig(theorems=("ono", "nope"))
+    with pytest.raises(ValueError):
+        SweepConfig(theorems=())
+    for cap in (0, 2):
+        with pytest.raises(ValueError):
+            SweepConfig(q_cap=cap)
 
 
 def test_main_square_counterexample_is_failed_not_skipped():
@@ -171,9 +228,11 @@ def test_mccarthy_pair():
 
 def test_c3_pair():
     for p in (7, 13, 19, 31):
-        assert all(r.passed for r in verify_corollary_c3(p))
-    for r in verify_corollary_c3(11):
+        assert all(r.passed for r in verify_corollary_c3(make_field(p)))
+    for r in verify_corollary_c3(make_field(11)):
         assert r.skipped
+    with pytest.raises(ValueError):
+        verify_corollary_c3(make_field(7, 2))
 
 
 def test_chi4_congruence():
