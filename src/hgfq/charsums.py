@@ -1,8 +1,8 @@
 """Gauss sums, Jacobi sums, binomial coefficients and the quadratic-argument
 g-sum, computed exact-first.
 
-Single character sums are accumulated as integer count vectors over roots of
-unity (order q-1 for multiplicative sums, lcm(q-1, p) for Gauss sums) and
+Single character sums are held as sparse integer counts of roots of unity
+(order q-1 for multiplicative sums, lcm(q-1, p) for Gauss sums) and
 converted to complex doubles only at comparison boundaries.
 """
 
@@ -20,22 +20,27 @@ from .field import Field, FieldElement
 
 @dataclass(frozen=True)
 class CyclotomicSum:
-    """Exact sum of counts[t] * zeta_order**t over t."""
+    """Exact sum of counts[i] * zeta_order**exponents[i] over distinct increasing exponents."""
 
     order: int
+    exponents: np.ndarray
     counts: np.ndarray
 
+    @classmethod
+    def from_counts(cls, order: int, dense: np.ndarray) -> "CyclotomicSum":
+        """The sum with dense[t] copies of zeta_order**t."""
+        exponents = np.flatnonzero(dense)
+        return cls(order, exponents, dense[exponents].astype(np.int64))
+
     def to_complex(self) -> complex:
-        idx = np.nonzero(self.counts)[0]
-        if idx.size == 0:
-            return 0j
-        phases = np.exp(2j * np.pi * idx / self.order)
-        return complex(self.counts[idx] @ phases)
+        phases = np.exp(2j * np.pi * self.exponents / self.order)
+        return complex(self.counts @ phases)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CyclotomicSum)
             and self.order == other.order
+            and np.array_equal(self.exponents, other.exponents)
             and np.array_equal(self.counts, other.counts)
         )
 
@@ -49,7 +54,7 @@ def _same_field(a: Character, b: Character) -> Field:
 def jacobi_sum(a: Character, b: Character) -> CyclotomicSum:
     """J(A, B) = sum over x of A(x) B(1-x), as exact root-of-unity counts."""
     field = _same_field(a, b)
-    return CyclotomicSum(field.m, field.jacobi_counts(a.index, b.index))
+    return CyclotomicSum.from_counts(field.m, field.jacobi_counts(a.index, b.index))
 
 
 def gauss_sum(chi: Character) -> CyclotomicSum:
@@ -61,11 +66,11 @@ def gauss_sum(chi: Character) -> CyclotomicSum:
     field = chi.field
     m, p = field.m, field.p
     order = m * p
-    lx, _ = field._gauss_logs()
-    tr = np.array([field.trace(x) for x in range(1, field.q)], dtype=np.int64)
+    lx = np.asarray(field._dlog[1:], dtype=np.int64)
+    tr = np.asarray(field._trace[1:], dtype=np.int64)
     t = (p * ((chi.index * lx) % m) + m * tr) % order
-    counts = np.bincount(t, minlength=order).astype(np.int64)
-    return CyclotomicSum(order, counts)
+    exponents, counts = np.unique(t, return_counts=True)
+    return CyclotomicSum(order, exponents, counts.astype(np.int64))
 
 
 def binomial(a: Character, b: Character) -> complex:
@@ -78,7 +83,7 @@ def binomial_exact(a: Character, b: Character) -> tuple[CyclotomicSum, Fraction]
     """The binomial coefficient as an exact Jacobi count vector and the
     rational scale B(-1)/q it carries."""
     field = _same_field(a, b)
-    j = CyclotomicSum(field.m, field.jacobi_counts(a.index, (-b.index) % field.m))
+    j = CyclotomicSum.from_counts(field.m, field.jacobi_counts(a.index, -b.index))
     sign = -1 if b.index % 2 else 1
     return j, Fraction(sign, field.q)
 
@@ -99,7 +104,7 @@ def g_sum(a: Character, b: Character, x: FieldElement | int) -> CyclotomicSum:
         if v == 0:
             continue
         counts[(ai * dlog[u] + bi * dlog[v]) % m] += 1
-    return CyclotomicSum(m, counts)
+    return CyclotomicSum.from_counts(m, counts)
 
 
 def g_sum_c(a: Character, b: Character, x: FieldElement | int) -> complex:

@@ -155,11 +155,6 @@ class Field:
         self._zeta: np.ndarray | None = None
         self._jx: np.ndarray | None = None
         self._j1mx: np.ndarray | None = None
-        self._lx: np.ndarray | None = None
-        self._psi: np.ndarray | None = None
-        self._jacobi_cache: dict[tuple[int, int], complex] = {}
-        self._binom_cache: dict[tuple[int, int], complex] = {}
-        self._gauss_cache: dict[int, complex] = {}
 
     def _find_modulus_tail(self) -> tuple[int, ...]:
         if self.e == 1:
@@ -325,7 +320,7 @@ class Field:
         return (FieldElement(self, n) for n in range(self.q))
 
     # ------------------------------------------------------------------
-    # numpy-backed complex sum caches shared by the character-sum layer
+    # numpy-backed complex character sums and whole binomial rows
 
     @property
     def zeta(self) -> np.ndarray:
@@ -346,11 +341,9 @@ class Field:
 
     def _jacobi_logs(self) -> tuple[np.ndarray, np.ndarray]:
         if self._jx is None:
-            xs = [x for x in range(self.q) if x not in (0, 1)]
-            self._jx = np.array([self._dlog[x] for x in xs], dtype=np.int64)
-            self._j1mx = np.array(
-                [self._dlog[self.sub(1, x)] for x in xs], dtype=np.int64
-            )
+            xs = range(2, self.q)  # x runs over F_q minus {0, 1}
+            self._jx = np.array(self._dlog[2:], dtype=np.int64)
+            self._j1mx = np.array([self._dlog[self.sub(1, x)] for x in xs], dtype=np.int64)
         return self._jx, self._j1mx
 
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
@@ -360,45 +353,36 @@ class Field:
         return np.bincount(t, minlength=self.m).astype(np.int64)
 
     def jacobi_c(self, a: int, b: int) -> complex:
-        """Complex value of J(chi_a, chi_b), memoized per field."""
-        a %= self.m
-        b %= self.m
-        if b < a:
-            a, b = b, a  # J is symmetric
-        val = self._jacobi_cache.get((a, b))
-        if val is None:
-            val = complex(self.jacobi_counts(a, b) @ self.zeta)
-            self._jacobi_cache[(a, b)] = val
-        return val
+        """Complex value of J(chi_a, chi_b)."""
+        return complex(self.jacobi_counts(a, b) @ self.zeta)
 
     def binom_c(self, a: int, b: int) -> complex:
         """Complex binomial (chi_a | chi_b) = chi_b(-1)/q * J(chi_a, inverse of chi_b)."""
-        a %= self.m
-        b %= self.m
-        val = self._binom_cache.get((a, b))
-        if val is None:
-            sign = -1.0 if b % 2 else 1.0
-            val = sign * self.jacobi_c(a, (self.m - b) % self.m) / self.q
-            self._binom_cache[(a, b)] = val
-        return val
+        sign = -1.0 if b % 2 else 1.0
+        return sign * self.jacobi_c(a, -b) / self.q
 
-    def _gauss_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._lx is None:
-            xs = range(1, self.q)
-            self._lx = np.array([self._dlog[x] for x in xs], dtype=np.int64)
-            tr = np.array([self._trace[x] for x in xs], dtype=np.int64)
-            self._psi = np.exp(2j * np.pi * tr / self.p)
-        return self._lx, self._psi
+    def binom_rows(self, tops: list[int], bottoms: list[int], steps: list[int]) -> np.ndarray:
+        """The (n, q-1) array of rows i, k -> (chi_{tops[i] + steps[i]*k} | chi_{bottoms[i] + k}).
+
+        With v = 1/(x-1), (chi_{t+sk} | chi_{b+k}) = 1/q * sum over x of
+        zeta^(t dlog x + b dlog v + k (s dlog x + dlog v)): one inverse DFT
+        of the weights bucketed by s dlog x + dlog v.
+        """
+        m = self.m
+        jx, j1mx = self._jacobi_logs()
+        lv = m // 2 - j1mx  # dlog v, since 1/(x-1) = -1/(1-x)
+        t, b, s = (np.array([tops, bottoms, steps], dtype=np.int64) % m)[:, :, None]
+        n = len(t)
+        w = self.zeta[(t * jx + b * lv) % m].ravel()
+        bins = (np.arange(n)[:, None] * m + (s * jx + lv) % m).ravel()
+        spectra = np.bincount(bins, w.real, n * m) + 1j * np.bincount(bins, w.imag, n * m)
+        return np.fft.ifft(spectra.reshape(n, m), axis=1) * (m / self.q)
 
     def gauss_c(self, k: int) -> complex:
-        """Complex Gauss sum of chi_k, memoized per field."""
-        k %= self.m
-        val = self._gauss_cache.get(k)
-        if val is None:
-            lx, psi = self._gauss_logs()
-            val = complex(np.sum(self.zeta[(k * lx) % self.m] * psi))
-            self._gauss_cache[k] = val
-        return val
+        """Complex Gauss sum of chi_k."""
+        lx = np.asarray(self._dlog[1:])
+        psi = np.exp(2j * np.pi * np.asarray(self._trace[1:]) / self.p)
+        return complex(np.sum(self.zeta[(k % self.m * lx) % self.m] * psi))
 
     def char_value(self, k: int, x: int) -> complex:
         """chi_k(x) as a complex number, with chi_k(0) = 0."""

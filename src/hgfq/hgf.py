@@ -4,7 +4,8 @@ The (n+1)F_n series is the normalized character-indexed sum
 
     q/(q-1) * sum over chi of (A0 chi | chi)(A1 chi | B1 chi)...(An chi | Bn chi) chi(x),
 
-with every binomial coefficient drawn from the per-field Jacobi cache.  The
+evaluated as one product of whole binomial rows: each row k -> (A chi_k | B chi_k)
+comes from a single inverse DFT of Jacobi weights (`Field.binom_rows`).  The
 variant F(A, B; x) sums (A chi^2 | chi)(A chi | B chi) chi(x/4) instead, and
 F* adds the normalization term A B(-1) Abar(x/4) / q.
 """
@@ -12,6 +13,8 @@ F* adds the normalization term A B(-1) Abar(x/4) / q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .characters import Character
 from .errors import FieldMismatchError
@@ -46,19 +49,14 @@ def series_value(field: Field, tops: list[int], bottoms: list[int], x: int) -> c
         raise ValueError("a series needs exactly one more top index")
     if x == 0:
         return 0j
+    return _row_series(field, tops, [0, *bottoms], [1] * len(tops), x)
+
+
+def _row_series(field: Field, tops: list, bottoms: list, steps: list, x: int) -> complex:
+    """q/(q-1) * sum over k of chi_k(x) times the product of the `Field.binom_rows` rows at k."""
     m = field.m
-    dx = field.dlog(x)
-    zeta = field.zeta
-    binom = field.binom_c
-    a0 = tops[0] % m
-    rest = [(t % m, b % m) for t, b in zip(tops[1:], bottoms)]
-    total = 0j
-    for k in range(m):
-        term = binom(a0 + k, k)
-        for t, b in rest:
-            term *= binom(t + k, b + k)
-        total += term * zeta[(k * dx) % m]
-    return complex(total) * field.q / m
+    chi_x = field.zeta[(np.arange(m) * field.dlog(x)) % m]
+    return complex(field.binom_rows(tops, bottoms, steps).prod(axis=0) @ chi_x) * field.q / m
 
 
 def gaussian_hgf(spec: SeriesSpec) -> complex:
@@ -82,15 +80,7 @@ def evans_F(a: Character, b: Character, x: FieldElement | int) -> complex:
     x4 = field.div(_enc(x), field.from_int(4))
     if x4 == 0:
         return 0j
-    m = field.m
-    d = field.dlog(x4)
-    zeta = field.zeta
-    binom = field.binom_c
-    ai, bi = a.index, b.index
-    total = 0j
-    for k in range(m):
-        total += binom(ai + 2 * k, k) * binom(ai + k, bi + k) * zeta[(k * d) % m]
-    return complex(total) * field.q / m
+    return _row_series(field, [a.index, a.index], [0, b.index], [2, 1], x4)
 
 
 def evans_F_star(a: Character, b: Character, x: FieldElement | int) -> complex:

@@ -1,7 +1,9 @@
 """Plain-Python reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: dict tables, double loops, cmath.
-Prime fields only, and no imports from the package under test.
+Prime fields only, and no imports from the package under test, except the
+loop oracles at the end, which take a package `Field` and sum its scalar
+binomials over k one at a time.
 """
 
 import cmath
@@ -96,3 +98,32 @@ def count_affine(p: int, l: int, num: int, den: int) -> int:
             if pow(y, l, p) == rhs:
                 pts += 1
     return pts
+
+
+def series_loop(field, tops, bottoms, x: int) -> complex:
+    """The (n+1)F_n series as a Python loop over k of scalar `field.binom_c` products."""
+    if x == 0:
+        return 0j
+    m = field.m
+    dx = field.dlog(x)
+    total = 0j
+    for k in range(m):
+        term = field.binom_c(tops[0] + k, k)
+        for t, b in zip(tops[1:], bottoms):
+            term *= field.binom_c(t + k, b + k)
+        total += term * field.zeta[(k * dx) % m]
+    return total * field.q / m
+
+
+def evans_F_loop(field, a: int, b: int, x: int) -> complex:
+    """F(A, B; x) as a Python loop over k of scalar `field.binom_c` products."""
+    x4 = field.div(x, field.from_int(4))
+    if x4 == 0:
+        return 0j
+    m = field.m
+    d = field.dlog(x4)
+    total = 0j
+    for k in range(m):
+        term = field.binom_c(a + 2 * k, k) * field.binom_c(a + k, b + k)
+        total += term * field.zeta[(k * d) % m]
+    return total * field.q / m

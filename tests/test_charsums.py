@@ -1,6 +1,7 @@
 """Jacobi, Gauss, binomial and quadratic-argument sums, with the exact
 integer-count representation cross-checked against naive loops."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ def test_cyclotomic_sum_counts_are_exact_integers():
             assert isinstance(cs, CyclotomicSum)
             assert cs.counts.dtype == np.int64
             assert int(cs.counts.sum()) == f.q - 2
+            assert (cs.counts > 0).all() and (np.diff(cs.exponents) > 0).all()
 
 
 def test_jacobi_matches_naive_loops():
@@ -87,6 +89,21 @@ def test_gauss_sum_order_and_magnitude():
                 assert abs(g) ** 2 == pytest.approx(f.q, rel=1e-9)
 
 
+def test_gauss_sum_is_sparse():
+    # At most q-1 distinct exponents are held, never a vector of length p*(q-1).
+    f = make_field(4001)
+    chi = Character(f, 7)
+    tracemalloc.start()
+    try:
+        cs = gauss_sum(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert int(cs.counts.sum()) == f.q - 1
+    assert abs(cs.to_complex()) ** 2 == pytest.approx(f.q, rel=1e-9)
+
+
 def test_jacobi_gauss_factorization():
     for p, e in ((11, 1), (3, 2)):
         f = make_field(p, e)
@@ -108,6 +125,20 @@ def test_binomial_against_naive():
                 assert f.binom_c(a, b) == pytest.approx(
                     oracle.binom(p, a, b), abs=1e-9
                 )
+
+
+def test_binom_rows_match_scalar_binomials():
+    # Row (t, b, s) is k -> (chi_{t+s*k} | chi_{b+k}), for every t, b and s in {1, 2}.
+    for p, e in ((13, 1), (3, 2), (5, 2)):
+        f = make_field(p, e)
+        m = f.m
+        table = np.array([[f.binom_c(a, b) for b in range(m)] for a in range(m)])
+        grid = np.meshgrid(range(m), range(m), (1, 2), indexing="ij")
+        t, b, s = (v.ravel()[:, None] for v in grid)
+        k = np.arange(m)
+        want = table[(t + s * k) % m, (b + k) % m]
+        got = f.binom_rows(t.ravel(), b.ravel(), s.ravel())
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_binomial_reduction_at_trivial_bottom():

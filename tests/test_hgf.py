@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgfq import (
     Character,
@@ -125,3 +127,38 @@ def test_greene_transform_rejects_unknown_variant():
     eps = Character(f, 0)
     with pytest.raises(ValueError):
         greene_transform_check(eps, eps, eps, 2, "iii")
+
+
+@pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
+def test_series_rows_match_loop_oracle(p, e):
+    f = make_field(p, e)
+    m = f.m
+    h = m // 2
+    series = (([h, h], [0]), ([3, m - 5], [7]), ([h, h, h], [0, 0]), ([1, 2, 3], [4, 5]))
+    for x in (1, 2, f.q - 1):
+        for tops, bottoms in series:
+            got = series_value(f, tops, bottoms, x)
+            assert got == pytest.approx(oracle.series_loop(f, tops, bottoms, x), abs=1e-9)
+        for a, b in ((h, 0), (2, m - 3)):
+            got = evans_F(Character(f, a), Character(f, b), x)
+            assert got == pytest.approx(oracle.evans_F_loop(f, a, b, x), abs=1e-9)
+
+
+SMALL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_series_fft_equals_loop_on_random_characters(data):
+    p, e = data.draw(st.sampled_from(SMALL_FIELDS))
+    f = make_field(p, e)
+    n = data.draw(st.integers(0, 2))
+    index = st.integers(-2 * f.m, 2 * f.m)
+    tops = data.draw(st.lists(index, min_size=n + 1, max_size=n + 1))
+    bottoms = data.draw(st.lists(index, min_size=n, max_size=n))
+    x = data.draw(st.integers(0, f.q - 1))
+    got = series_value(f, tops, bottoms, x)
+    assert got == pytest.approx(oracle.series_loop(f, tops, bottoms, x), abs=1e-9)
+    a, b = data.draw(index), data.draw(index)
+    got = evans_F(Character(f, a), Character(f, b), x)
+    assert got == pytest.approx(oracle.evans_F_loop(f, a, b, x), abs=1e-9)
