@@ -3,9 +3,11 @@ evaluation, and identity sweeps.
 
 Exit codes: 0 clean, 1 at least one identity failure (or a count
 cross-check mismatch), 2 usage, configuration, or domain error.  A sweep
-writes its records to stdout, sorted, once it has finished; the
+streams its records to stdout field by field, in increasing q, sorted
+within each field, and flushes stdout as each field ends; the
 pass/fail/skip summary goes to stderr so that stdout stays
-machine-parseable.
+machine-parseable.  The grid is checked before anything is written; an
+error in a later field leaves the finished fields' records on stdout.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .characters import parse_character
@@ -20,8 +23,8 @@ from .curves import CurveSpec, count_points
 from .errors import HgfqError
 from .field import DEFAULT_Q_CAP, make_field
 from .hgf import series_value
-from .report import csv_header, report_to_csv_row, summarize
-from .verifier import THEOREM_KEYS, SweepConfig, sweep
+from .report import csv_header, report_to_csv_row
+from .verifier import THEOREM_KEYS, SweepConfig, field_blocks
 
 
 def _fraction(text: str) -> Fraction:
@@ -260,15 +263,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         q_cap=_or(args.q_cap, defaults.q_cap),
         output_format=_or(args.output_format, defaults.output_format),
     )
-    reports = sweep(config)
-    if config.output_format == "csv":
+    blocks = field_blocks(config)  # a grid error raises here, before any output
+    csv_out = config.output_format == "csv"
+    if csv_out:
         print(csv_header())
-        for r in reports:
-            print(report_to_csv_row(r))
-    else:
-        for r in reports:
-            print(r.to_json())
-    counts = summarize(reports)
+    counts = Counter()
+    for block in blocks:
+        for r in block:
+            print(report_to_csv_row(r) if csv_out else r.to_json())
+            counts[r.status] += 1
+        sys.stdout.flush()
     print(
         f"# pass={counts['pass']} fail={counts['fail']} skip={counts['skip']}",
         file=sys.stderr,

@@ -134,9 +134,10 @@ def build_report(
 
 
 def report_sort_key(r: VerificationReport):
+    """Field-major: the order in which a sweep streams its records."""
     return (
-        r.theorem_id,
         r.q,
+        r.theorem_id,
         r.l if r.l is not None else 0,
         r.lam if r.lam is not None else Fraction(0),
         r.char_index if r.char_index is not None else -1,

@@ -7,15 +7,18 @@ status, never an exception and never a failure; an actual numeric mismatch
 under met hypotheses is a "fail".  Identities whose two sides are rational
 with denominator q or q**2 are additionally integer-checked after scaling.
 
-CATALOG maps each theorem key to the records it yields on one field, and
-sweep() runs the selected rows over a configured grid of prime powers,
-returning reports in a deterministic sorted order.
+CATALOG maps each theorem key to the records it yields on one field.
+iter_sweep() runs the selected rows over a configured grid of prime
+powers, one field at a time in increasing q, and yields each field's
+records, sorted, before it builds the next field; sweep() collects them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .characters import Character, character_of_order
@@ -651,22 +654,34 @@ def _odd_primes(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 3), hi + 1) if n % 2 and is_prime(n)]
 
 
-def sweep(config: SweepConfig) -> list[VerificationReport]:
-    """Run the selected catalog rows over every field of the configured grid
-    and return the reports sorted deterministically.
+def field_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
+    """The records of the selected catalog rows, one list per field of the
+    grid in increasing q, each list sorted by report_sort_key.
 
-    A prime range with no odd prime gives no reports; one whose fields all
-    exceed q_cap is an error."""
+    The grid is checked by the call itself, before any field is built: a
+    prime range with no odd prime gives no fields; one whose fields all
+    exceed q_cap is an error.  Each field is built only when its list is
+    asked for."""
     keys = [k for k in THEOREM_KEYS if "all" in config.theorems or k in config.theorems]
     primes = _odd_primes(config.prime_min, config.prime_max)
     degrees = sorted(set(config.degrees))
-    grid = [(p, e) for p in primes for e in degrees if p**e <= config.q_cap]
+    grid = sorted((p**e, p, e) for p in primes for e in degrees if p**e <= config.q_cap)
     if primes and not grid:
         raise ValueError(f"no field of the grid has q = p^e <= q_cap = {config.q_cap}")
-    out: list[VerificationReport] = []
-    for p, e in grid:
-        f = make_field(p, e, q_cap=config.q_cap)
-        for key in keys:
-            out.extend(CATALOG[key](f, config))
-    out.sort(key=report_sort_key)
-    return out
+    fields = (make_field(p, e, q_cap=config.q_cap) for _, p, e in grid)
+    return (
+        sorted((r for key in keys for r in CATALOG[key](f, config)), key=report_sort_key)
+        for f in fields
+    )
+
+
+def iter_sweep(config: SweepConfig) -> Iterator[VerificationReport]:
+    """The records of field_blocks one by one: a field's records are all
+    yielded before the next field is built."""
+    return chain.from_iterable(field_blocks(config))
+
+
+def sweep(config: SweepConfig) -> list[VerificationReport]:
+    """Every record of iter_sweep, in its order: increasing q, then
+    report_sort_key within a field."""
+    return list(iter_sweep(config))

@@ -5,10 +5,13 @@ import csv
 import io
 import json
 import re
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from hgfq.cli import main
+from hgfq.report import report_sort_key
 
 
 def run(capsys, *argv):
@@ -154,9 +157,27 @@ def test_verify_summary_and_exit_codes(capsys):
 def test_verify_grid_above_cap_and_empty_range(capsys):
     code, out, err = run(capsys, "verify", "--primes", "3001:3001")
     assert code == 2 and out == "" and err.startswith("error:")
+    # the grid is checked before the CSV header is written
+    code, out, err = run(capsys, "verify", "--primes", "3001:3001", "--format", "csv")
+    assert code == 2 and out == "" and err.startswith("error:")
     code, out, err = run(capsys, "verify", "--primes", "24:28")
     assert code == 0 and out == ""
     assert err == "# pass=0 fail=0 skip=0\n"
+
+
+def test_verify_streams_fields_in_increasing_q(capsys):
+    code, out, _ = run(capsys, "verify", "--primes", "5:13", "--degrees", "1,2")
+    assert code == 1
+    records = []
+    for line in out.splitlines():
+        d = json.loads(line)
+        lam = None if d["lambda"] is None else Fraction(d["lambda"])
+        records.append(SimpleNamespace(**d, lam=lam))
+    qs = [r.q for r in records]
+    assert qs == sorted(qs) and len(set(qs)) == 8
+    for q in set(qs):
+        block = [r for r in records if r.q == q]
+        assert block == sorted(block, key=report_sort_key)
 
 
 def test_verify_rejects_unknown_theorem(capsys):

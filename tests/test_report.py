@@ -72,6 +72,6 @@ def test_sorting_and_summary():
         make(0, 0, theorem_id="a", q=5, hyps={"ok": False}),
     ]
     rs.sort(key=report_sort_key)
-    assert [(r.theorem_id, r.q) for r in rs[:2]] == [("a", 5), ("a", 5)]
-    assert rs[-1].theorem_id == "b"
+    # field-major: every record of q = 5 before any of q = 7
+    assert [(r.q, r.theorem_id) for r in rs] == [(5, "a"), (5, "a"), (5, "b"), (7, "a")]
     assert summarize(rs) == {"pass": 2, "fail": 1, "skip": 1}

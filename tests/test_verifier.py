@@ -11,6 +11,7 @@ from hgfq import (
     Character,
     SweepConfig,
     character_of_order,
+    iter_sweep,
     make_field,
     summarize,
     sweep,
@@ -26,7 +27,8 @@ from hgfq import (
     verify_mccarthy,
     verify_ono,
 )
-from hgfq.report import REPORT_FIELDS
+import hgfq.verifier
+from hgfq.report import REPORT_FIELDS, report_sort_key
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,7 @@ DEFAULT_CENSUS = {
     "trace_2f1": (114, 0, 126),
     "trace_2f1_cubic": (20, 0, 20),
 }
-DEFAULT_DIGEST = "e14f9e15a1343551bd23653a80508d4d1b15047432e2d8374e1aa1fd63bdd453"
+DEFAULT_DIGEST = "43be41173b26efd42b124f5a901ab622c4826c71bbc17913cd18593bb0fb6206"
 
 
 def test_default_sweep_golden(default_reports):
@@ -135,6 +137,33 @@ def test_grid_above_q_cap_is_an_error():
         sweep(SweepConfig(prime_min=3001, prime_max=3001))
     with pytest.raises(ValueError):
         sweep(SweepConfig(prime_min=11, prime_max=13, degrees=(2,), q_cap=100))
+    # raised by the call itself, before any record is asked for
+    with pytest.raises(ValueError):
+        iter_sweep(SweepConfig(prime_min=3001, prime_max=3001))
+
+
+def test_iter_sweep_yields_a_field_before_building_the_next(monkeypatch):
+    built = []
+
+    def counting_make_field(p, e, **kw):
+        built.append(p**e)
+        return make_field(p, e, **kw)
+
+    monkeypatch.setattr(hgfq.verifier, "make_field", counting_make_field)
+    records = iter_sweep(SweepConfig(prime_min=5, prime_max=7, degrees=(1, 2)))
+    assert built == []
+    first = next(records)
+    assert built == [5] and first.q == 5
+    rest = list(records)
+    assert built == [5, 7, 25, 49]
+    assert [r.q for r in rest] == sorted(r.q for r in rest)
+
+
+def test_sweep_is_the_streamed_records():
+    config = SweepConfig(prime_min=3, prime_max=7, degrees=(1, 2), l_values=(2, 3, 4))
+    reports = sweep(config)
+    assert reports == list(iter_sweep(config))
+    assert reports == sorted(reports, key=report_sort_key)
 
 
 def test_small_sweep_covers_core_families():
