@@ -89,21 +89,23 @@ def binomial_exact(a: Character, b: Character) -> tuple[CyclotomicSum, Fraction]
 
 
 def g_sum(a: Character, b: Character, x: FieldElement | int) -> CyclotomicSum:
-    """g(A, B; x) = sum over t of A(1-t) B(1-x*t^2)."""
+    """g(A, B; x) = sum over t of A(1-t) B(1-x*t^2).
+
+    t = 0 gives 1 and t = 1 gives 0; every other t comes from the field's
+    tables of dlog t and dlog(1-t), the latter also read at dlog(x t^2).
+    """
     field = _same_field(a, b)
     xn = x.n if isinstance(x, FieldElement) else x
     m = field.m
-    dlog = field._dlog
-    counts = np.zeros(m, dtype=np.int64)
-    ai, bi = a.index, b.index
-    for t in range(field.q):
-        u = field.sub(1, t)
-        if u == 0:
-            continue
-        v = field.sub(1, field.mul(xn, field.mul(t, t)))
-        if v == 0:
-            continue
-        counts[(ai * dlog[u] + bi * dlog[v]) % m] += 1
+    jt, j1mt = field._jacobi_logs()  # dlog t and dlog(1-t) over t in F_q minus {0, 1}
+    exps = a.index % m * j1mt
+    if xn != 0:
+        log_one_minus = np.zeros(m, dtype=np.int64)
+        log_one_minus[jt] = j1mt  # dlog(1 - g^k) for k != 0
+        k = (field.dlog(xn) + 2 * jt) % m  # dlog(x t^2)
+        exps = (exps + b.index % m * log_one_minus[k])[k != 0]  # k = 0: 1 - x t^2 is 0
+    counts = np.bincount(exps % m, minlength=m)
+    counts[0] += 1  # t = 0
     return CyclotomicSum.from_counts(m, counts)
 
 

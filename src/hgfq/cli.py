@@ -4,10 +4,11 @@ evaluation, and identity sweeps.
 Exit codes: 0 clean, 1 at least one identity failure (or a count
 cross-check mismatch), 2 usage, configuration, or domain error.  A sweep
 streams its records to stdout field by field, in increasing q, sorted
-within each field, and flushes stdout as each field ends; the
-pass/fail/skip summary goes to stderr so that stdout stays
-machine-parseable.  The grid is checked before anything is written; an
-error in a later field leaves the finished fields' records on stdout.
+within each field, and flushes stdout as each catalog row of a field
+ends; the pass/fail/skip summary goes to stderr so that stdout stays
+machine-parseable.  The configuration and the grid are checked before
+anything is written; an error in a later row leaves the finished rows'
+records on stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import isfinite
 
 from .characters import parse_character
 from .curves import CurveSpec, count_points
@@ -24,7 +26,7 @@ from .errors import HgfqError
 from .field import DEFAULT_Q_CAP, make_field
 from .hgf import series_value
 from .report import csv_header, report_to_csv_row
-from .verifier import THEOREM_KEYS, SweepConfig, field_blocks
+from .verifier import THEOREM_KEYS, SweepConfig, row_blocks
 
 
 def _fraction(text: str) -> Fraction:
@@ -220,13 +222,15 @@ def _cmd_hgf(args: argparse.Namespace) -> int:
         },
     )
     _require(args, ["p", "top", "bottom", "x"])
+    tol = _or(args.tolerance, 1e-6)
+    if not (tol >= 0 and isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and not negative, got {tol}")
     f = _field(args)
     tops = [parse_character(f, spec).index for spec in args.top.split(",")]
     bottoms = [parse_character(f, spec).index for spec in args.bottom.split(",")]
     if not 0 <= args.x < f.q:
         raise ValueError(f"element encoding {args.x} outside [0, {f.q})")
     value = series_value(f, tops, bottoms, args.x)
-    tol = _or(args.tolerance, 1e-6)
     q2 = f.q * f.q
     scaled = value.real * q2
     exact = None
@@ -263,7 +267,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         q_cap=_or(args.q_cap, defaults.q_cap),
         output_format=_or(args.output_format, defaults.output_format),
     )
-    blocks = field_blocks(config)  # a grid error raises here, before any output
+    blocks = row_blocks(config)  # a grid error raises here, before any output
     csv_out = config.output_format == "csv"
     if csv_out:
         print(csv_header())

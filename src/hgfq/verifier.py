@@ -7,10 +7,13 @@ status, never an exception and never a failure; an actual numeric mismatch
 under met hypotheses is a "fail".  Identities whose two sides are rational
 with denominator q or q**2 are additionally integer-checked after scaling.
 
-CATALOG maps each theorem key to the records it yields on one field.
-iter_sweep() runs the selected rows over a configured grid of prime
-powers, one field at a time in increasing q, and yields each field's
-records, sorted, before it builds the next field; sweep() collects them.
+CATALOG maps each theorem key to the records it yields on one field; its
+keys follow the sorted order of the theorem ids they yield.  row_blocks()
+runs the selected rows over a configured grid of prime powers, one field
+at a time in increasing q and one row at a time within a field, and yields
+each row's records, sorted, before it runs the next row.  iter_sweep()
+chains those lists into the stream of records sorted by report_sort_key;
+sweep() collects them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import isfinite, lcm
 
 from .characters import Character, character_of_order
 from .curves import CurveSpec, brute_force_count, cornacchia_3, curve_values, good_reduction
@@ -576,29 +579,21 @@ def _characters(f: Field, c: SweepConfig) -> list[Character]:
 # Theorem key -> the records it yields on one field under a SweepConfig.
 # Rows name the verifiers through this module's globals, looked up at call
 # time, so a rebinding of a verify_* name reaches the sweep as well.
+# The keys are in the order of the theorem ids they yield, and no id comes
+# from two keys, so the rows sorted one by one and taken in this order are
+# the field's records sorted by report_sort_key: row_blocks relies on it.
 CATALOG = {
-    "ono": lambda f, c: [verify_ono(f, lam, c.tolerance) for lam in c.lambdas],
-    "main": lambda f, c: [
-        verify_main_square(f, l, lam, c.tolerance) for l in c.l_values for lam in c.lambdas
-    ],
-    "trace": lambda f, c: [
-        verify_2f1_trace(f, l, lam, branch, c.tolerance)
-        for l in c.l_values
-        for lam in c.lambdas
-        for branch in (SQRT_BRANCHES[:1] if l == 3 else SQRT_BRANCHES)
-    ],
-    "lambda_third": lambda f, c: [verify_lambda_third(f, l, c.tolerance) for l in c.l_values],
-    "mccarthy": lambda f, c: verify_mccarthy(f, c.tolerance),
-    "3f2at4": lambda f, c: [verify_3f2_at_4(f, chi, c.tolerance) for chi in _characters(f, c)],
     "specials": lambda f, c: [
         verify_2f1_specials(f, chi, part, branch, c.tolerance)
         for chi in _characters(f, c)
         for part in SPECIAL_PARTS
         for branch in SQRT_BRANCHES
     ],
+    "3f2at4": lambda f, c: [verify_3f2_at_4(f, chi, c.tolerance) for chi in _characters(f, c)],
+    "main": lambda f, c: [
+        verify_main_square(f, l, lam, c.tolerance) for l in c.l_values for lam in c.lambdas
+    ],
     "c3": lambda f, c: verify_corollary_c3(f, c.tolerance) if f.e == 1 else [],
-    "chi4": lambda f, c: [verify_corollary_chi4(f, lam, c.tolerance) for lam in c.lambdas],
-    "lcm": lambda f, c: [verify_corollary_lcm(f, l, c.tolerance) for l in c.l_values],
     "charsum_lemmas": lambda f, c: [
         verify_charsum_lemmas(f, chi, lam, part, branch, c.tolerance)
         for chi in _characters(f, c)
@@ -610,6 +605,17 @@ CATALOG = {
         )
         for lam in lams
         for branch in branches
+    ],
+    "chi4": lambda f, c: [verify_corollary_chi4(f, lam, c.tolerance) for lam in c.lambdas],
+    "lambda_third": lambda f, c: [verify_lambda_third(f, l, c.tolerance) for l in c.l_values],
+    "lcm": lambda f, c: [verify_corollary_lcm(f, l, c.tolerance) for l in c.l_values],
+    "mccarthy": lambda f, c: verify_mccarthy(f, c.tolerance),
+    "ono": lambda f, c: [verify_ono(f, lam, c.tolerance) for lam in c.lambdas],
+    "trace": lambda f, c: [
+        verify_2f1_trace(f, l, lam, branch, c.tolerance)
+        for l in c.l_values
+        for lam in c.lambdas
+        for branch in (SQRT_BRANCHES[:1] if l == 3 else SQRT_BRANCHES)
     ],
 }
 THEOREM_KEYS = tuple(CATALOG)
@@ -636,8 +642,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.prime_min > self.prime_max:
             raise ValueError("prime_min must not exceed prime_max")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tolerance > 0 and isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.q_cap < 3:
             raise ValueError(f"q_cap must be at least 3, got {self.q_cap}")
         if self.output_format not in ("json", "csv"):
@@ -647,38 +653,47 @@ class SweepConfig:
         for name in self.theorems:
             if name != "all" and name not in THEOREM_KEYS:
                 raise ValueError(f"unknown theorem key {name!r}")
+        if any(l < 2 for l in self.l_values):
+            raise ValueError(f"every exponent l must be at least 2, got {self.l_values}")
+        if any(e < 1 for e in self.degrees):
+            raise ValueError(f"every extension degree must be at least 1, got {self.degrees}")
         self.lambdas = tuple(Fraction(x) for x in self.lambdas)
+        # a repeated l or lambda would repeat records, a repeated degree a field
+        repeatable = (("l", self.l_values), ("lambda", self.lambdas), ("degree", self.degrees))
+        for what, values in repeatable:
+            if len(set(values)) < len(values):
+                raise ValueError(f"repeated {what} value in {', '.join(map(str, values))}")
 
 
 def _odd_primes(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 3), hi + 1) if n % 2 and is_prime(n)]
 
 
-def field_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
-    """The records of the selected catalog rows, one list per field of the
-    grid in increasing q, each list sorted by report_sort_key.
+def row_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
+    """The records of the selected catalog rows, one list per (field, row):
+    fields of the grid in increasing q, rows in CATALOG order, each list
+    sorted by report_sort_key.  Taken in order, the lists are the sweep's
+    records sorted by report_sort_key.
 
     The grid is checked by the call itself, before any field is built: a
     prime range with no odd prime gives no fields; one whose fields all
-    exceed q_cap is an error.  Each field is built only when its list is
-    asked for."""
+    exceed q_cap is an error.  Each field is built only when its first list
+    is asked for, and each row runs only when its list is."""
     keys = [k for k in THEOREM_KEYS if "all" in config.theorems or k in config.theorems]
     primes = _odd_primes(config.prime_min, config.prime_max)
-    degrees = sorted(set(config.degrees))
-    grid = sorted((p**e, p, e) for p in primes for e in degrees if p**e <= config.q_cap)
+    grid = sorted((p**e, p, e) for p in primes for e in config.degrees if p**e <= config.q_cap)
     if primes and not grid:
         raise ValueError(f"no field of the grid has q = p^e <= q_cap = {config.q_cap}")
     fields = (make_field(p, e, q_cap=config.q_cap) for _, p, e in grid)
     return (
-        sorted((r for key in keys for r in CATALOG[key](f, config)), key=report_sort_key)
-        for f in fields
+        sorted(CATALOG[key](f, config), key=report_sort_key) for f in fields for key in keys
     )
 
 
 def iter_sweep(config: SweepConfig) -> Iterator[VerificationReport]:
-    """The records of field_blocks one by one: a field's records are all
-    yielded before the next field is built."""
-    return chain.from_iterable(field_blocks(config))
+    """The records of row_blocks one by one: a row's records are all
+    yielded before the next row runs."""
+    return chain.from_iterable(row_blocks(config))
 
 
 def sweep(config: SweepConfig) -> list[VerificationReport]:

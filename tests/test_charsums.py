@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hgfq import (
     Character,
@@ -19,6 +21,8 @@ from hgfq import (
 )
 
 import oracle_helpers as oracle
+
+SMALL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (101, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 5)]
 
 
 def w_sum(f, s, lam_enc):
@@ -179,6 +183,43 @@ def test_g_sum_matches_definition():
                 assert got == pytest.approx(want, abs=1e-9)
     cs = g_sum(Character(f, 2), Character(f, 3), 4)
     assert cs.order == m
+
+
+def test_g_sum_counts_match_definition_on_extension_fields():
+    # exact counts against the scalar loop, x = 0 included
+    for p, e in ((3, 2), (5, 2), (3, 3)):
+        f = make_field(p, e)
+        m = f.m
+        for a in (0, 1, m // 2, m - 3):
+            for b in (0, 2, m // 2 + 1):
+                for x in range(f.q):
+                    want = np.zeros(m, dtype=np.int64)
+                    for t in range(f.q):
+                        u, v = f.sub(1, t), f.sub(1, f.mul(x, f.mul(t, t)))
+                        if u and v:
+                            want[(a * f.dlog(u) + b * f.dlog(v)) % m] += 1
+                    cs = g_sum(Character(f, a), Character(f, b), x)
+                    assert cs == CyclotomicSum.from_counts(m, want), (p, e, a, b, x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_jacobi_times_gauss_is_gauss_product(data):
+    # J(A, B) G(AB) = G(A) G(B) whenever AB is nontrivial
+    f = make_field(*data.draw(st.sampled_from(SMALL_FIELDS)))
+    a, b = data.draw(st.integers(0, f.m - 1)), data.draw(st.integers(0, f.m - 1))
+    assume((a + b) % f.m != 0)
+    j = jacobi_sum(Character(f, a), Character(f, b)).to_complex()
+    ga, gb, gab = (gauss_sum(Character(f, k)).to_complex() for k in (a, b, a + b))
+    assert j * gab == pytest.approx(ga * gb, abs=1e-9 * f.q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_gauss_sum_magnitude_on_random_characters(data):
+    f = make_field(*data.draw(st.sampled_from(SMALL_FIELDS)))
+    k = data.draw(st.integers(1, f.m - 1))
+    assert abs(gauss_sum(Character(f, k)).to_complex()) ** 2 == pytest.approx(f.q, rel=1e-9)
 
 
 def test_curve_sum_scales_to_g():

@@ -109,6 +109,9 @@ def test_hgf_domain_errors(capsys):
                "--x", "2")[0] == 2
     assert run(capsys, "hgf", "--p", "7", "--top", "ord4,phi", "--bottom", "eps",
                "--x", "2")[0] == 2  # 4 does not divide 6
+    for tolerance in ("nan", "inf", "-1"):
+        assert run(capsys, "hgf", "--p", "5", "--top", "phi,phi", "--bottom", "eps",
+                   "--x", "2", f"--tolerance={tolerance}")[:2] == (2, ""), tolerance
 
 
 VERIFY_ARGS = (
@@ -178,6 +181,24 @@ def test_verify_streams_fields_in_increasing_q(capsys):
     for q in set(qs):
         block = [r for r in records if r.q == q]
         assert block == sorted(block, key=report_sort_key)
+
+
+def test_verify_config_errors_write_nothing(capsys):
+    # each is rejected before the first record and before the CSV header
+    for bad in (
+        ("--l", "1"),
+        ("--l", "0"),
+        ("--l", "2,2"),
+        ("--lambda=1,1",),
+        ("--lambda=1/3,2/6",),
+        ("--degrees", "0"),
+        ("--degrees", "1,1"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+    ):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "verify", "--primes", "5:7", "--format", fmt, *bad)
+            assert code == 2 and out == "" and err.startswith("error:"), (bad, fmt)
 
 
 def test_verify_rejects_unknown_theorem(capsys):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgfq import (
     Field,
@@ -95,6 +97,22 @@ def test_field_axioms_on_samples():
             assert f.mul(a, b) == f.mul(b, a)
             for c in els[:9]:
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_field_axioms_on_random_elements(data):
+    fields = [(5, 1), (13, 1), (101, 1), (3, 2), (7, 2), (3, 3), (5, 3), (3, 5)]
+    f = make_field(*data.draw(st.sampled_from(fields)))
+    a, b, c = (data.draw(st.integers(0, f.q - 1)) for _ in range(3))
+    assert f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(a, 0) == a and f.mul(a, 1) == a and f.add(a, f.neg(a)) == 0
+    assert f.sub(a, b) == f.add(a, f.neg(b))
+    if a:
+        assert f.mul(a, f.inv(a)) == 1 and f.div(f.mul(a, b), a) == b
 
 
 def test_exp_dlog_roundtrip():

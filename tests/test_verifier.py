@@ -29,6 +29,7 @@ from hgfq import (
 )
 import hgfq.verifier
 from hgfq.report import REPORT_FIELDS, report_sort_key
+from hgfq.verifier import THEOREM_KEYS, row_blocks
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,60 @@ def test_iter_sweep_yields_a_field_before_building_the_next(monkeypatch):
     assert [r.q for r in rest] == sorted(r.q for r in rest)
 
 
+def test_iter_sweep_yields_a_row_before_running_the_next(monkeypatch):
+    calls = []
+    for name in ("verify_2f1_specials", "verify_3f2_at_4", "verify_ono"):
+        verify = getattr(hgfq.verifier, name)
+
+        def counting(*args, verify=verify, name=name, **kw):
+            calls.append(name)
+            return verify(*args, **kw)
+
+        monkeypatch.setattr(hgfq.verifier, name, counting)
+    records = iter_sweep(SweepConfig(prime_min=13, prime_max=13, degrees=(1,)))
+    first = next(records)
+    assert first.theorem_id == "2f1_special_i"
+    assert set(calls) == {"verify_2f1_specials"}
+    rest = list(records)
+    assert set(calls) == {"verify_2f1_specials", "verify_3f2_at_4", "verify_ono"}
+    assert rest[-1].theorem_id.startswith("trace_2f1")
+
+
+# The catalog key of each theorem id.
+KEY_OF_ID = {
+    **{f"2f1_special_{part}": "specials" for part in ("i", "ii", "iii", "iv")},
+    "3f2_at_4": "3f2at4",
+    "aq_square_3f2": "main",
+    "c3_2f1_sum": "c3",
+    "c3_point_count": "c3",
+    **{f"charsum_{part}": "charsum_lemmas" for part in hgfq.verifier.LEMMA_PARTS},
+    "chi4_square": "chi4",
+    "lambda_third": "lambda_third",
+    "lcm_third_trace": "lcm",
+    "mccarthy_binomial": "mccarthy",
+    "mccarthy_gauss": "mccarthy",
+    "ono_3f2": "ono",
+    "trace_2f1": "trace",
+    "trace_2f1_cubic": "trace",
+}
+
+
+def test_row_blocks_are_catalog_rows_in_sorted_order(default_reports):
+    blocks = list(row_blocks(SweepConfig()))
+    fields = sorted({r.q for r in default_reports})
+    assert len(blocks) == len(fields) * len(THEOREM_KEYS)
+    for i, block in enumerate(blocks):
+        # fields in increasing q, and within a field the rows in CATALOG order
+        assert {r.q for r in block} <= {fields[i // len(THEOREM_KEYS)]}
+        assert {KEY_OF_ID[r.theorem_id] for r in block} <= {THEOREM_KEYS[i % len(THEOREM_KEYS)]}
+    records = [r for block in blocks for r in block]
+    assert {r.theorem_id for r in records} == set(KEY_OF_ID)
+    ids = [(r.q, r.theorem_id) for r in records]
+    assert ids == sorted(ids)
+    want = sorted(default_reports, key=report_sort_key)
+    assert [r.to_json() for r in records] == [r.to_json() for r in want]
+
+
 def test_sweep_is_the_streamed_records():
     config = SweepConfig(prime_min=3, prime_max=7, degrees=(1, 2), l_values=(2, 3, 4))
     reports = sweep(config)
@@ -195,6 +250,18 @@ def test_sweep_config_validation():
     for cap in (0, 2):
         with pytest.raises(ValueError):
             SweepConfig(q_cap=cap)
+    for tolerance in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            SweepConfig(tolerance=tolerance)
+    for l_values in ((1,), (0,), (2, -3), (2, 3, 2)):
+        with pytest.raises(ValueError):
+            SweepConfig(l_values=l_values)
+    for degrees in ((0,), (1, -1), (1, 1)):
+        with pytest.raises(ValueError):
+            SweepConfig(degrees=degrees)
+    for lambdas in ((1, 1), (Fraction(1, 3), Fraction(2, 6))):
+        with pytest.raises(ValueError):
+            SweepConfig(lambdas=lambdas)
 
 
 def test_main_square_counterexample_is_failed_not_skipped():
