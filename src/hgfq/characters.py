@@ -2,8 +2,9 @@
 
 The character chi_k sends generator**t to zeta**(k*t) with zeta the fixed
 primitive (q-1)-th root of unity exp(2*pi*i/(q-1)), and chi_k(0) = 0 for
-every k, the trivial character included.  All values are carried exactly as
-root-of-unity exponents until a complex number is actually needed.
+every k, the trivial character included.  A character is its index alone:
+`Character.value` reads chi_k(x) off the field's table of (q-1)-th roots of
+unity, and exact sums of character values live in `charsums.CyclotomicSum`.
 """
 
 from __future__ import annotations
@@ -12,41 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import FieldMismatchError, OrderNotDividingError
-from .field import Field, FieldElement
-
-
-@dataclass(frozen=True)
-class UnityOrZero:
-    """Either zero or an exact root of unity zeta_order**exponent."""
-
-    order: int
-    exponent: int | None
-
-    @classmethod
-    def zero(cls, order: int) -> "UnityOrZero":
-        return cls(order, None)
-
-    @classmethod
-    def root(cls, order: int, exponent: int) -> "UnityOrZero":
-        return cls(order, exponent % order)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.exponent is None
-
-    def to_complex(self) -> complex:
-        if self.exponent is None:
-            return 0j
-        import cmath
-
-        return cmath.exp(2j * cmath.pi * self.exponent / self.order)
-
-    def __mul__(self, other: "UnityOrZero") -> "UnityOrZero":
-        if self.order != other.order:
-            raise ValueError("mismatched root-of-unity orders")
-        if self.exponent is None or other.exponent is None:
-            return UnityOrZero.zero(self.order)
-        return UnityOrZero.root(self.order, self.exponent + other.exponent)
+from .field import Field
 
 
 @dataclass(frozen=True)
@@ -67,13 +34,8 @@ class Character:
     def is_trivial(self) -> bool:
         return self.index == 0
 
-    def _check(self, other: "Character") -> None:
-        if other.field != self.field:
-            raise FieldMismatchError("characters live on different fields")
-
     def __mul__(self, other: "Character") -> "Character":
-        self._check(other)
-        return Character(self.field, self.index + other.index)
+        return Character(same_field(self, other), self.index + other.index)
 
     def __pow__(self, n: int) -> "Character":
         return Character(self.field, (self.index * n) % self.field.m)
@@ -82,20 +44,19 @@ class Character:
     def inverse(self) -> "Character":
         return Character(self.field, -self.index)
 
-    def evaluate(self, x: FieldElement | int) -> UnityOrZero:
-        n = x.n if isinstance(x, FieldElement) else x
-        if isinstance(x, FieldElement) and x.field != self.field:
-            raise FieldMismatchError("element belongs to a different field")
-        if n == 0:
-            return UnityOrZero.zero(self.field.m)
-        return UnityOrZero.root(self.field.m, self.index * self.field.dlog(n))
-
-    def value(self, x: FieldElement | int) -> complex:
-        n = x.n if isinstance(x, FieldElement) else x
-        return self.field.char_value(self.index, n)
+    def value(self, x: int) -> complex:
+        return self.field.char_value(self.index, self.field.check(x))
 
     def __repr__(self) -> str:
         return f"Character(index={self.index}, q={self.field.q})"
+
+
+def same_field(*chars: Character) -> Field:
+    """The one field that every character lives on."""
+    field = chars[0].field
+    if any(c.field != field for c in chars[1:]):
+        raise FieldMismatchError("characters live on different fields")
+    return field
 
 
 def trivial_character(field: Field) -> Character:

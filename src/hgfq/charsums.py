@@ -9,13 +9,10 @@ converted to complex doubles only at comparison boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .characters import Character
-from .errors import FieldMismatchError
-from .field import Field, FieldElement
+from .characters import Character, same_field
 
 
 @dataclass(frozen=True)
@@ -45,15 +42,9 @@ class CyclotomicSum:
         )
 
 
-def _same_field(a: Character, b: Character) -> Field:
-    if a.field != b.field:
-        raise FieldMismatchError("characters live on different fields")
-    return a.field
-
-
 def jacobi_sum(a: Character, b: Character) -> CyclotomicSum:
     """J(A, B) = sum over x of A(x) B(1-x), as exact root-of-unity counts."""
-    field = _same_field(a, b)
+    field = same_field(a, b)
     return CyclotomicSum.from_counts(field.m, field.jacobi_counts(a.index, b.index))
 
 
@@ -75,39 +66,30 @@ def gauss_sum(chi: Character) -> CyclotomicSum:
 
 def binomial(a: Character, b: Character) -> complex:
     """Greene's binomial coefficient (A | B) = B(-1)/q * J(A, inverse of B)."""
-    field = _same_field(a, b)
+    field = same_field(a, b)
     return field.binom_c(a.index, b.index)
 
 
-def binomial_exact(a: Character, b: Character) -> tuple[CyclotomicSum, Fraction]:
-    """The binomial coefficient as an exact Jacobi count vector and the
-    rational scale B(-1)/q it carries."""
-    field = _same_field(a, b)
-    j = CyclotomicSum.from_counts(field.m, field.jacobi_counts(a.index, -b.index))
-    sign = -1 if b.index % 2 else 1
-    return j, Fraction(sign, field.q)
-
-
-def g_sum(a: Character, b: Character, x: FieldElement | int) -> CyclotomicSum:
+def g_sum(a: Character, b: Character, x: int) -> CyclotomicSum:
     """g(A, B; x) = sum over t of A(1-t) B(1-x*t^2).
 
     t = 0 gives 1 and t = 1 gives 0; every other t comes from the field's
     tables of dlog t and dlog(1-t), the latter also read at dlog(x t^2).
     """
-    field = _same_field(a, b)
-    xn = x.n if isinstance(x, FieldElement) else x
+    field = same_field(a, b)
+    field.check(x)
     m = field.m
     jt, j1mt = field._jacobi_logs()  # dlog t and dlog(1-t) over t in F_q minus {0, 1}
     exps = a.index % m * j1mt
-    if xn != 0:
+    if x != 0:
         log_one_minus = np.zeros(m, dtype=np.int64)
         log_one_minus[jt] = j1mt  # dlog(1 - g^k) for k != 0
-        k = (field.dlog(xn) + 2 * jt) % m  # dlog(x t^2)
+        k = (field.dlog(x) + 2 * jt) % m  # dlog(x t^2)
         exps = (exps + b.index % m * log_one_minus[k])[k != 0]  # k = 0: 1 - x t^2 is 0
     counts = np.bincount(exps % m, minlength=m)
     counts[0] += 1  # t = 0
     return CyclotomicSum.from_counts(m, counts)
 
 
-def g_sum_c(a: Character, b: Character, x: FieldElement | int) -> complex:
+def g_sum_c(a: Character, b: Character, x: int) -> complex:
     return g_sum(a, b, x).to_complex()

@@ -228,8 +228,6 @@ def _cmd_hgf(args: argparse.Namespace) -> int:
     f = _field(args)
     tops = [parse_character(f, spec).index for spec in args.top.split(",")]
     bottoms = [parse_character(f, spec).index for spec in args.bottom.split(",")]
-    if not 0 <= args.x < f.q:
-        raise ValueError(f"element encoding {args.x} outside [0, {f.q})")
     value = series_value(f, tops, bottoms, args.x)
     q2 = f.q * f.q
     scaled = value.real * q2

@@ -1,10 +1,11 @@
 """Point counts on the superelliptic family y**l = (x-1)(x**2 + lambda).
 
 Counts come three ways: brute-force enumeration of affine pairs, the
-character-sum route through the canonical order-l character, and for l = 3
-the short Weierstrass model.  The projective completion adds one point at
-infinity for l != 3 and three when l = 3 with p = 1 mod 3; for l = 3 with
-p = 2 mod 3 the count at infinity is refused rather than guessed.
+character-sum route through the canonical character of order gcd(l, q-1)
+(any l), and for l = 3 the short Weierstrass model.  The projective
+completion adds one point at infinity for l != 3 and three when l = 3 with
+p = 1 mod 3; for l = 3 with p = 2 mod 3 the count at infinity is refused
+rather than guessed.
 """
 
 from __future__ import annotations
@@ -90,16 +91,20 @@ def brute_force_count(field: Field, curve: CurveSpec) -> PointCount:
 
 def character_sum_count(field: Field, curve: CurveSpec) -> PointCount:
     """Affine count as q plus the sum over i of chi**i applied to the curve
-    polynomial, chi the canonical order-l character."""
-    if field.m % curve.l != 0:
-        raise CongruenceError(f"q = {field.q} is not 1 mod l = {curve.l}")
+    polynomial, chi the canonical character of order g = gcd(l, q-1).
+
+    y -> y**l and y -> y**g have the same image and fibre sizes on the
+    cyclic group F_q^*, so y**l = f has 1 + sum over i < g of chi**i(f)
+    solutions for f != 0; for g = 1 the affine count is q.
+    """
     lam = reduce_lambda(field, curve)
     m = field.m
-    u = m // curve.l
+    g = gcd(curve.l, m)
+    u = m // g
     dlog = field._dlog
     logs = np.array([dlog[f] for f in curve_values(field, lam) if f != 0], dtype=np.int64)
     counts = np.zeros(m, dtype=np.int64)
-    for i in range(1, curve.l):
+    for i in range(1, g):
         counts += np.bincount((i * u * logs) % m, minlength=m)
     total = complex(counts @ field.zeta)
     rounded = round(total.real)
@@ -156,7 +161,7 @@ def model_is_squarefree(field: Field, lam: int) -> bool:
     closure of the field."""
     # Repeated roots occur exactly when 1 is a root of x^2 + lam (1+lam = 0)
     # or x^2 + lam itself is a square (lam = 0).
-    return field.add(lam, 1) != 0 and lam != 0
+    return field.add(field.check(lam), 1) != 0 and lam != 0
 
 
 def count_points(field: Field, curve: CurveSpec, method: str) -> PointCount:

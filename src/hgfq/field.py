@@ -8,6 +8,11 @@ lexicographic coefficient order, the generator is the smallest encoding
 with multiplicative order q - 1, and a full discrete-log table is built up
 front, so element encodings, character indices, and every downstream sum
 are reproducible across runs.
+
+Encodings are the only element type.  The scalar methods (`add`, `mul`,
+`dlog`, `char_value`, ...) are bare table lookups that assume a valid
+encoding; the public functions that take an element check it once with
+`Field.check`, which raises `ValueError` outside [0, q).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    FieldMismatchError,
     FieldTooLargeError,
     LogOfZeroError,
     NotPrimeError,
@@ -221,19 +225,24 @@ class Field:
         if self.e == 1:
             self._trace = list(range(self.q))
         else:
-            tr = [0] * self.q
-            for x in range(1, self.q):
-                d = dlog[x]
+            # The trace is F_p-linear: Tr(x) = sum over j of digit_j(x) Tr(x^j),
+            # with Tr(x^j) the Frobenius sum of the basis element x^j.
+            digits, places = self._digit_table()
+            basis = []
+            for b in places.tolist():
                 s = 0
-                pw = 1
-                for _ in range(self.e):
-                    s = self.add(s, exp[(d * pw) % self.m])
-                    pw = (pw * self.p) % self.m
+                for i in range(self.e):
+                    s = self.add(s, exp[(dlog[b] * self.p**i) % self.m])
                 # The trace lands in the prime subfield: a single digit.
                 if s >= self.p:
                     raise RuntimeError("trace left the prime subfield")
-                tr[x] = s
-            self._trace = tr
+                basis.append(s)
+            self._trace = (digits @ np.array(basis, dtype=np.int64) % self.p).tolist()
+
+    def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (q, e) array of base-p digits of every encoding, and the place values p**j."""
+        places = self.p ** np.arange(self.e, dtype=np.int64)
+        return np.arange(self.q, dtype=np.int64)[:, None] // places % self.p, places
 
     # ------------------------------------------------------------------
     # integer-encoding arithmetic
@@ -300,6 +309,12 @@ class Field:
     def trace(self, x: int) -> int:
         return self._trace[x]
 
+    def check(self, x: int) -> int:
+        """x itself, once it is known to be an element encoding in [0, q)."""
+        if not 0 <= x < self.q:
+            raise ValueError(f"element encoding {x} outside [0, {self.q})")
+        return x
+
     def from_int(self, c: int) -> int:
         """Embed an integer through Z -> F_p -> F_q."""
         return c % self.p
@@ -310,14 +325,6 @@ class Field:
         if den == 0:
             raise ZeroDivisionError(f"denominator of {fr} vanishes mod {self.p}")
         return self.div(fr.numerator % self.p, den)
-
-    def element(self, n: int) -> "FieldElement":
-        if not 0 <= n < self.q:
-            raise ValueError(f"encoding {n} out of range [0, {self.q})")
-        return FieldElement(self, n)
-
-    def elements(self):
-        return (FieldElement(self, n) for n in range(self.q))
 
     # ------------------------------------------------------------------
     # numpy-backed complex character sums and whole binomial rows
@@ -340,10 +347,14 @@ class Field:
         return self._zeta
 
     def _jacobi_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """dlog x and dlog(1-x) for x running over F_q minus {0, 1}."""
         if self._jx is None:
-            xs = range(2, self.q)  # x runs over F_q minus {0, 1}
-            self._jx = np.array(self._dlog[2:], dtype=np.int64)
-            self._j1mx = np.array([self._dlog[self.sub(1, x)] for x in xs], dtype=np.int64)
+            digits, places = self._digit_table()
+            digits[:, 0] -= 1
+            one_minus_x = (-digits % self.p) @ places  # 1 - x, digit by digit
+            dlog = np.array(self._dlog, dtype=np.int64)
+            self._jx = dlog[2:]
+            self._j1mx = dlog[one_minus_x[2:]]
         return self._jx, self._j1mx
 
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
@@ -400,73 +411,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, e={self.e})"
-
-
-class FieldElement:
-    """A single element of a Field, in canonical integer encoding."""
-
-    __slots__ = ("field", "n")
-
-    def __init__(self, field: Field, n: int):
-        self.field = field
-        self.n = n
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.field._digits(self.n))
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError("operands belong to different fields")
-            return other.n
-        if isinstance(other, int):
-            return other % self.field.p
-        raise TypeError(f"cannot coerce {type(other).__name__} into the field")
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.n, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.n, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.n))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.n, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.n, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._coerce(other), self.n))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.n, n))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.n))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.n == other.n
-        if isinstance(other, int):
-            return self.n == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.e, self.n))
-
-    def __int__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.n} in F_{self.field.q})"
 
 
 def make_field(p: int, e: int = 1, q_cap: int = DEFAULT_Q_CAP) -> Field:

@@ -12,42 +12,18 @@ F* adds the normalization term A B(-1) Abar(x/4) / q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .characters import Character
-from .errors import FieldMismatchError
-from .field import Field, FieldElement
+from .characters import Character, same_field
+from .field import Field
 from .report import VerificationReport, build_report
-
-
-def _enc(x: FieldElement | int) -> int:
-    return x.n if isinstance(x, FieldElement) else x
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Top and bottom character rows plus the argument of a series."""
-
-    top: tuple[Character, ...]
-    bottom: tuple[Character, ...]
-    x: FieldElement
-
-    def __post_init__(self):
-        if len(self.top) != len(self.bottom) + 1:
-            raise ValueError("a series needs exactly one more top character")
-        fields = {c.field for c in self.top} | {c.field for c in self.bottom}
-        fields.add(self.x.field)
-        if len(fields) != 1:
-            raise FieldMismatchError("series parameters live on different fields")
 
 
 def series_value(field: Field, tops: list[int], bottoms: list[int], x: int) -> complex:
     """Evaluate the series from raw character indices and an element encoding."""
     if len(tops) != len(bottoms) + 1:
         raise ValueError("a series needs exactly one more top index")
-    if x == 0:
+    if field.check(x) == 0:
         return 0j
     return _row_series(field, tops, [0, *bottoms], [1] * len(tops), x)
 
@@ -59,37 +35,24 @@ def _row_series(field: Field, tops: list, bottoms: list, steps: list, x: int) ->
     return complex(field.binom_rows(tops, bottoms, steps).prod(axis=0) @ chi_x) * field.q / m
 
 
-def gaussian_hgf(spec: SeriesSpec) -> complex:
-    field = spec.x.field
-    return series_value(
-        field,
-        [c.index for c in spec.top],
-        [c.index for c in spec.bottom],
-        spec.x.n,
-    )
+def hgf_2f1(a: Character, b: Character, c: Character, x: int) -> complex:
+    return series_value(same_field(a, b, c), [a.index, b.index], [c.index], x)
 
 
-def hgf_2f1(a: Character, b: Character, c: Character, x: FieldElement | int) -> complex:
-    return series_value(a.field, [a.index, b.index], [c.index], _enc(x))
-
-
-def evans_F(a: Character, b: Character, x: FieldElement | int) -> complex:
-    field = a.field
-    if b.field != field:
-        raise FieldMismatchError("characters live on different fields")
-    x4 = field.div(_enc(x), field.from_int(4))
+def evans_F(a: Character, b: Character, x: int) -> complex:
+    field = same_field(a, b)
+    x4 = field.div(field.check(x), field.from_int(4))
     if x4 == 0:
         return 0j
     return _row_series(field, [a.index, a.index], [0, b.index], [2, 1], x4)
 
 
-def evans_F_star(a: Character, b: Character, x: FieldElement | int) -> complex:
+def evans_F_star(a: Character, b: Character, x: int) -> complex:
     field = a.field
-    xn = _enc(x)
-    f = evans_F(a, b, xn)
-    if xn == 0:
+    f = evans_F(a, b, x)
+    if x == 0:
         return f
-    x4 = field.div(xn, field.from_int(4))
+    x4 = field.div(x, field.from_int(4))
     ab_sign = -1.0 if (a.index + b.index) % 2 else 1.0
     return f + ab_sign * field.char_value(-a.index, x4) / field.q
 
@@ -98,7 +61,7 @@ def greene_transform_check(
     a: Character,
     b: Character,
     c: Character,
-    x: FieldElement | int,
+    x: int,
     variant: str,
     tolerance: float = 1e-6,
 ) -> VerificationReport:
@@ -108,24 +71,23 @@ def greene_transform_check(
     delta corrections at x = 0 and x = 1; variant "ii" rewrites it at
     x/(x-1) with prefactor C(-1) Abar(1-x) and a delta correction at x = 1.
     """
-    field = a.field
-    xn = _enc(x)
+    field = same_field(a, b, c)
     m = field.m
-    lhs = series_value(field, [a.index, b.index], [c.index], xn)
-    one_minus_x = field.sub(1, xn)
+    lhs = series_value(field, [a.index, b.index], [c.index], x)
+    one_minus_x = field.sub(1, x)
     a_sign = -1.0 if a.index % 2 else 1.0
     delta_1mx = 1.0 if one_minus_x == 0 else 0.0
     if variant == "i":
         new_bottom = (a.index + b.index - c.index) % m
         rhs = a_sign * series_value(field, [a.index, b.index], [new_bottom], one_minus_x)
         rhs += a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
-        rhs -= field.binom_c(b.index, c.index) * (1.0 if xn == 0 else 0.0)
+        rhs -= field.binom_c(b.index, c.index) * (1.0 if x == 0 else 0.0)
     elif variant == "ii":
         c_sign = -1.0 if c.index % 2 else 1.0
         if one_minus_x == 0:
             rhs = 0j
         else:
-            ratio = field.div(xn, field.sub(xn, 1))
+            ratio = field.div(x, field.sub(x, 1))
             rhs = (
                 c_sign
                 * field.char_value(-a.index, one_minus_x)

@@ -127,3 +127,14 @@ def evans_F_loop(field, a: int, b: int, x: int) -> complex:
         term = field.binom_c(a + 2 * k, k) * field.binom_c(a + k, b + k)
         total += term * field.zeta[(k * d) % m]
     return total * field.q / m
+
+
+def trace_frobenius(field) -> list[int]:
+    """Tr(x) = x + x**p + ... + x**(p**(e-1)) for every encoding x, by scalar field ops."""
+    out = []
+    for x in range(field.q):
+        s = 0
+        for i in range(field.e):
+            s = field.add(s, field.pow(x, field.p**i))
+        out.append(s)
+    return out

@@ -4,7 +4,6 @@ import pytest
 from hgfq import (
     Character,
     OrderNotDividingError,
-    UnityOrZero,
     character_of_order,
     delta_char,
     make_field,
@@ -13,15 +12,6 @@ from hgfq import (
     sqrt_character,
     trivial_character,
 )
-
-
-def test_unity_or_zero_values():
-    z = UnityOrZero.zero(8)
-    assert z.is_zero and z.to_complex() == 0j
-    u = UnityOrZero.root(8, 2)
-    assert abs(u.to_complex() - 1j) < 1e-12
-    assert (u * u).exponent == 4
-    assert (u * z).is_zero
 
 
 def test_index_normalization_and_equality():
@@ -35,6 +25,10 @@ def test_zero_maps_to_zero_for_every_character():
     f = make_field(3, 2)
     for k in range(f.m):
         assert Character(f, k).value(0) == 0j
+    # encodings outside [0, q) are rejected, not wrapped around
+    for x in (-1, f.q):
+        with pytest.raises(ValueError):
+            Character(f, 1).value(x)
 
 
 def test_trivial_and_quadratic():
@@ -131,12 +125,3 @@ def test_orthogonality_exact_by_exponent_counts():
             for t in range(m):
                 assert counts[t] == (g if t % g == 0 else 0)
 
-
-def test_evaluate_returns_exact_exponent():
-    f = make_field(7)
-    g = f.generator
-    chi = Character(f, 2)
-    got = chi.evaluate(f.mul(g, g))
-    assert isinstance(got, UnityOrZero)
-    assert got.order == f.m and got.exponent == 4 % f.m
-    assert chi.evaluate(0).exponent is None

@@ -183,6 +183,11 @@ def test_g_sum_matches_definition():
                 assert got == pytest.approx(want, abs=1e-9)
     cs = g_sum(Character(f, 2), Character(f, 3), 4)
     assert cs.order == m
+    for x in (-1, f.q):
+        with pytest.raises(ValueError):
+            g_sum(Character(f, 2), Character(f, 3), x)
+        with pytest.raises(ValueError):
+            g_sum_c(Character(f, 2), Character(f, 3), x)
 
 
 def test_g_sum_counts_match_definition_on_extension_fields():

@@ -4,7 +4,11 @@ file merging, and json/csv record equivalence."""
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -67,6 +71,12 @@ def test_count_json(capsys):
         "a_q": -2,
         "method": "both",
     }
+    # 5 does not divide 12, yet the character sum agrees with brute force
+    code, out, _ = run(
+        capsys, "count", "--p", "13", "--l", "5", "--lambda=1", "--method", "both"
+    )
+    assert code == 0
+    assert json.loads(out)["affine"] == 13
 
 
 def test_count_negative_lambda_equals_form(capsys):
@@ -242,3 +252,17 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("primes 5:7\n")
     assert run(capsys, "verify", "--config", str(bad))[0] == 2
     assert run(capsys, "verify", "--config", str(tmp_path / "gone.cfg"))[0] == 2
+
+
+def test_bench_tracer_binds_every_traced_name():
+    # bench/tracer.py wraps package functions and Field methods by name, so
+    # renaming or deleting one of them must fail here, not only in a benchmark run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hgfq; from tracer import Tracer; Tracer().install()"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 checks, and the quadratic-form representation used by the l=3 corollary."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -109,10 +110,24 @@ def test_l3_needs_p_1_mod_3_for_infinity():
         brute_force_count(f2, CurveSpec(3, Fraction(1)))
 
 
-def test_charsum_congruence_requirement():
-    f = make_field(7)
-    with pytest.raises(CongruenceError):
-        character_sum_count(f, CurveSpec(5, Fraction(1)))
+def test_charsum_count_for_every_l():
+    # l need not divide q - 1: the character sum runs over the characters of
+    # order dividing gcd(l, q - 1), and for gcd 1 the affine count is q
+    coprime = partial = 0
+    for p, e in ((5, 1), (7, 1), (11, 1), (13, 1), (19, 1), (3, 2), (5, 2), (3, 3)):
+        f = make_field(p, e)
+        for l in range(2, 11):
+            g = gcd(l, f.m)
+            if g == l or (l == 3 and p % 3 != 1):
+                continue
+            coprime += g == 1
+            partial += g > 1
+            for lam in LAMBDAS:
+                curve = CurveSpec(l, lam)
+                if not good_reduction(p, curve):
+                    continue
+                assert character_sum_count(f, curve) == brute_force_count(f, curve), (p, e, l, lam)
+    assert coprime and partial
 
 
 def test_weierstrass_model_agrees():

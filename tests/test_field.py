@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hgfq import (
     Field,
-    FieldMismatchError,
     FieldTooLargeError,
     LogOfZeroError,
     NotPrimeError,
@@ -18,7 +17,7 @@ from hgfq import (
 )
 from hgfq.field import ord_p_rational, prime_factors
 
-from oracle_helpers import primitive_root
+from oracle_helpers import primitive_root, trace_frobenius
 
 
 def test_is_prime_small():
@@ -151,6 +150,16 @@ def test_trace_properties():
     assert counts == [f.q // f.p] * f.p
 
 
+@pytest.mark.parametrize("p, e", [(3, 5), (5, 3), (7, 2)])
+def test_linear_tables_match_scalar_oracles(p, e):
+    # the trace and dlog(1-x) tables are built digit-wise, not per element
+    f = make_field(p, e)
+    assert f._trace == trace_frobenius(f)
+    jx, j1mx = f._jacobi_logs()
+    assert jx.tolist() == [f.dlog(x) for x in range(2, f.q)]
+    assert j1mx.tolist() == [f.dlog(f.sub(1, x)) for x in range(2, f.q)]
+
+
 def test_from_int_and_from_rational():
     f = make_field(7)
     assert f.from_int(10) == 3
@@ -165,26 +174,12 @@ def test_from_int_and_from_rational():
 
 def test_element_encoding_base_p_digits():
     f = make_field(3, 2)
-    e = f.element(5)  # 5 = 2 + 1*3
-    assert e.coeffs == (2, 1)
-    assert f.element(2).coeffs == (2, 0)
-    with pytest.raises(ValueError):
-        f.element(9)
-
-
-def test_field_element_operators():
-    f = make_field(3, 2)
-    a, b = f.element(4), f.element(5)
-    assert (a + b).n == f.add(4, 5)
-    assert (a * b).n == f.mul(4, 5)
-    assert (a - b).n == f.sub(4, 5)
-    assert (-a).n == f.neg(4)
-    assert (a / b).n == f.div(4, 5)
-    assert (a ** 3).n == f.pow(4, 3)
-    assert a + 1 == f.element(f.add(4, 1))
-    g = make_field(5)
-    with pytest.raises(FieldMismatchError):
-        _ = a + g.element(1)
+    assert f.add(2, 3) == 5  # 2 + x encodes as 2 + 1*3
+    assert f.mul(3, 3) == f.neg(1) == 2  # x^2 = -1 modulo x^2 + 1
+    assert f.check(0) == 0 and f.check(8) == 8
+    for x in (-1, 9):
+        with pytest.raises(ValueError):
+            f.check(x)
 
 
 def test_fields_compare_by_parameters():

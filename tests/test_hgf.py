@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from hgfq import (
     Character,
     FieldMismatchError,
-    SeriesSpec,
     evans_F,
     evans_F_star,
-    gaussian_hgf,
     greene_transform_check,
     hgf_2f1,
     make_field,
@@ -74,23 +72,41 @@ def test_negative_and_oversized_indices_are_normalized():
         )
 
 
-def test_spec_wrappers_agree_with_series_value():
+def test_hgf_2f1_agrees_with_series_value():
     f = make_field(7)
     a, b, c = Character(f, 1), Character(f, 2), Character(f, 3)
-    x = f.element(4)
-    spec = SeriesSpec((a, b), (c,), x)
-    assert gaussian_hgf(spec) == hgf_2f1(a, b, c, x)
-    assert hgf_2f1(a, b, c, 4) == series_value(f, [1, 2], [3], 4)
+    for x in range(f.q):
+        assert hgf_2f1(a, b, c, x) == series_value(f, [1, 2], [3], x)
 
 
 def test_series_spec_validation():
     f = make_field(7)
     a, b, c = Character(f, 1), Character(f, 2), Character(f, 3)
     with pytest.raises(ValueError):
-        SeriesSpec((a,), (c,), f.element(2))
+        series_value(f, [1], [3], 2)
+    # element encodings must lie in [0, q)
+    for x in (-1, f.q):
+        with pytest.raises(ValueError):
+            series_value(f, [3, 3], [0], x)
+        with pytest.raises(ValueError):
+            hgf_2f1(a, b, c, x)
+        with pytest.raises(ValueError):
+            evans_F(a, b, x)
+        with pytest.raises(ValueError):
+            evans_F_star(a, b, x)
+        with pytest.raises(ValueError):
+            greene_transform_check(a, b, c, x, "i")
+    # characters passed together must share a field
     g = make_field(5)
     with pytest.raises(FieldMismatchError):
-        SeriesSpec((a, Character(g, 1)), (c,), f.element(2))
+        hgf_2f1(a, Character(g, 1), c, 4)
+    with pytest.raises(FieldMismatchError):
+        hgf_2f1(a, b, Character(g, 1), 4)
+    with pytest.raises(FieldMismatchError):
+        evans_F(a, Character(g, 1), 4)
+    for variant in ("i", "ii"):
+        with pytest.raises(FieldMismatchError):
+            greene_transform_check(a, b, Character(g, 1), 4, variant)
 
 
 def test_evans_f_star_shift():
