@@ -2,11 +2,12 @@
 evaluation, and identity sweeps.
 
 Exit codes: 0 clean, 1 at least one identity failure (or a count
-cross-check mismatch), 2 usage, configuration, or domain error.  A sweep
-streams its records to stdout field by field, in increasing q, sorted
-within each field, and flushes stdout as each catalog row of a field
-ends; the pass/fail/skip summary goes to stderr so that stdout stays
-machine-parseable.  The configuration and the grid are checked before
+cross-check mismatch), 2 usage, configuration, or domain error, and 141
+(128 + SIGPIPE, with no error line) when the reader closes stdout early.
+A sweep streams its records to stdout field by field, in increasing q,
+sorted within each field, and flushes stdout as each catalog row of a
+field ends; the pass/fail/skip summary goes to stderr so that stdout
+stays machine-parseable.  The configuration and the grid are checked before
 anything is written; an error in a later row leaves the finished rows'
 records on stdout.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -74,8 +76,9 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _load_config(path: str) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored."""
+def _load_config(path: str, keys: set[str]) -> dict[str, str]:
+    """Flat key=value lines; blank lines and # comments are ignored.  A key
+    outside `keys` is an error, so a misspelt key is not silently dropped."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -85,7 +88,10 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+            name = key.strip().replace("-", "_")
+            if name not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
+            out[name] = value.strip()
     return out
 
 
@@ -93,7 +99,7 @@ def _merge_config(args: argparse.Namespace, table: dict[str, tuple[str, object]]
     """Fill unset argument slots from the config file; flags take priority."""
     if not getattr(args, "config", None):
         return
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, {key for key, _ in table.values()})
     for dest, (key, parse) in table.items():
         if getattr(args, dest, None) is None and key in cfg:
             setattr(args, dest, parse(cfg[key]))
@@ -293,6 +299,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # The reader closed stdout (`hgfq verify | head`).  What is still
+        # buffered goes to the null device, so the flush at exit is quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (HgfqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,16 @@
 """Point counts on the superelliptic family y**l = (x-1)(x**2 + lambda).
 
-Counts come three ways: brute-force enumeration of affine pairs, the
-character-sum route through the canonical character of order gcd(l, q-1)
-(any l), and for l = 3 the short Weierstrass model.  The projective
-completion adds one point at infinity for l != 3 and three when l = 3 with
-p = 1 mod 3; for l = 3 with p = 2 mod 3 the count at infinity is refused
-rather than guessed.
+Every curve character sum comes from one integer histogram per (field,
+lambda): `curve_histogram` buckets the nonzero values of the curve
+polynomial by discrete log and counts its roots.  `character_sum_count`
+reads the exact affine count off it for any l, and `curve_char_sum` the
+sum W(S) of a character over the curve polynomial; these are what the
+verification sweep uses.  `brute_force_count` (enumeration of affine
+pairs) and, for l = 3, `weierstrass_count_l3` (the short Weierstrass
+model) are kept as independent oracles for the tests and for
+`count --method both`.  The projective completion adds one point at
+infinity for l != 3 and three when l = 3 with p = 1 mod 3; for l = 3 with
+p = 2 mod 3 the count at infinity is refused rather than guessed.
 """
 
 from __future__ import annotations
@@ -89,28 +94,32 @@ def brute_force_count(field: Field, curve: CurveSpec) -> PointCount:
     return _projective(field, curve.l, affine)
 
 
-def character_sum_count(field: Field, curve: CurveSpec) -> PointCount:
-    """Affine count as q plus the sum over i of chi**i applied to the curve
-    polynomial, chi the canonical character of order g = gcd(l, q-1).
+def curve_histogram(field: Field, lam: int) -> tuple[np.ndarray, int]:
+    """(H, z) for f(x) = (x-1)(x**2 + lambda): H[t] counts the x with f(x) != 0
+    and dlog f(x) = t, and z counts the roots of f."""
+    dlog = field._dlog
+    logs = [dlog[v] for v in curve_values(field, lam) if v]
+    return np.bincount(logs, minlength=field.m), field.q - len(logs)
 
-    y -> y**l and y -> y**g have the same image and fibre sizes on the
-    cyclic group F_q^*, so y**l = f has 1 + sum over i < g of chi**i(f)
-    solutions for f != 0; for g = 1 the affine count is q.
+
+def curve_char_sum(field: Field, s: int, lam: int) -> complex:
+    """W(chi_s) = sum over x of chi_s((x-1)(x**2 + lambda)), read off the histogram."""
+    hist, _ = curve_histogram(field, lam)
+    return complex(hist @ field.zeta[s * np.arange(field.m) % field.m])
+
+
+def character_sum_count(field: Field, curve: CurveSpec) -> PointCount:
+    """Exact affine count from the dlog histogram of the curve polynomial.
+
+    With g = gcd(l, q-1), y -> y**l and y -> y**g have the same image and
+    fibre sizes on the cyclic group F_q^*, so f = y**l has g solutions when
+    dlog f = 0 mod g, none for other f != 0, and one for f = 0: the count
+    is z + g * (sum of H[t] over t = 0 mod g), the character sum of order g.
     """
     lam = reduce_lambda(field, curve)
-    m = field.m
-    g = gcd(curve.l, m)
-    u = m // g
-    dlog = field._dlog
-    logs = np.array([dlog[f] for f in curve_values(field, lam) if f != 0], dtype=np.int64)
-    counts = np.zeros(m, dtype=np.int64)
-    for i in range(1, g):
-        counts += np.bincount((i * u * logs) % m, minlength=m)
-    total = complex(counts @ field.zeta)
-    rounded = round(total.real)
-    if abs(total - rounded) > 1e-6:
-        raise RuntimeError("character sum failed to round to an integer")
-    return _projective(field, curve.l, field.q + rounded)
+    hist, zeros = curve_histogram(field, lam)
+    g = gcd(curve.l, field.m)
+    return _projective(field, curve.l, zeros + g * int(hist[::g].sum()))
 
 
 def weierstrass_count_l3(field: Field, curve: CurveSpec) -> PointCount:

@@ -9,10 +9,11 @@ with multiplicative order q - 1, and a full discrete-log table is built up
 front, so element encodings, character indices, and every downstream sum
 are reproducible across runs.
 
-Encodings are the only element type.  The scalar methods (`add`, `mul`,
-`dlog`, `char_value`, ...) are bare table lookups that assume a valid
-encoding; the public functions that take an element check it once with
-`Field.check`, which raises `ValueError` outside [0, q).
+Encodings are the only element type.  `Field.check` raises `ValueError`
+for an encoding outside [0, q); the public functions that take an element
+call it once, and so do the table reads `dlog`, `char_value` and `trace`.
+The arithmetic methods (`add`, `mul`, `pow`, ...) assume a valid encoding
+and do not check.
 """
 
 from __future__ import annotations
@@ -301,13 +302,13 @@ class Field:
     def dlog(self, x: int) -> int:
         if x == 0:
             raise LogOfZeroError("the discrete logarithm of zero is undefined")
-        return self._dlog[x]
+        return self._dlog[self.check(x)]
 
     def exp(self, k: int) -> int:
         return self._exp[k % self.m]
 
     def trace(self, x: int) -> int:
-        return self._trace[x]
+        return self._trace[self.check(x)]
 
     def check(self, x: int) -> int:
         """x itself, once it is known to be an element encoding in [0, q)."""
@@ -397,7 +398,7 @@ class Field:
 
     def char_value(self, k: int, x: int) -> complex:
         """chi_k(x) as a complex number, with chi_k(0) = 0."""
-        if x == 0:
+        if self.check(x) == 0:
             return 0j
         return complex(self.zeta[(k * self._dlog[x]) % self.m])
 

@@ -25,7 +25,7 @@ from itertools import chain
 from math import isfinite, lcm
 
 from .characters import Character, character_of_order
-from .curves import CurveSpec, brute_force_count, cornacchia_3, curve_values, good_reduction
+from .curves import CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction
 from .field import Field, is_prime, make_field
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
@@ -102,11 +102,6 @@ def _record(
     )
 
 
-def _w_sum(f: Field, s: int, lam_enc: int) -> complex:
-    """sum over x of S((x-1)(x**2 + lambda)) for the index-s character."""
-    return sum((f.char_value(s, v) for v in curve_values(f, lam_enc)), 0j)
-
-
 # ----------------------------------------------------------------------
 # curve-trace identities
 
@@ -119,7 +114,7 @@ def verify_ono(f: Field, lam: Fraction | int, tolerance: float = 1e-6) -> Verifi
     if not all(hyps.values()):
         return _record("ono_3f2", f, hyps, tolerance, l=2, lam=lam)
     q, h = f.q, f.m // 2
-    aq = brute_force_count(f, CurveSpec(2, lam)).a_q
+    aq = character_sum_count(f, CurveSpec(2, lam)).a_q
     le = f.from_rational(lam)
     arg = f.div(f.add(1, le), le)
     lhs = series_value(f, [h, h, h], [0, 0], arg)
@@ -165,7 +160,7 @@ def verify_main_square(
             hyps[f"tail_{i}_order_not_3"] = (6 * i) % l != 0
     if not all(hyps.values()):
         return _record(tid, f, hyps, tolerance, l=l, lam=lam)
-    aq = brute_force_count(f, CurveSpec(l, lam)).a_q
+    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
     le = f.from_rational(lam)
     one_plus = f.add(1, le)
     arg = f.div(one_plus, le)
@@ -224,7 +219,7 @@ def verify_2f1_trace(
             return _record(tid, f, hyps, tolerance, l=3, lam=lam)
         q, h = f.q, f.m // 2
         u = f.m // 3
-        aq = brute_force_count(f, CurveSpec(3, lam)).a_q
+        aq = character_sum_count(f, CurveSpec(3, lam)).a_q
         one_plus = f.add(1, f.from_rational(lam))
         rhs = 2 + q * sum(series_value(f, [h, 0], [i * u], one_plus) for i in (1, 2))
         exact = round(rhs.real) == -aq
@@ -239,7 +234,7 @@ def verify_2f1_trace(
         return _record(tid, f, hyps, tolerance, **where)
     m, q, h = f.m, f.q, f.m // 2
     u = m // l
-    aq = brute_force_count(f, CurveSpec(l, lam)).a_q
+    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
     one_plus = f.add(1, f.from_rational(lam))
     total = 0j
     for i in range(1, l):
@@ -265,7 +260,7 @@ def verify_lambda_third(f: Field, l: int, tolerance: float = 1e-6) -> Verificati
     if not all(hyps.values()):
         return _record("lambda_third", f, hyps, tolerance, l=l, lam=lam)
     q, m = f.q, f.m
-    aq = brute_force_count(f, CurveSpec(l, lam)).a_q
+    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
     if l != 3 and q % 3 == 2:
         rhs = 0j
     elif l != 3:
@@ -293,7 +288,7 @@ def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationRepor
         return [_record(tid, f, dict(hyps), tolerance, l=2, lam=lam) for tid in tids]
     q, m = f.q, f.m
     m3, h = m // 3, m // 2
-    aq = brute_force_count(f, CurveSpec(2, lam)).a_q
+    aq = character_sum_count(f, CurveSpec(2, lam)).a_q
     sign2 = _phi(f, f.neg(f.from_int(2)))
     lhs2 = -sign2 * aq
     lhs1 = lhs2 / q
@@ -417,7 +412,7 @@ def verify_corollary_c3(f: Field, tolerance: float = 1e-6) -> list[VerificationR
         return [_record(tid, f, dict(hyps), tolerance, l=3, lam=lam) for tid in tids]
     x, y = cornacchia_3(p)
     sym = 1 if x % 3 == 1 else -1
-    aq = brute_force_count(f, CurveSpec(3, lam)).a_q
+    aq = character_sum_count(f, CurveSpec(3, lam)).a_q
     phi2 = _phi(f, f.from_int(2))
     predicted = phi2 * (-1.0 if (x + y - 1) % 2 else 1.0) * sym * 2 * x
     m3, h = f.m // 3, f.m // 2
@@ -470,7 +465,7 @@ def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> Verificat
         return _record("lcm_third_trace", f, hyps, tolerance, l=l, lam=lam)
     q, m, h = f.q, f.m, f.m // 2
     m3, u = m // 3, m // l
-    aq = brute_force_count(f, CurveSpec(l, lam)).a_q
+    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
     if l == 3:
         rhs = 2 + 2 * q * (f.binom_c(m3, m3) + f.binom_c(2 * m3, m3)).real
     elif l % 2:
@@ -513,7 +508,7 @@ def verify_charsum_lemmas(
         hyps = {"nontrivial_character": s != 0, "p_not_3": f.p != 3}
         if not all(hyps.values()):
             return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
-        lhs = _w_sum(f, s, f.from_rational(lam))
+        lhs = curve_char_sum(f, s, f.from_rational(lam))
         if q % 3 == 2:
             rhs = 0j
         else:
@@ -527,7 +522,7 @@ def verify_charsum_lemmas(
             return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
         le = f.from_rational(lam)
         arg = f.div(f.add(1, le), le)
-        w = _w_sum(f, s, le)
+        w = curve_char_sum(f, s, le)
         lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], arg)
         c1 = f.neg(f.mul(f.from_int(4), f.pow(le, 3)))
         rhs = (
@@ -549,7 +544,7 @@ def verify_charsum_lemmas(
         r = _sqrt_index(f, -3 * s, sqrt_branch)
         root_inv = (-2 * s - r) % m
         root_cube_phi = (h - r) % m
-        lhs = _w_sum(f, s, le)
+        lhs = curve_char_sum(f, s, le)
         rhs = (
             q
             * f.jacobi_c(h, s)
@@ -562,7 +557,7 @@ def verify_charsum_lemmas(
     if not all(hyps.values()):
         return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
     le = f.from_rational(lam)
-    lhs = _w_sum(f, s, le)
+    lhs = curve_char_sum(f, s, le)
     rhs = q * series_value(f, [h, 0], [s], f.add(1, le))
     return _record(tid, f, hyps, tolerance, lhs, rhs, lam=lam, char_index=s)
 

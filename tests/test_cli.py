@@ -252,6 +252,31 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("primes 5:7\n")
     assert run(capsys, "verify", "--config", str(bad))[0] == 2
     assert run(capsys, "verify", "--config", str(tmp_path / "gone.cfg"))[0] == 2
+    # a misspelt key is an error, not a silently ignored line
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("# grid\nq-cap = 2000\nlamda = 5\n")
+    for argv in (("verify",), ("count", "--p", "7", "--l", "2")):
+        code, out, err = run(capsys, *argv, "--config", str(typo))
+        assert (code, out) == (2, "")
+        assert f"{typo}:3: unknown key 'lamda'" in err
+
+
+def test_verify_exits_quietly_when_stdout_closes():
+    # `hgfq verify | head -1`: exit 141 (128 + SIGPIPE) with nothing on stderr
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hgfq", "verify"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()  # the default sweep writes far more than a pipe holds
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_bench_tracer_binds_every_traced_name():

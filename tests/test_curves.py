@@ -23,6 +23,7 @@ from hgfq import (
     reduce_lambda,
     weierstrass_count_l3,
 )
+from hgfq.curves import curve_char_sum, curve_histogram
 
 import oracle_helpers as oracle
 
@@ -111,23 +112,52 @@ def test_l3_needs_p_1_mod_3_for_infinity():
 
 
 def test_charsum_count_for_every_l():
-    # l need not divide q - 1: the character sum runs over the characters of
-    # order dividing gcd(l, q - 1), and for gcd 1 the affine count is q
-    coprime = partial = 0
-    for p, e in ((5, 1), (7, 1), (11, 1), (13, 1), (19, 1), (3, 2), (5, 2), (3, 3)):
+    # l need not divide q - 1: the count reads the histogram at the multiples
+    # of g = gcd(l, q - 1), and for g = 1 the affine count is q
+    kinds = set()
+    for p, e in ((5, 1), (7, 1), (11, 1), (13, 1), (19, 1), (3, 2), (5, 2), (3, 3), (7, 2)):
         f = make_field(p, e)
         for l in range(2, 11):
-            g = gcd(l, f.m)
-            if g == l or (l == 3 and p % 3 != 1):
+            if l == 3 and p % 3 != 1:
                 continue
-            coprime += g == 1
-            partial += g > 1
+            g = gcd(l, f.m)
             for lam in LAMBDAS:
                 curve = CurveSpec(l, lam)
                 if not good_reduction(p, curve):
                     continue
                 assert character_sum_count(f, curve) == brute_force_count(f, curve), (p, e, l, lam)
-    assert coprime and partial
+                kinds.add((e > 1, "coprime" if g == 1 else "partial" if g < l else "divides"))
+    assert kinds == {(ext, k) for ext in (False, True) for k in ("coprime", "partial", "divides")}
+
+
+def test_curve_char_sum_matches_per_x_sums():
+    # W(chi_s) from the histogram against an independent sum on prime fields
+    for p in (5, 7, 11, 13):
+        f = make_field(p)
+        for lam in LAMBDAS:
+            if not good_reduction(p, CurveSpec(2, lam)):
+                continue
+            le = f.from_rational(lam)
+            for s in range(f.m):
+                want = oracle.curve_char_sum(p, f.m, s, lam.numerator, lam.denominator)
+                assert abs(curve_char_sum(f, s, le) - want) < 1e-9, (p, lam, s)
+    # and against scalar char_value sums on extension fields, every s, with
+    # lambdas where x**2 + lambda has roots (z = 3) and where it has none
+    zeros = set()
+    for p, e in ((3, 2), (5, 2), (3, 3)):
+        f = make_field(p, e)
+        for lam in LAMBDAS:
+            if not good_reduction(p, CurveSpec(2, lam)):
+                continue
+            le = f.from_rational(lam)
+            values = [f.mul(f.sub(x, 1), f.add(f.mul(x, x), le)) for x in range(f.q)]
+            hist, z = curve_histogram(f, le)
+            assert z == values.count(0) and hist.sum() == f.q - z
+            zeros.add(z)
+            for s in range(f.m):
+                want = sum(f.char_value(s, v) for v in values)
+                assert abs(curve_char_sum(f, s, le) - want) < 1e-9, (p, e, lam, s)
+    assert zeros == {1, 3}
 
 
 def test_weierstrass_model_agrees():

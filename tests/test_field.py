@@ -182,6 +182,19 @@ def test_element_encoding_base_p_digits():
             f.check(x)
 
 
+@pytest.mark.parametrize("p, e", [(7, 1), (3, 2)])
+def test_table_reads_reject_encodings_outside_the_field(p, e):
+    # a negative encoding must not wrap around to the value at q - 1
+    f = make_field(p, e)
+    for x in (-1, f.q):
+        for read in (f.dlog, lambda x: f.char_value(1, x), f.trace):
+            with pytest.raises(ValueError):
+                read(x)
+    assert f.char_value(1, 0) == 0 and f.trace(0) == 0
+    with pytest.raises(LogOfZeroError):
+        f.dlog(0)
+
+
 def test_fields_compare_by_parameters():
     assert make_field(5) == make_field(5)
     assert make_field(5) != make_field(5, 2)
