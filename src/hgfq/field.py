@@ -160,6 +160,7 @@ class Field:
         self._zeta: np.ndarray | None = None
         self._jx: np.ndarray | None = None
         self._j1mx: np.ndarray | None = None
+        self._jv: np.ndarray | None = None
 
     def _find_modulus_tail(self) -> tuple[int, ...]:
         if self.e == 1:
@@ -361,8 +362,10 @@ class Field:
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
         """Exact exponent counts of J(chi_a, chi_b) over (q-1)-th roots."""
         jx, j1mx = self._jacobi_logs()
-        t = (a % self.m * jx + b % self.m * j1mx) % self.m
-        return np.bincount(t, minlength=self.m).astype(np.int64)
+        t = jx * (a % self.m)
+        t += j1mx * (b % self.m)
+        t %= self.m
+        return np.bincount(t, minlength=self.m)
 
     def jacobi_c(self, a: int, b: int) -> complex:
         """Complex value of J(chi_a, chi_b)."""
@@ -373,22 +376,41 @@ class Field:
         sign = -1.0 if b % 2 else 1.0
         return sign * self.jacobi_c(a, -b) / self.q
 
+    def _binom_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """dlog x and dlog 1/(x-1) in [0, q-1), for x running over F_q minus {0, 1}."""
+        jx, j1mx = self._jacobi_logs()
+        if self._jv is None:
+            self._jv = (self.m // 2 - j1mx) % self.m  # 1/(x-1) = -1/(1-x)
+        return jx, self._jv
+
     def binom_rows(self, tops: list[int], bottoms: list[int], steps: list[int]) -> np.ndarray:
         """The (n, q-1) array of rows i, k -> (chi_{tops[i] + steps[i]*k} | chi_{bottoms[i] + k}).
 
         With v = 1/(x-1), (chi_{t+sk} | chi_{b+k}) = 1/q * sum over x of
         zeta^(t dlog x + b dlog v + k (s dlog x + dlog v)): one inverse DFT
-        of the weights bucketed by s dlog x + dlog v.
+        of the weights bucketed by s dlog x + dlog v.  Besides the result,
+        the working set is one int64 buffer, the weights and the spectra,
+        each of n rows.
         """
         m = self.m
-        jx, j1mx = self._jacobi_logs()
-        lv = m // 2 - j1mx  # dlog v, since 1/(x-1) = -1/(1-x)
+        jx, lv = self._binom_logs()
         t, b, s = (np.array([tops, bottoms, steps], dtype=np.int64) % m)[:, :, None]
         n = len(t)
-        w = self.zeta[(t * jx + b * lv) % m].ravel()
-        bins = (np.arange(n)[:, None] * m + (s * jx + lv) % m).ravel()
-        spectra = np.bincount(bins, w.real, n * m) + 1j * np.bincount(bins, w.imag, n * m)
-        return np.fft.ifft(spectra.reshape(n, m), axis=1) * (m / self.q)
+        buf = t * jx
+        buf += b * lv
+        buf %= m
+        w = self.zeta.take(buf)
+        np.multiply(s, jx, out=buf)
+        buf += lv
+        buf %= m
+        buf += np.arange(0, n * m, m)[:, None]  # row i bins from i*m
+        spectra = np.empty((n, m), dtype=complex)
+        spectra.real = np.bincount(buf.ravel(), w.real.ravel(), n * m).reshape(n, m)
+        spectra.imag = np.bincount(buf.ravel(), w.imag.ravel(), n * m).reshape(n, m)
+        del buf, w
+        rows = np.fft.ifft(spectra, axis=1)
+        rows *= m / self.q
+        return rows
 
     def gauss_c(self, k: int) -> complex:
         """Complex Gauss sum of chi_k."""

@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hgfq.hgf
 from hgfq import (
     Character,
     FieldMismatchError,
@@ -145,9 +147,7 @@ def test_greene_transform_rejects_unknown_variant():
         greene_transform_check(eps, eps, eps, 2, "iii")
 
 
-@pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
-def test_series_rows_match_loop_oracle(p, e):
-    f = make_field(p, e)
+def _assert_rows_match_loop_oracle(f):
     m = f.m
     h = m // 2
     series = (([h, h], [0]), ([3, m - 5], [7]), ([h, h, h], [0, 0]), ([1, 2, 3], [4, 5]))
@@ -158,6 +158,59 @@ def test_series_rows_match_loop_oracle(p, e):
         for a, b in ((h, 0), (2, m - 3)):
             got = evans_F(Character(f, a), Character(f, b), x)
             assert got == pytest.approx(oracle.evans_F_loop(f, a, b, x), abs=1e-9)
+
+
+@pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
+def test_series_rows_match_loop_oracle(p, e):
+    _assert_rows_match_loop_oracle(make_field(p, e))
+
+
+@pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
+def test_one_row_batches_match_loop_oracle(p, e, monkeypatch):
+    monkeypatch.setattr(hgfq.hgf, "ROW_BUDGET", 1)
+    _assert_rows_match_loop_oracle(make_field(p, e))
+
+
+def _row_series_values(f):
+    m = f.m
+    h = m // 2
+    out = []
+    for x in (1, 2, f.q - 1):
+        for tops, bottoms in (([h, h], [0]), ([3, m - 5], [7]), ([h, h, h], [0, 0]), ([1, 2, 3], [4, 5])):
+            out.append(series_value(f, tops, bottoms, x))
+        for a, b in ((h, 0), (2, m - 3)):
+            out.append(evans_F(Character(f, a), Character(f, b), x))
+        out.append(hgf_2f1(Character(f, 1), Character(f, h), Character(f, 3), x))
+    return out
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (3, 4), (1009, 1), (3, 5)])
+def test_row_batches_do_not_change_series_bits(p, e, monkeypatch):
+    # Every test field has q - 1 < ROW_BUDGET, so by default each series is one
+    # batch; one row per batch and an uneven last batch must give the same floats.
+    f = make_field(p, e)
+    want = _row_series_values(f)
+    for budget in (1, 2 * f.m):
+        monkeypatch.setattr(hgfq.hgf, "ROW_BUDGET", budget)
+        assert _row_series_values(f) == want
+
+
+def test_series_working_set_does_not_grow_with_rows():
+    # q - 1 > ROW_BUDGET: rows are built one at a time into one running product.
+    f = make_field(9001)
+    m = f.m
+    h = m // 2
+    series_value(f, [h, h, h], [0, 0], 5)  # builds the field's zeta and dlog tables
+    for n in (3, 8):
+        tops = [h] + [3 * i + 1 for i in range(n - 1)]
+        bottoms = [0] + [5 * i for i in range(n - 2)]
+        tracemalloc.start()
+        try:
+            series_value(f, tops, bottoms, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * m, (n, peak / (16 * m))
 
 
 SMALL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
