@@ -3,7 +3,9 @@ g-sum, computed exact-first.
 
 Single character sums are held as sparse integer counts of roots of unity
 (order q-1 for multiplicative sums, lcm(q-1, p) for Gauss sums) and
-converted to complex doubles only at comparison boundaries.
+converted to complex doubles only at comparison boundaries.  These exact
+sums are independent of the field's complex Gauss-sum table, which
+`binomial` and the series read, and serve as its oracle in the tests.
 """
 
 from __future__ import annotations

@@ -235,11 +235,14 @@ def _cmd_hgf(args: argparse.Namespace) -> int:
     tops = [parse_character(f, spec).index for spec in args.top.split(",")]
     bottoms = [parse_character(f, spec).index for spec in args.bottom.split(",")]
     value = series_value(f, tops, bottoms, args.x)
+    # A value is reported exact when q^2 times it lies within tol of a real
+    # integer; tol scales the q^2 multiple, not the value, since a bound of
+    # tol * q^2 >= 1/2 would accept every real value.
     q2 = f.q * f.q
-    scaled = value.real * q2
+    scaled = value * q2
     exact = None
-    if abs(scaled - round(scaled)) <= tol * q2 and abs(value.imag) <= tol:
-        exact = str(Fraction(round(scaled), q2))
+    if abs(scaled.real - round(scaled.real)) <= tol and abs(scaled.imag) <= tol:
+        exact = str(Fraction(round(scaled.real), q2))
     print(json.dumps({"q": f.q, "re": value.real, "im": value.imag, "exact": exact}))
     return 0
 

@@ -14,11 +14,22 @@ for an encoding outside [0, q); the public functions that take an element
 call it once, and so do the table reads `dlog`, `char_value` and `trace`.
 The arithmetic methods (`add`, `mul`, `pow`, ...) assume a valid encoding
 and do not check.
+
+Every complex character sum is read off one table per field, the q-1
+Gauss sums G[k] = G(chi_k), built on first use by one inverse FFT
+(`Field.gauss_sums`).  A Jacobi sum is G[a] G[b] / G[a+b], a binomial
+coefficient is a Jacobi sum up to a sign and 1/q, and a whole binomial row
+k -> (chi_{t+sk} | chi_{b+k}) is a product of rolled copies of G and of
+H[k] = 1/G[k]; the few entries where a character in the quotient is
+trivial take their closed forms under chi(0) = 0.  The exact root-of-unity
+counts (`Field.jacobi_counts`) serve only `charsums.jacobi_sum` and
+`charsums.g_sum`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +89,36 @@ def ord_p_rational(p: int, r: Fraction | int) -> int:
         return v
 
     return mult(abs(fr.numerator)) - mult(fr.denominator)
+
+
+def _solve_mod(s: int, r: int, m: int) -> np.ndarray:
+    """Every k in [0, m) with s k = r (mod m), in increasing order."""
+    d = math.gcd(s, m)
+    if r % d:
+        return np.empty(0, dtype=np.int64)
+    n = m // d
+    return np.arange((r // d) * pow(s // d, -1, n) % n, m, n, dtype=np.int64)
+
+
+def _times_progression(row: np.ndarray, table: np.ndarray, start: int, step: int) -> None:
+    """row[k] *= table[(start + step k) mod m] for every k, with m = len(table).
+
+    Step 0 is a scalar.  A step that divides m runs m / step times through
+    the residues = start (mod step), so it is step rolled copies of
+    table[start % step :: step], without an index array; any other step
+    is a gather.
+    """
+    m = len(table)
+    start, step = start % m, step % m
+    if step == 0:
+        row *= table[start]
+    elif m % step == 0:
+        sub, n, r = table[start % step :: step], m // step, start // step
+        for j in range(0, m, n):
+            row[j : j + n - r] *= sub[r:]
+            row[j + n - r : j + n] *= sub[:r]
+    else:
+        row *= table.take(np.arange(start, start + step * m, step) % m)
 
 
 def _poly_mul_mod(a: list[int], b: list[int], tail: tuple[int, ...], p: int) -> list[int]:
@@ -160,7 +201,7 @@ class Field:
         self._zeta: np.ndarray | None = None
         self._jx: np.ndarray | None = None
         self._j1mx: np.ndarray | None = None
-        self._jv: np.ndarray | None = None
+        self._gauss: tuple[np.ndarray, np.ndarray] | None = None
 
     def _find_modulus_tail(self) -> tuple[int, ...]:
         if self.e == 1:
@@ -329,7 +370,7 @@ class Field:
         return self.div(fr.numerator % self.p, den)
 
     # ------------------------------------------------------------------
-    # numpy-backed complex character sums and whole binomial rows
+    # the Gauss-sum table: complex character sums and whole binomial rows
 
     @property
     def zeta(self) -> np.ndarray:
@@ -349,7 +390,7 @@ class Field:
         return self._zeta
 
     def _jacobi_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """dlog x and dlog(1-x) for x running over F_q minus {0, 1}."""
+        """dlog x and dlog(1-x) for x running over F_q minus {0, 1}, for the exact sums."""
         if self._jx is None:
             digits, places = self._digit_table()
             digits[:, 0] -= 1
@@ -360,63 +401,98 @@ class Field:
         return self._jx, self._j1mx
 
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
-        """Exact exponent counts of J(chi_a, chi_b) over (q-1)-th roots."""
+        """Exact exponent counts of J(chi_a, chi_b) over (q-1)-th roots, one O(q) pass.
+
+        This is the exact path of `charsums.jacobi_sum`; `jacobi_c` reads the
+        Gauss table instead.
+        """
         jx, j1mx = self._jacobi_logs()
         t = jx * (a % self.m)
         t += j1mx * (b % self.m)
         t %= self.m
         return np.bincount(t, minlength=self.m)
 
+    def gauss_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gauss sums G[k] = G(chi_k) of every character, and H[k] = (-1)^k G[-k] / q.
+
+        G is one inverse DFT of the additive character along the generator's
+        powers, G[k] = sum over t of zeta^(k t) psi(g^t) with psi(x) =
+        exp(2 pi i Tr(x) / p); G[0] = -1 is stored exactly.  Since G(chi)
+        G(chi bar) = chi(-1) q for nontrivial chi, H[k] = 1 / G[k] for
+        k != 0.  Both are built on first use and kept with the field: two
+        complex (q-1)-vectors, 3.2 MB at q = 99991.
+        """
+        if self._gauss is None:
+            psi = np.exp(2j * np.pi / self.p * np.array(self._trace, dtype=float).take(self._exp))
+            g = np.fft.ifft(psi)
+            g *= self.m
+            g[0] = -1.0
+            h = np.roll(g[::-1], 1)  # h[k] = g[-k]
+            h[1::2] *= -1.0
+            h /= self.q
+            self._gauss = (g, h)
+        return self._gauss
+
+    def _jacobi_special(self, a: int | np.ndarray, c: int | np.ndarray) -> np.ndarray:
+        """J(chi_a, chi_c) for a, c in [0, q-1) where one of a, c, a + c is trivial.
+
+        With chi(0) = 0 these are q - 2 when both characters are trivial, -1
+        when exactly one is, and -chi_a(-1) when a + c is trivial.
+        """
+        return np.where(
+            (a == 0) & (c == 0),
+            self.q - 2.0,
+            np.where((a == 0) | (c == 0), -1.0, np.where(a % 2, 1.0, -1.0)),
+        )
+
     def jacobi_c(self, a: int, b: int) -> complex:
-        """Complex value of J(chi_a, chi_b)."""
-        return complex(self.jacobi_counts(a, b) @ self.zeta)
+        """Complex value of J(chi_a, chi_b) = G[a] G[b] / G[a + b], two reads of the Gauss table."""
+        m = self.m
+        a, b = a % m, b % m
+        if a == 0 or b == 0 or (a + b) % m == 0:
+            return complex(self._jacobi_special(a, b))
+        g = self.gauss_sums()[0]
+        return complex(g[a] * g[b] / g[(a + b) % m])
 
     def binom_c(self, a: int, b: int) -> complex:
         """Complex binomial (chi_a | chi_b) = chi_b(-1)/q * J(chi_a, inverse of chi_b)."""
         sign = -1.0 if b % 2 else 1.0
         return sign * self.jacobi_c(a, -b) / self.q
 
-    def _binom_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """dlog x and dlog 1/(x-1) in [0, q-1), for x running over F_q minus {0, 1}."""
-        jx, j1mx = self._jacobi_logs()
-        if self._jv is None:
-            self._jv = (self.m // 2 - j1mx) % self.m  # 1/(x-1) = -1/(1-x)
-        return jx, self._jv
-
     def binom_rows(self, tops: list[int], bottoms: list[int], steps: list[int]) -> np.ndarray:
         """The (n, q-1) array of rows i, k -> (chi_{tops[i] + steps[i]*k} | chi_{bottoms[i] + k}).
 
-        With v = 1/(x-1), (chi_{t+sk} | chi_{b+k}) = 1/q * sum over x of
-        zeta^(t dlog x + b dlog v + k (s dlog x + dlog v)): one inverse DFT
-        of the weights bucketed by s dlog x + dlog v.  Besides the result,
-        the working set is one int64 buffer, the weights and the spectra,
-        each of n rows.
+        With t, b, s one row's top, bottom and step, the entry at k is
+        (-1)^(b+k)/q * J(chi_{t+sk}, chi_{-(b+k)}), which is
+        G[t+sk] H[b+k] H[t+(s-1)k-b] wherever none of the three indices is
+        trivial: for s = 1 a rolled copy of G times a rolled copy of H times
+        the scalar H[t-b] = 1/G[t-b].  No bincount and no FFT.  The few k
+        where an index is trivial solve linear congruences mod q-1 and are
+        set from `_jacobi_special`; for s = 1 and t = b that is every k, and
+        the row is -1/q but for (q-2)/q at t + k = 0.
         """
         m = self.m
-        jx, lv = self._binom_logs()
-        t, b, s = (np.array([tops, bottoms, steps], dtype=np.int64) % m)[:, :, None]
-        n = len(t)
-        buf = t * jx
-        buf += b * lv
-        buf %= m
-        w = self.zeta.take(buf)
-        np.multiply(s, jx, out=buf)
-        buf += lv
-        buf %= m
-        buf += np.arange(0, n * m, m)[:, None]  # row i bins from i*m
-        spectra = np.empty((n, m), dtype=complex)
-        spectra.real = np.bincount(buf.ravel(), w.real.ravel(), n * m).reshape(n, m)
-        spectra.imag = np.bincount(buf.ravel(), w.imag.ravel(), n * m).reshape(n, m)
-        del buf, w
-        rows = np.fft.ifft(spectra, axis=1)
-        rows *= m / self.q
+        g, h = self.gauss_sums()
+        rows = np.ones((len(tops), m), dtype=complex)
+        for row, t, b, s in zip(rows, tops, bottoms, steps):
+            t, b, s = int(t) % m, int(b) % m, int(s) % m
+            if s == 1 and t == b:
+                # every k is special: (chi_a | chi_a) = -1/q but at a = 0
+                row.fill(-1.0 / self.q)
+                row[-t % m] = (self.q - 2.0) / self.q
+                continue
+            _times_progression(row, g, t, s)
+            _times_progression(row, h, b, 1)
+            _times_progression(row, h, t - b, s - 1)
+            # A k in two of the sets gets the same value twice.
+            k = np.concatenate([_solve_mod(s, -t, m), [(-b) % m], _solve_mod(s - 1, b - t, m)])
+            a, c = (t + s * k) % m, (-b - k) % m
+            row[k] = np.where(c % 2, -1.0, 1.0) * self._jacobi_special(a, c) / self.q
         return rows
 
     def gauss_c(self, k: int) -> complex:
-        """Complex Gauss sum of chi_k."""
-        lx = np.asarray(self._dlog[1:])
-        psi = np.exp(2j * np.pi * np.asarray(self._trace[1:]) / self.p)
-        return complex(np.sum(self.zeta[(k % self.m * lx) % self.m] * psi))
+        """Complex Gauss sum of chi_k, a read of the Gauss table."""
+        return complex(self.gauss_sums()[0][k % self.m])
 
     def char_value(self, k: int, x: int) -> complex:
         """chi_k(x) as a complex number, with chi_k(0) = 0."""

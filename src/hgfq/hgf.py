@@ -5,12 +5,14 @@ The (n+1)F_n series is the normalized character-indexed sum
     q/(q-1) * sum over chi of (A0 chi | chi)(A1 chi | B1 chi)...(An chi | Bn chi) chi(x),
 
 evaluated as one product of whole binomial rows: each row k -> (A chi_k | B chi_k)
-comes from a single inverse DFT of Jacobi weights (`Field.binom_rows`).  Rows
-are built at most ROW_BUDGET elements at a time, so one at a time once
-2(q - 1) > ROW_BUDGET, and each is multiplied into one running product.  A series
-then holds about six complex (q-1)-vectors whatever its number of rows, and
-the floats are those of one `prod(axis=0)` over all rows.  At q = 99991 a
-3F2 call peaks about 15 MB above the field's own tables (README.md).  The variant
+is read off the field's table of Gauss sums as a product of rolled copies of G
+and 1/G (`Field.binom_rows`), with no FFT per row.  Rows are built at most
+ROW_BUDGET elements at a time, so one at a time once 2(q - 1) > ROW_BUDGET, and
+each is multiplied into one running product.  A series then holds about 3.5
+complex (q-1)-vectors besides the field's tables, whatever its number of rows,
+and the floats are those of one `prod(axis=0)` over all rows.  At q = 99991 a
+3F2 call peaks about 13 MB above the field's own tables, the 3.2 MB Gauss
+table included (README.md).  The variant
 F(A, B; x) sums (A chi^2 | chi)(A chi | B chi) chi(x/4) instead, and F* adds
 the normalization term A B(-1) Abar(x/4) / q.
 """

@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive: dict tables, double loops, cmath.
 Prime fields only, and no imports from the package under test, except the
-loop oracles at the end, which take a package `Field` and sum its scalar
-binomials over k one at a time.
+oracles at the end, which take a package `Field`: the loop oracles sum its
+scalar binomials over k one at a time, and `binom_rows` builds whole
+binomial rows from Jacobi weights by bincount and inverse FFT.
 """
 
 import cmath
 from functools import lru_cache
+
+import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -138,3 +141,34 @@ def trace_frobenius(field) -> list[int]:
             s = field.add(s, field.pow(x, field.p**i))
         out.append(s)
     return out
+
+
+def binom_rows(field, tops, bottoms, steps):
+    """The (n, q-1) array of rows i, k -> (chi_{tops[i] + steps[i]*k} | chi_{bottoms[i] + k}).
+
+    With v = 1/(x-1), (chi_{t+sk} | chi_{b+k}) = 1/q * sum over x of
+    zeta^(t dlog x + b dlog v + k (s dlog x + dlog v)): one inverse DFT
+    of the weights bucketed by s dlog x + dlog v.  The oracle for
+    `Field.binom_rows`: it shares nothing with the field's Gauss-sum table
+    but the dlog and zeta tables.
+    """
+    m = field.m
+    jx, j1mx = field._jacobi_logs()
+    lv = (m // 2 - j1mx) % m  # 1/(x-1) = -1/(1-x)
+    t, b, s = (np.array([tops, bottoms, steps], dtype=np.int64) % m)[:, :, None]
+    n = len(t)
+    buf = t * jx
+    buf += b * lv
+    buf %= m
+    w = field.zeta.take(buf)
+    np.multiply(s, jx, out=buf)
+    buf += lv
+    buf %= m
+    buf += np.arange(0, n * m, m)[:, None]  # row i bins from i*m
+    spectra = np.empty((n, m), dtype=complex)
+    spectra.real = np.bincount(buf.ravel(), w.real.ravel(), n * m).reshape(n, m)
+    spectra.imag = np.bincount(buf.ravel(), w.imag.ravel(), n * m).reshape(n, m)
+    del buf, w
+    rows = np.fft.ifft(spectra, axis=1)
+    rows *= m / field.q
+    return rows

@@ -116,9 +116,11 @@ def test_jacobi_gauss_factorization():
             for b in range(1, m):
                 if (a + b) % m == 0:
                     continue
+                # gauss_c and jacobi_c both read the Gauss table, so the right
+                # side comes from the exact root-of-unity counts instead.
                 lhs = f.jacobi_c(a, b)
-                rhs = f.gauss_c(a) * f.gauss_c(b) / f.gauss_c((a + b) % m)
-                assert lhs == pytest.approx(rhs, abs=1e-8)
+                ga, gb, gab = (gauss_sum(Character(f, k)).to_complex() for k in (a, b, a + b))
+                assert lhs == pytest.approx(ga * gb / gab, abs=1e-8)
 
 
 def test_binomial_against_naive():
@@ -129,6 +131,87 @@ def test_binomial_against_naive():
                 assert f.binom_c(a, b) == pytest.approx(
                     oracle.binom(p, a, b), abs=1e-9
                 )
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)])
+def test_gauss_table_matches_exact_gauss_sums(p, e):
+    f = make_field(p, e)
+    m, q = f.m, f.q
+    g, h = f.gauss_sums()
+    for k in range(m):
+        want = gauss_sum(Character(f, k)).to_complex()
+        assert g[k] == pytest.approx(want, abs=1e-12 * q)
+        assert f.gauss_c(k) == g[k] and f.gauss_c(k - m) == g[k]
+        assert h[k] == pytest.approx((-1) ** k * g[-k % m] / q, abs=1e-15)
+        if k:
+            assert g[k] * h[k] == pytest.approx(1.0, abs=1e-12)
+    assert g[0] == -1.0 and f.gauss_sums() is f.gauss_sums()
+
+
+@pytest.mark.parametrize("p, e", [(7, 1), (3, 2), (13, 1), (5, 2)])
+def test_jacobi_c_matches_exact_jacobi_sums(p, e):
+    f = make_field(p, e)
+    m = f.m
+    seen = set()
+    for a in range(m):
+        for b in range(m):
+            if a == 0 and b == 0:
+                case = "both trivial"
+            elif a == 0 or b == 0:
+                case = "one trivial"
+            elif (a + b) % m == 0:
+                case = "product trivial"
+            else:
+                case = "gauss quotient"
+            seen.add(case)
+            want = jacobi_sum(Character(f, a), Character(f, b)).to_complex()
+            assert f.jacobi_c(a, b) == pytest.approx(want, abs=1e-9), (a, b, case)
+            assert f.jacobi_c(a + m, b - 2 * m) == f.jacobi_c(a, b)
+    assert seen == {"both trivial", "one trivial", "product trivial", "gauss quotient"}
+
+
+def test_table_reads_make_no_pass_over_the_field(monkeypatch):
+    # Once the Gauss table is built, rows and scalar sums use no bincount and no FFT.
+    f = make_field(1009)
+    f.gauss_sums()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("O(q) kernel called after the Gauss table was built")
+
+    monkeypatch.setattr(np, "bincount", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(f, "jacobi_counts", refuse)
+    f.binom_rows([3, 5, 0], [1, 5, 7], [1, 1, 2])
+    f.jacobi_c(3, 7)
+    f.jacobi_c(0, 0)
+    f.binom_c(3, 7)
+    f.gauss_c(11)
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (3, 4), (31, 2), (1009, 1), (3, 5)])
+def test_binom_rows_match_bincount_oracle(p, e):
+    # Rows read off the Gauss table against the bincount/inverse-FFT builder,
+    # with t = b (every k special), t = 0 and b = 0 among the cases.
+    f = make_field(p, e)
+    m = f.m
+    rng = np.random.default_rng(p * e)
+    tops = [*rng.integers(-m, 2 * m, 8).tolist(), 0, 0, 5, 5 + m, m // 2, 0]
+    bottoms = [*rng.integers(-m, 2 * m, 8).tolist(), 3, 0, 5, 5, 0, m // 2]
+    for s in (1, 2):
+        steps = [s] * len(tops)
+        got = f.binom_rows(tops, bottoms, steps)
+        want = oracle.binom_rows(f, tops, bottoms, steps)
+        assert np.abs(got - want).max() < 1e-12, s
+        # Where A = chi_{t+sk}, B = chi_{-(b+k)} or AB is trivial, the entry is
+        # chi_{b+k}(-1)/q times the closed form of J(A, B), exactly.
+        for row, t, b in zip(got, tops, bottoms):
+            for k in range(m):
+                a, c = (t + s * k) % m, (-b - k) % m
+                if a and c and (a + c) % m:
+                    continue
+                j = f.q - 2 if a == c == 0 else -1 if a == 0 or c == 0 else -((-1) ** a)
+                assert row[k] == (-1) ** c * j / f.q, (t, b, s, k)
 
 
 def test_binom_rows_match_scalar_binomials():

@@ -110,6 +110,19 @@ def test_hgf_exact_value(capsys):
     assert abs(got["re"] + 1 / 25) < 1e-9 and abs(got["im"]) < 1e-9
 
 
+def test_hgf_exact_needs_an_integer_multiple(capsys):
+    # q^2 * re = 641.587 here: no rational value with denominator q^2, though
+    # a tolerance of 1e-6 times q^2 = 1018081 would have accepted it.
+    code, out, _ = run(
+        capsys, "hgf", "--p", "1009", "--top", "ord8,ord8^7,phi", "--bottom", "eps,eps",
+        "--x", "5",
+    )
+    assert code == 0
+    got = json.loads(out)
+    assert got["exact"] is None
+    assert abs(got["re"] * 1009**2 - 641.587) < 1e-3
+
+
 def test_hgf_domain_errors(capsys):
     assert run(capsys, "hgf", "--p", "5", "--top", "phi", "--bottom", "eps,eps",
                "--x", "2")[0] == 2

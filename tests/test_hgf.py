@@ -213,6 +213,23 @@ def test_series_working_set_does_not_grow_with_rows():
         assert peak <= 8 * 16 * m, (n, peak / (16 * m))
 
 
+def test_ono_3f2_is_integral_at_the_field_size_cap(monkeypatch):
+    # q^2 3F2(phi, phi, phi; eps, eps | (1+lambda)/lambda) is an integer; at
+    # q = 99991 the Gauss-table rows keep it far inside the rounding half-width
+    # and agree with the series built from the bincount/inverse-FFT rows.
+    f = make_field(99991)
+    q2 = f.q * f.q
+    h = f.m // 2
+    lams = (Fraction(1, 4), Fraction(2), Fraction(-3, 4))
+    xs = [f.from_rational((1 + lam) / lam) for lam in lams]
+    got = [series_value(f, [h, h, h], [0, 0], x) * q2 for x in xs]
+    monkeypatch.setattr(f, "binom_rows", lambda *rows: oracle.binom_rows(f, *rows))
+    want = [series_value(f, [h, h, h], [0, 0], x) * q2 for x in xs]
+    for g, w in zip(got, want):
+        assert abs(g.real - round(g.real)) <= 1e-6 and abs(g.imag) <= 1e-6, g
+        assert abs(g - w) <= 1e-9, (g, w)
+
+
 SMALL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
 
 
