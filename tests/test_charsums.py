@@ -192,13 +192,17 @@ def test_table_reads_make_no_pass_over_the_field(monkeypatch):
 @pytest.mark.parametrize("p, e", [(13, 1), (3, 4), (31, 2), (1009, 1), (3, 5)])
 def test_binom_rows_match_bincount_oracle(p, e):
     # Rows read off the Gauss table against the bincount/inverse-FFT builder,
-    # with t = b (every k special), t = 0 and b = 0 among the cases.
+    # with t = b (every k special), t = 0 and b = 0 among the cases.  Step 3
+    # is a strided roll of G where 3 divides q - 1 and raises elsewhere.
     f = make_field(p, e)
     m = f.m
     rng = np.random.default_rng(p * e)
     tops = [*rng.integers(-m, 2 * m, 8).tolist(), 0, 0, 5, 5 + m, m // 2, 0]
     bottoms = [*rng.integers(-m, 2 * m, 8).tolist(), 3, 0, 5, 5, 0, m // 2]
-    for s in (1, 2):
+    if m % 3:
+        with pytest.raises(ValueError, match="does not divide"):
+            f.binom_rows(tops, bottoms, [3] * len(tops))
+    for s in (1, 2, 3) if m % 3 == 0 else (1, 2):
         steps = [s] * len(tops)
         got = f.binom_rows(tops, bottoms, steps)
         want = oracle.binom_rows(f, tops, bottoms, steps)
