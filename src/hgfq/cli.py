@@ -63,23 +63,31 @@ def _prime_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _or(value, default):
-    """An explicit flag value, even 0, over the default."""
-    return default if value is None else value
-
-
-def _field(args: argparse.Namespace):
-    return make_field(args.p, _or(args.e, 1), _or(args.q_cap, DEFAULT_Q_CAP))
-
-
 def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _load_config(path: str, keys: set[str]) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored.  A key
-    outside `keys` is an error, so a misspelt key is not silently dropped."""
-    out: dict[str, str] = {}
+# Read on its own before the full parse, so that the file's lines can become
+# flags; with exit_on_error off, a --config without a path is left to the full parse.
+_CONFIG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG.add_argument("--config", help="flat key=value config file; flags override it")
+
+
+def _config_tokens(argv: list[str], command: argparse.ArgumentParser) -> list[str]:
+    """One `--key=value` token per line of the `--config` file named in
+    `command`'s arguments `argv`, or none.  The file is flat key=value lines;
+    blank lines and # comments are ignored.  A key must be one of `command`'s
+    own long flags without the dashes (`_` and `-` alike), so a misspelt key
+    is an error, not a silently dropped line, and so is an abbreviation."""
+    try:
+        path = _CONFIG.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return []
+    if not path:
+        return []
+    flags = {s for s in command._option_string_actions if s.startswith("--")}
+    flags -= {"--config", "--help"}
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -88,24 +96,15 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            name = key.strip().replace("-", "_")
-            if name not in keys:
+            flag = "--" + key.strip().replace("_", "-")
+            if flag not in flags:
                 raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-            out[name] = value.strip()
-    return out
+            tokens.append(f"{flag}={value.strip()}")
+    return tokens
 
 
-def _merge_config(args: argparse.Namespace, table: dict[str, tuple[str, object]]) -> None:
-    """Fill unset argument slots from the config file; flags take priority."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config, {key for key, _ in table.values()})
-    for dest, (key, parse) in table.items():
-        if getattr(args, dest, None) is None and key in cfg:
-            setattr(args, dest, parse(cfg[key]))
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="hgfq",
         description="Character sums, hypergeometric series over F_q, and "
@@ -113,57 +112,79 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file; flags override it")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--p", type=int, required=True)
+    field.add_argument("--e", type=int, default=1)
+    field.add_argument("--q-cap", dest="q_cap", type=int, default=DEFAULT_Q_CAP)
 
-    fi = sub.add_parser("fieldinfo", parents=[common], help="describe a finite field")
-    fi.add_argument("--p", type=int)
-    fi.add_argument("--e", type=int)
-    fi.add_argument("--q-cap", dest="q_cap", type=int)
+    fi = sub.add_parser("fieldinfo", parents=[_CONFIG, field], help="describe a finite field")
+    fi.set_defaults(handler=_cmd_fieldinfo)
 
-    ct = sub.add_parser("count", parents=[common], help="count points on one curve")
-    ct.add_argument("--p", type=int)
-    ct.add_argument("--e", type=int)
-    ct.add_argument("--l", type=int)
-    ct.add_argument("--lambda", dest="lam", type=_fraction)
-    ct.add_argument("--method", choices=("brute", "charsum", "both"))
-    ct.add_argument("--q-cap", dest="q_cap", type=int)
+    ct = sub.add_parser("count", parents=[_CONFIG, field], help="count points on one curve")
+    ct.add_argument("--l", type=int, required=True)
+    ct.add_argument("--lambda", dest="lam", type=_fraction, required=True)
+    ct.add_argument("--method", choices=("brute", "charsum", "both"), default="brute")
+    ct.set_defaults(handler=_cmd_count)
 
-    hg = sub.add_parser("hgf", parents=[common], help="evaluate a hypergeometric series")
-    hg.add_argument("--p", type=int)
-    hg.add_argument("--e", type=int)
-    hg.add_argument("--top", help="comma list of character specs (eps, phi, chi:<k>, ord<l>, ^j)")
-    hg.add_argument("--bottom", help="comma list of character specs")
-    hg.add_argument("--x", type=int, help="argument as an element encoding")
-    hg.add_argument("--tolerance", type=float)
-    hg.add_argument("--q-cap", dest="q_cap", type=int)
+    hg = sub.add_parser("hgf", parents=[_CONFIG, field], help="evaluate a hypergeometric series")
+    hg.add_argument(
+        "--top",
+        required=True,
+        help="comma list of character specs (eps, phi, chi:<k>, ord<l>, ^j)",
+    )
+    hg.add_argument("--bottom", required=True, help="comma list of character specs")
+    hg.add_argument("--x", type=int, required=True, help="argument as an element encoding")
+    hg.add_argument("--tolerance", type=float, default=1e-6)
+    hg.set_defaults(handler=_cmd_hgf)
 
-    vf = sub.add_parser("verify", parents=[common], help="sweep identities over a grid")
+    defaults = SweepConfig()
+    vf = sub.add_parser("verify", parents=[_CONFIG], help="sweep identities over a grid")
     vf.add_argument(
         "--theorem",
         type=_str_list,
+        default=defaults.theorems,
         help=f"comma list of theorem keys ({', '.join(THEOREM_KEYS)}), or all",
     )
-    vf.add_argument("--primes", type=_prime_range, help="prime range LO:HI")
-    vf.add_argument("--degrees", type=_int_list, help="comma list of extension degrees")
-    vf.add_argument("--l", dest="l_values", type=_int_list, help="comma list of exponents l")
-    vf.add_argument("--lambda", dest="lambdas", type=_fraction_list, help="comma list of rationals")
-    vf.add_argument("--tolerance", type=float)
-    vf.add_argument("--format", dest="output_format", choices=("json", "csv"))
-    vf.add_argument("--q-cap", dest="q_cap", type=int)
-    return parser
-
-
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ValueError(f"missing required argument(s): {', '.join('--' + n for n in missing)}")
+    vf.add_argument(
+        "--primes",
+        type=_prime_range,
+        default=(defaults.prime_min, defaults.prime_max),
+        help="prime range LO:HI",
+    )
+    vf.add_argument(
+        "--degrees",
+        type=_int_list,
+        default=defaults.degrees,
+        help="comma list of extension degrees",
+    )
+    vf.add_argument(
+        "--l",
+        dest="l_values",
+        type=_int_list,
+        default=defaults.l_values,
+        help="comma list of exponents l",
+    )
+    vf.add_argument(
+        "--lambda",
+        dest="lambdas",
+        type=_fraction_list,
+        default=defaults.lambdas,
+        help="comma list of rationals",
+    )
+    vf.add_argument("--tolerance", type=float, default=defaults.tolerance)
+    vf.add_argument(
+        "--format",
+        dest="output_format",
+        choices=("json", "csv"),
+        default=defaults.output_format,
+    )
+    vf.add_argument("--q-cap", dest="q_cap", type=int, default=defaults.q_cap)
+    vf.set_defaults(handler=_cmd_verify)
+    return parser, sub.choices
 
 
 def _cmd_fieldinfo(args: argparse.Namespace) -> int:
-    _merge_config(args, {"p": ("p", int), "e": ("e", int), "q_cap": ("q_cap", int)})
-    _require(args, ["p"])
-    f = _field(args)
+    f = make_field(args.p, args.e, args.q_cap)
     orders = sorted(d for d in range(1, f.m + 1) if f.m % d == 0)
     info = {
         "p": f.p,
@@ -178,25 +199,9 @@ def _cmd_fieldinfo(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    _merge_config(
-        args,
-        {
-            "p": ("p", int),
-            "e": ("e", int),
-            "l": ("l", int),
-            "lam": ("lambda", _fraction),
-            "method": ("method", str),
-            "q_cap": ("q_cap", int),
-        },
-    )
-    _require(args, ["p", "l"])
-    if args.lam is None:
-        raise ValueError("missing required argument(s): --lambda")
-    f = _field(args)
-    curve = CurveSpec(args.l, args.lam)
-    method = args.method or "brute"
+    f = make_field(args.p, args.e, args.q_cap)
     try:
-        pc = count_points(f, curve, method)
+        pc = count_points(f, CurveSpec(args.l, args.lam), args.method)
     except RuntimeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -207,7 +212,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "affine": pc.affine,
                 "projective": pc.projective,
                 "a_q": pc.a_q,
-                "method": method,
+                "method": args.method,
             }
         )
     )
@@ -215,23 +220,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_hgf(args: argparse.Namespace) -> int:
-    _merge_config(
-        args,
-        {
-            "p": ("p", int),
-            "e": ("e", int),
-            "top": ("top", str),
-            "bottom": ("bottom", str),
-            "x": ("x", int),
-            "tolerance": ("tolerance", float),
-            "q_cap": ("q_cap", int),
-        },
-    )
-    _require(args, ["p", "top", "bottom", "x"])
-    tol = _or(args.tolerance, 1e-6)
+    tol = args.tolerance
     if not (tol >= 0 and isfinite(tol)):
         raise ValueError(f"tolerance must be finite and not negative, got {tol}")
-    f = _field(args)
+    f = make_field(args.p, args.e, args.q_cap)
     tops = [parse_character(f, spec).index for spec in args.top.split(",")]
     bottoms = [parse_character(f, spec).index for spec in args.bottom.split(",")]
     value = series_value(f, tops, bottoms, args.x)
@@ -248,31 +240,16 @@ def _cmd_hgf(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _merge_config(
-        args,
-        {
-            "theorem": ("theorem", _str_list),
-            "primes": ("primes", _prime_range),
-            "degrees": ("degrees", _int_list),
-            "l_values": ("l", _int_list),
-            "lambdas": ("lambda", _fraction_list),
-            "tolerance": ("tolerance", float),
-            "output_format": ("format", str),
-            "q_cap": ("q_cap", int),
-        },
-    )
-    defaults = SweepConfig()
-    primes = _or(args.primes, (defaults.prime_min, defaults.prime_max))
     config = SweepConfig(
-        prime_min=primes[0],
-        prime_max=primes[1],
-        degrees=_or(args.degrees, defaults.degrees),
-        l_values=_or(args.l_values, defaults.l_values),
-        lambdas=_or(args.lambdas, defaults.lambdas),
-        theorems=_or(args.theorem, defaults.theorems),
-        tolerance=_or(args.tolerance, defaults.tolerance),
-        q_cap=_or(args.q_cap, defaults.q_cap),
-        output_format=_or(args.output_format, defaults.output_format),
+        prime_min=args.primes[0],
+        prime_max=args.primes[1],
+        degrees=args.degrees,
+        l_values=args.l_values,
+        lambdas=args.lambdas,
+        theorems=args.theorem,
+        tolerance=args.tolerance,
+        q_cap=args.q_cap,
+        output_format=args.output_format,
     )
     blocks = row_blocks(config)  # a grid error raises here, before any output
     csv_out = config.output_format == "csv"
@@ -292,16 +269,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "fieldinfo": _cmd_fieldinfo,
-        "count": _cmd_count,
-        "hgf": _cmd_hgf,
-        "verify": _cmd_verify,
-    }
+    """Run one subcommand and return its exit status, argparse's included.
+
+    A `--config` file's lines go in right after the subcommand name, so the
+    full parse checks them as it checks flags, and later flags win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        return handlers[args.command](args)
+        if argv and argv[0] in commands:
+            argv[1:1] = _config_tokens(argv[1:], commands[argv[0]])
+        args = parser.parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     except BrokenPipeError:
         # The reader closed stdout (`hgfq verify | head`).  What is still
         # buffered goes to the null device, so the flush at exit is quiet too.

@@ -6,15 +6,14 @@ The (n+1)F_n series is the normalized character-indexed sum
 
 evaluated as one product of whole binomial rows: each row k -> (A chi_k | B chi_k)
 is read off the field's table of Gauss sums as a product of rolled copies of G
-and 1/G (`Field.binom_rows`), with no FFT per row.  Rows are built at most
-ROW_BUDGET elements at a time, so one at a time once 2(q - 1) > ROW_BUDGET, and
-each is multiplied into one running product.  A series then holds about 3.5
-complex (q-1)-vectors besides the field's tables, whatever its number of rows,
-and the floats are those of one `prod(axis=0)` over all rows.  At q = 99991 a
-3F2 call peaks about 13 MB above the field's own tables, the 3.2 MB Gauss
-table included (README.md).  The variant
-F(A, B; x) sums (A chi^2 | chi)(A chi | B chi) chi(x/4) instead, and F* adds
-the normalization term A B(-1) Abar(x/4) / q.
+and 1/G (`Field.binom_rows`), with no FFT per row.  Rows are built one at a
+time, each multiplied into one running product that starts at 1, as
+`ndarray.prod(axis=0)` does, so the floats are those of one `prod(axis=0)` over
+all rows, and a series holds about 3.5 complex (q-1)-vectors besides the
+field's tables, whatever its number of rows.  At q = 99991 a 3F2 call peaks
+about 13 MB above the field's own tables, the 3.2 MB Gauss table included
+(README.md).  The variant F(A, B; x) sums (A chi^2 | chi)(A chi | B chi) chi(x/4)
+instead, and F* adds the normalization term A B(-1) Abar(x/4) / q.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ import numpy as np
 from .characters import Character, same_field
 from .field import Field
 from .report import VerificationReport, build_report
-
-ROW_BUDGET = 4096  # binomial-row elements built at once, and never less than one row
 
 
 def series_value(field: Field, tops: list[int], bottoms: list[int], x: int) -> complex:
@@ -38,18 +35,11 @@ def series_value(field: Field, tops: list[int], bottoms: list[int], x: int) -> c
 
 
 def _row_series(field: Field, tops: list, bottoms: list, steps: list, x: int) -> complex:
-    """q/(q-1) * sum over k of chi_k(x) times the product of the `Field.binom_rows` rows at k.
-
-    The rows come ROW_BUDGET elements at a time and each is multiplied into
-    one running product that starts at 1, as `ndarray.prod(axis=0)` does, so
-    the floats do not depend on the batch size.
-    """
+    """q/(q-1) * sum over k of chi_k(x) times the product of the `Field.binom_rows` rows at k."""
     m = field.m
-    batch = max(1, ROW_BUDGET // m)
     product = np.ones(m, dtype=complex)
-    for i in range(0, len(tops), batch):
-        for row in field.binom_rows(tops[i : i + batch], bottoms[i : i + batch], steps[i : i + batch]):
-            product *= row
+    for t, b, s in zip(tops, bottoms, steps):
+        product *= field.binom_rows([t], [b], [s])[0]
     k = np.arange(m, dtype=np.int64)
     k *= field.dlog(x)
     k %= m

@@ -274,6 +274,81 @@ def test_config_file_errors(capsys, tmp_path):
         assert f"{typo}:3: unknown key 'lamda'" in err
 
 
+# Every long option of each subcommand, with values whose runs differ from
+# one another, so a file value that was dropped shows as a stdout mismatch.
+CONFIG_CASES = {
+    "fieldinfo": {"p": ("3", "5"), "e": ("2", "1"), "q-cap": ("9", "8")},
+    "count": {
+        "p": ("13", "7"),
+        "e": ("1", "2"),
+        "l": ("3", "2"),
+        "lambda": ("-1/2", "3"),
+        "method": ("both", "brute"),
+        "q-cap": ("13", "12"),
+    },
+    "hgf": {
+        "p": ("1009", "17"),
+        "e": ("1", "2"),
+        "top": ("ord8,ord8^7,phi", "phi,phi,phi"),
+        "bottom": ("eps,eps", "phi,eps"),
+        "x": ("5", "2"),
+        "tolerance": ("1e-6", "0.5"),
+        "q-cap": ("2000", "1000"),
+    },
+    "verify": {
+        "theorem": ("ono,trace", "ono"),
+        "primes": ("5:7", "11:11"),
+        "degrees": ("1", "1,2"),
+        "l": ("2", "2,3"),
+        "lambda": ("-1/2,1/3", "1"),
+        "tolerance": ("1e-6", "1e-3"),
+        "format": ("json", "csv"),
+        "q-cap": ("2000", "6"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_config_keys_act_as_their_flags(capsys, tmp_path, command):
+    options = CONFIG_CASES[command]
+    code, usage, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert set(re.findall(r"--([a-z][a-z-]*)", usage)) - {"config", "help"} == set(options)
+    base = {key: values[0] for key, values in options.items()}
+    cfg = tmp_path / "one.cfg"
+    for key, values in options.items():
+        outcomes = set()
+        for value in values:
+            flags = [f"--{k}={v}" for k, v in {**base, key: value}.items()]
+            want = run(capsys, command, *flags)
+            # the file spells the key with underscores, as q_cap
+            cfg.write_text(f"# one key\n{key.replace('-', '_')} = {value}\n")
+            rest = [f"--{k}={v}" for k, v in base.items() if k != key]
+            got = run(capsys, command, "--config", str(cfg), *rest)
+            assert got[:2] == want[:2], (key, value)
+            outcomes.add(want[:2])
+        assert len(outcomes) == len(values), key
+
+
+def test_config_values_are_checked_as_flags(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    for argv, line, flag in (
+        (("fieldinfo",), "p = x", "--p"),
+        (("count", "--p", "7", "--l", "2", "--lambda", "1"), "method = nope", "--method"),
+        (("verify",), "format = xml", "--format"),
+        (("count",), "p = 13\nl = 2", "--lambda"),  # a required flag in neither place
+    ):
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, ""), line
+        assert flag in err, (line, err)
+    for key in ("config", "help"):
+        cfg.write_text(f"{key} = x\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"{cfg}:1: unknown key {key!r}" in err
+
+
 def test_verify_exits_quietly_when_stdout_closes():
     # `hgfq verify | head -1`: exit 141 (128 + SIGPIPE) with nothing on stderr
     root = Path(__file__).resolve().parents[1]

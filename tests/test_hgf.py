@@ -1,11 +1,11 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hgfq.hgf
 from hgfq import (
     Character,
     FieldMismatchError,
@@ -147,7 +147,9 @@ def test_greene_transform_rejects_unknown_variant():
         greene_transform_check(eps, eps, eps, 2, "iii")
 
 
-def _assert_rows_match_loop_oracle(f):
+@pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
+def test_series_rows_match_loop_oracle(p, e):
+    f = make_field(p, e)
     m = f.m
     h = m // 2
     series = (([h, h], [0]), ([3, m - 5], [7]), ([h, h, h], [0, 0]), ([1, 2, 3], [4, 5]))
@@ -160,43 +162,34 @@ def _assert_rows_match_loop_oracle(f):
             assert got == pytest.approx(oracle.evans_F_loop(f, a, b, x), abs=1e-9)
 
 
-@pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
-def test_series_rows_match_loop_oracle(p, e):
-    _assert_rows_match_loop_oracle(make_field(p, e))
-
-
-@pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
-def test_one_row_batches_match_loop_oracle(p, e, monkeypatch):
-    monkeypatch.setattr(hgfq.hgf, "ROW_BUDGET", 1)
-    _assert_rows_match_loop_oracle(make_field(p, e))
-
-
-def _row_series_values(f):
-    m = f.m
-    h = m // 2
-    out = []
-    for x in (1, 2, f.q - 1):
-        for tops, bottoms in (([h, h], [0]), ([3, m - 5], [7]), ([h, h, h], [0, 0]), ([1, 2, 3], [4, 5])):
-            out.append(series_value(f, tops, bottoms, x))
-        for a, b in ((h, 0), (2, m - 3)):
-            out.append(evans_F(Character(f, a), Character(f, b), x))
-        out.append(hgf_2f1(Character(f, 1), Character(f, h), Character(f, 3), x))
-    return out
+def _one_product_series(f, tops, bottoms, steps, x):
+    """The series as one `prod(axis=0)` over all of its `binom_rows` at once."""
+    product = f.binom_rows(tops, bottoms, steps).prod(axis=0)
+    k = np.arange(f.m, dtype=np.int64) * f.dlog(x) % f.m
+    return complex(product @ f.zeta.take(k)) * f.q / f.m
 
 
 @pytest.mark.parametrize("p, e", [(13, 1), (3, 4), (1009, 1), (3, 5)])
-def test_row_batches_do_not_change_series_bits(p, e, monkeypatch):
-    # Every test field has q - 1 < ROW_BUDGET, so by default each series is one
-    # batch; one row per batch and an uneven last batch must give the same floats.
+def test_row_batches_do_not_change_series_bits(p, e):
+    # A series multiplies its rows one at a time into a running product that
+    # starts at 1, as prod(axis=0) does, so the floats are the same bits.
     f = make_field(p, e)
-    want = _row_series_values(f)
-    for budget in (1, 2 * f.m):
-        monkeypatch.setattr(hgfq.hgf, "ROW_BUDGET", budget)
-        assert _row_series_values(f) == want
+    m = f.m
+    h = m // 2
+    for x in (1, 2, f.q - 1):
+        for tops, bottoms in (([h, h], [0]), ([3, m - 5], [7]), ([h, h, h], [0, 0]), ([1, 2, 3], [4, 5])):
+            want = _one_product_series(f, tops, [0, *bottoms], [1] * len(tops), x)
+            assert series_value(f, tops, bottoms, x) == want
+        x4 = f.div(x, f.from_int(4))
+        for a, b in ((h, 0), (2, m - 3)):
+            want = _one_product_series(f, [a, a], [0, b], [2, 1], x4)
+            assert evans_F(Character(f, a), Character(f, b), x) == want
+        want = _one_product_series(f, [1, h], [0, 3], [1, 1], x)
+        assert hgf_2f1(Character(f, 1), Character(f, h), Character(f, 3), x) == want
 
 
 def test_series_working_set_does_not_grow_with_rows():
-    # q - 1 > ROW_BUDGET: rows are built one at a time into one running product.
+    # Rows are built one at a time into one running product.
     f = make_field(9001)
     m = f.m
     h = m // 2
