@@ -83,7 +83,7 @@ def _config_tokens(argv: list[str], command: argparse.ArgumentParser) -> list[st
         path = _CONFIG.parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         return []
-    if not path:
+    if path is None:
         return []
     flags = {s for s in command._option_string_actions if s.startswith("--")}
     flags -= {"--config", "--help"}
@@ -176,7 +176,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--format",
         dest="output_format",
         choices=("json", "csv"),
-        default=defaults.output_format,
+        default="json",
     )
     vf.add_argument("--q-cap", dest="q_cap", type=int, default=defaults.q_cap)
     vf.set_defaults(handler=_cmd_verify)
@@ -249,10 +249,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         theorems=args.theorem,
         tolerance=args.tolerance,
         q_cap=args.q_cap,
-        output_format=args.output_format,
     )
     blocks = row_blocks(config)  # a grid error raises here, before any output
-    csv_out = config.output_format == "csv"
+    csv_out = args.output_format == "csv"
     if csv_out:
         print(csv_header())
     counts = Counter()

@@ -8,9 +8,10 @@ sum W(S) of a character over the curve polynomial; these are what the
 verification sweep uses.  `brute_force_count` (enumeration of affine
 pairs) and, for l = 3, `weierstrass_count_l3` (the short Weierstrass
 model) are kept as independent oracles for the tests and for
-`count --method both`.  The projective completion adds one point at
-infinity for l != 3 and three when l = 3 with p = 1 mod 3; for l = 3 with
-p = 2 mod 3 the count at infinity is refused rather than guessed.
+`count --method both`.  `points_at_infinity` is the one rule for the
+projective completion: one point at infinity for l != 3 and three when
+l = 3 with p = 1 mod 3; for l = 3 with p = 2 mod 3 the count at infinity
+is refused rather than guessed.
 """
 
 from __future__ import annotations
@@ -74,16 +75,21 @@ def curve_values(field: Field, lam: int) -> list[int]:
     return out
 
 
+def points_at_infinity(field: Field, l: int) -> int | None:
+    """The points at infinity of the projective completion: 1 for l != 3,
+    3 for l = 3 with p = 1 mod 3, and None (not known) for l = 3 otherwise."""
+    if l != 3:
+        return 1
+    return 3 if field.p % 3 == 1 else None
+
+
 def _projective(field: Field, l: int, affine: int) -> PointCount:
-    if l == 3:
-        if field.p % 3 == 1:
-            projective = affine + 3
-        else:
-            raise UnsupportedInfinityCountError(
-                "points at infinity for l = 3 are only known when p = 1 mod 3"
-            )
-    else:
-        projective = affine + 1
+    infinity = points_at_infinity(field, l)
+    if infinity is None:
+        raise UnsupportedInfinityCountError(
+            "points at infinity for l = 3 are only known when p = 1 mod 3"
+        )
+    projective = affine + infinity
     return PointCount(affine, projective, 1 + field.q - projective)
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .characters import Character, same_field
 from .field import Field
-from .report import VerificationReport, build_report
 
 
 def series_value(field: Field, tops: list[int], bottoms: list[int], x: int) -> complex:
@@ -67,54 +66,3 @@ def evans_F_star(a: Character, b: Character, x: int) -> complex:
     ab_sign = -1.0 if (a.index + b.index) % 2 else 1.0
     return f + ab_sign * field.char_value(-a.index, x4) / field.q
 
-
-def greene_transform_check(
-    a: Character,
-    b: Character,
-    c: Character,
-    x: int,
-    variant: str,
-    tolerance: float = 1e-6,
-) -> VerificationReport:
-    """Check one of the two argument transformations of the 2F1 series.
-
-    Variant "i" rewrites the series at 1-x with bottom character A*B/C and
-    delta corrections at x = 0 and x = 1; variant "ii" rewrites it at
-    x/(x-1) with prefactor C(-1) Abar(1-x) and a delta correction at x = 1.
-    """
-    field = same_field(a, b, c)
-    m = field.m
-    lhs = series_value(field, [a.index, b.index], [c.index], x)
-    one_minus_x = field.sub(1, x)
-    a_sign = -1.0 if a.index % 2 else 1.0
-    delta_1mx = 1.0 if one_minus_x == 0 else 0.0
-    if variant == "i":
-        new_bottom = (a.index + b.index - c.index) % m
-        rhs = a_sign * series_value(field, [a.index, b.index], [new_bottom], one_minus_x)
-        rhs += a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
-        rhs -= field.binom_c(b.index, c.index) * (1.0 if x == 0 else 0.0)
-    elif variant == "ii":
-        c_sign = -1.0 if c.index % 2 else 1.0
-        if one_minus_x == 0:
-            rhs = 0j
-        else:
-            ratio = field.div(x, field.sub(x, 1))
-            rhs = (
-                c_sign
-                * field.char_value(-a.index, one_minus_x)
-                * series_value(field, [a.index, (c.index - b.index) % m], [c.index], ratio)
-            )
-        rhs += a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
-    else:
-        raise ValueError(f"unknown transform variant {variant!r}")
-    return build_report(
-        theorem_id=f"greene_transform_{variant}",
-        p=field.p,
-        e=field.e,
-        q=field.q,
-        char_index=a.index,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses={},
-    )

@@ -1,11 +1,16 @@
 """Machine verification of the curve/series identities over sweeps of F_q.
 
-Every verify_* operation evaluates both sides of one identity instance for
-concrete (q, l, lambda, character) data and returns a VerificationReport.
-Unmet hypotheses are recorded as named boolean flags and produce a "skip"
-status, never an exception and never a failure; an actual numeric mismatch
-under met hypotheses is a "fail".  Identities whose two sides are rational
-with denominator q or q**2 are additionally integer-checked after scaling.
+Every verify_* operation, and greene_transform_check, states one identity
+instance for concrete (q, l, lambda, character) data: its named premise
+flags, its two sides as a deferred computation, and the denominator d of
+both sides where they are rationals (q**2 for ono_3f2, q for
+mccarthy_binomial, 1 for the a_q-valued ids).  _record is the one path from
+there to a VerificationReport.  It runs the sides only when the flags hold
+(3f2_at_4 and 2f1_special_* gate on fewer, so that the orders their
+identities exclude still leave data) and records 0 for both otherwise.  An
+unmet flag makes a "skip", never an exception and never a failure.  Under
+met flags a numeric mismatch is a "fail", and so is, where d is declared,
+round(d * lhs) != round(d * rhs).
 
 CATALOG maps each theorem key to the records it yields on one field; its
 keys follow the sorted order of the theorem ids they yield.  row_blocks()
@@ -18,14 +23,17 @@ sweep() collects them.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import isfinite, lcm
 
-from .characters import Character, character_of_order
-from .curves import CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction
+from .characters import Character, character_of_order, same_field
+from .curves import (
+    CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction, points_at_infinity
+)
 from .field import Field, is_prime, make_field
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
@@ -53,11 +61,15 @@ def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
         raise ValueError(f"unknown {what} {value!r}")
 
 
-def _sqrt_index(f: Field, a: int, sqrt_branch: str) -> int:
-    """An index r with 2r = a (mod q-1), for even a; the "second" branch is
-    the "first" root times phi."""
-    r = (a % f.m) // 2
-    return r if sqrt_branch == "first" else (r + f.m // 2) % f.m
+def _sqrt_jacobi(f: Field, s: int, sqrt_branch: str) -> tuple[int, complex, complex]:
+    """(r, J(phi, S), J(S^-2 R^-1, phi R^-1)) for the square character S =
+    chi_s and R = chi_r a square root of S^-3; the "second" branch is the
+    "first" root times phi."""
+    h = f.m // 2
+    r = (-3 * s) % f.m // 2
+    if sqrt_branch == "second":
+        r = (r + h) % f.m
+    return r, f.jacobi_c(h, s), f.jacobi_c(-2 * s - r, h - r)
 
 
 def _cubic_bracket(f: Field, s: int) -> complex:
@@ -80,25 +92,25 @@ def _record(
     f: Field,
     hyps: dict[str, bool],
     tolerance: float,
-    lhs: complex = 0j,
-    rhs: complex = 0j,
-    exact: bool = True,
+    sides: Callable[[], tuple[complex, complex]],
+    d: int | None = None,
+    gate: tuple[str, ...] | None = None,
     **where,
 ) -> VerificationReport:
-    """The one record of an identity instance on f.  A skip leaves both
-    sides at 0 unless its verifier evaluated them; `where` holds the
-    instance fields l, lam, char_index and sqrt_branch that apply."""
+    """The one record of an identity instance on f.
+
+    `sides()` gives (lhs, rhs).  It runs only when the flags named in `gate`
+    hold, every flag by default, and both sides are 0 otherwise.  A declared
+    d says that both sides are rationals with denominator d, so a pass also
+    needs round(d * lhs) == round(d * rhs) on the real parts.  `where` holds
+    the instance fields l, lam, char_index and sqrt_branch that apply."""
+    lhs, rhs, exact = 0j, 0j, True
+    if all(hyps[k] for k in (hyps if gate is None else gate)):
+        lhs, rhs = (complex(side) for side in sides())
+        exact = d is None or round(d * lhs.real) == round(d * rhs.real)
     return build_report(
-        theorem_id=tid,
-        p=f.p,
-        e=f.e,
-        q=f.q,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tolerance,
-        hypotheses=hyps,
-        exact_ok=exact,
-        **where,
+        theorem_id=tid, p=f.p, e=f.e, q=f.q, lhs=lhs, rhs=rhs, tolerance=tolerance,
+        hypotheses=hyps, exact_ok=exact, **where
     )
 
 
@@ -110,18 +122,15 @@ def verify_ono(f: Field, lam: Fraction | int, tolerance: float = 1e-6) -> Verifi
     """3F2(phi,phi,phi; eps,eps | (1+lambda)/lambda) against the squared
     trace of the quadratic member of the curve family."""
     lam = Fraction(lam)
-    hyps = _lambda_flags(f, 2, lam)
-    if not all(hyps.values()):
-        return _record("ono_3f2", f, hyps, tolerance, l=2, lam=lam)
     q, h = f.q, f.m // 2
-    aq = character_sum_count(f, CurveSpec(2, lam)).a_q
-    le = f.from_rational(lam)
-    arg = f.div(f.add(1, le), le)
-    lhs = series_value(f, [h, h, h], [0, 0], arg)
-    sign = _phi(f, f.neg(le))
-    rhs = sign * (aq * aq - q) / q**2
-    exact = round(lhs.real * q * q) == round(sign) * (aq * aq - q)
-    return _record("ono_3f2", f, hyps, tolerance, lhs, rhs, exact, l=2, lam=lam)
+
+    def sides():
+        aq = character_sum_count(f, CurveSpec(2, lam)).a_q
+        le = f.from_rational(lam)
+        lhs = series_value(f, [h, h, h], [0, 0], f.div(f.add(1, le), le))
+        return lhs, _phi(f, f.neg(le)) * (aq * aq - q) / q**2
+
+    return _record("ono_3f2", f, _lambda_flags(f, 2, lam), tolerance, sides, d=q * q, l=2, lam=lam)
 
 
 def verify_main_square(
@@ -142,57 +151,55 @@ def verify_main_square(
     l = 2 the expansion is the classical single-series identity and holds.
     """
     lam = Fraction(lam)
-    tid = "aq_square_3f2"
-    hyps = _lambda_flags(f, l, lam)
-    hyps["congruence"] = f.m % l == 0
-    hyps["l_not_divisible_by_12"] = l % 3 != 0 or l % 4 != 0
-    hyps["infinity_count_known"] = l != 3 or f.p % 3 == 1
-    if not all(hyps.values()):
-        return _record(tid, f, hyps, tolerance, l=l, lam=lam)
     m, q, h = f.m, f.q, f.m // 2
     u = m // l
+    hyps = _lambda_flags(f, l, lam)
+    hyps["congruence"] = m % l == 0
+    hyps["l_not_divisible_by_12"] = l % 3 != 0 or l % 4 != 0
+    hyps["infinity_count_known"] = points_at_infinity(f, l) is not None
     # the per-summand flags only exist once l divides q-1
-    for i in range(1, l):
-        hyps[f"summand_{i}_order_not_3"] = (3 * i) % l != 0
-        hyps[f"summand_{i}_order_not_4"] = (2 * i * u) % m != h
-    if l % 2 == 0:
-        for i in range(1, l // 2):
+    if all(hyps.values()):
+        for i in range(1, l):
+            hyps[f"summand_{i}_order_not_3"] = (3 * i) % l != 0
+            hyps[f"summand_{i}_order_not_4"] = (2 * i * u) % m != h
+        for i in range(1, l // 2 if l % 2 == 0 else 1):
             hyps[f"tail_{i}_order_not_3"] = (6 * i) % l != 0
-    if not all(hyps.values()):
-        return _record(tid, f, hyps, tolerance, l=l, lam=lam)
-    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-    le = f.from_rational(lam)
-    one_plus = f.add(1, le)
-    arg = f.div(one_plus, le)
-    four = f.from_int(4)
-    c1 = f.neg(f.mul(four, f.pow(le, 3)))
-    c2 = f.neg(f.mul(four, f.mul(le, f.mul(one_plus, one_plus))))
-    phi_neg_lam = _phi(f, f.neg(le))
-    term1 = term2 = 0j
-    for i in range(1, l):
-        si = (i * u) % m
-        jratio = f.jacobi_c(3 * si, -si) / f.jacobi_c(si, si)
-        term1 += (
-            jratio
-            / f.char_value(si, c1)
-            * series_value(f, [3 * si, si, 2 * si + h], [4 * si, 2 * si], arg)
-        )
-        term2 += phi_neg_lam * jratio / f.char_value(si, c2)
-    rhs = q * q * term1 + q * term2
-    if l % 2:
-        rhs += (l - 1) * m - (l - 3) * aq
-    else:
-        tail = 0j
-        for i in range(1, l // 2):
+
+    def sides():
+        aq = character_sum_count(f, CurveSpec(l, lam)).a_q
+        le = f.from_rational(lam)
+        one_plus = f.add(1, le)
+        arg = f.div(one_plus, le)
+        four = f.from_int(4)
+        c1 = f.neg(f.mul(four, f.pow(le, 3)))
+        c2 = f.neg(f.mul(four, f.mul(le, f.mul(one_plus, one_plus))))
+        phi_neg_lam = _phi(f, f.neg(le))
+        term1 = term2 = 0j
+        for i in range(1, l):
             si = (i * u) % m
-            tail += (
-                f.jacobi_c(h, -2 * si)
-                / f.jacobi_c(si + h, -3 * si)
-                * series_value(f, [3 * si, 3 * si + h], [4 * si], one_plus)
+            jratio = f.jacobi_c(3 * si, -si) / f.jacobi_c(si, si)
+            term1 += (
+                jratio
+                / f.char_value(si, c1)
+                * series_value(f, [3 * si, si, 2 * si + h], [4 * si, 2 * si], arg)
             )
-        rhs += (l - 2) * m - (l - 2) * aq - 2 * q * tail
-    exact = round(rhs.real) == aq * aq
-    return _record(tid, f, hyps, tolerance, complex(aq * aq), rhs, exact, l=l, lam=lam)
+            term2 += phi_neg_lam * jratio / f.char_value(si, c2)
+        rhs = q * q * term1 + q * term2
+        if l % 2:
+            rhs += (l - 1) * m - (l - 3) * aq
+        else:
+            tail = 0j
+            for i in range(1, l // 2):
+                si = (i * u) % m
+                tail += (
+                    f.jacobi_c(h, -2 * si)
+                    / f.jacobi_c(si + h, -3 * si)
+                    * series_value(f, [3 * si, 3 * si + h], [4 * si], one_plus)
+                )
+            rhs += (l - 2) * m - (l - 2) * aq - 2 * q * tail
+        return aq * aq, rhs
+
+    return _record("aq_square_3f2", f, hyps, tolerance, sides, d=1, l=l, lam=lam)
 
 
 def verify_2f1_trace(
@@ -210,42 +217,30 @@ def verify_2f1_trace(
     """
     lam = Fraction(lam)
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
-    if l == 3:
-        tid = "trace_2f1_cubic"
-        hyps = _lambda_flags(f, 3, lam)
-        hyps["congruence"] = f.m % 3 == 0
-        hyps["infinity_count_known"] = f.p % 3 == 1
-        if not all(hyps.values()):
-            return _record(tid, f, hyps, tolerance, l=3, lam=lam)
-        q, h = f.q, f.m // 2
-        u = f.m // 3
-        aq = character_sum_count(f, CurveSpec(3, lam)).a_q
-        one_plus = f.add(1, f.from_rational(lam))
-        rhs = 2 + q * sum(series_value(f, [h, 0], [i * u], one_plus) for i in (1, 2))
-        exact = round(rhs.real) == -aq
-        return _record(tid, f, hyps, tolerance, complex(-aq), rhs, exact, l=3, lam=lam)
-    tid = "trace_2f1"
-    hyps = _lambda_flags(f, l, lam)
-    hyps["congruence"] = f.m % l == 0
-    hyps["l_coprime_to_3"] = l % 3 != 0
-    hyps["even_ratio"] = hyps["congruence"] and (f.m // l) % 2 == 0
-    where = {"l": l, "lam": lam, "sqrt_branch": sqrt_branch}
-    if not all(hyps.values()):
-        return _record(tid, f, hyps, tolerance, **where)
     m, q, h = f.m, f.q, f.m // 2
     u = m // l
-    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-    one_plus = f.add(1, f.from_rational(lam))
-    total = 0j
-    for i in range(1, l):
-        r = _sqrt_index(f, 3 * i * u, sqrt_branch)
-        total += (
-            f.jacobi_c(h, -i * u)
-            / f.jacobi_c(2 * i * u - r, h - r)
-            * series_value(f, [r + h, r], [2 * i * u], one_plus)
-        )
-    rhs = q * total
-    return _record(tid, f, hyps, tolerance, complex(-aq), rhs, round(rhs.real) == -aq, **where)
+    hyps = _lambda_flags(f, l, lam)
+    hyps["congruence"] = m % l == 0
+    if l == 3:
+        tid, where = "trace_2f1_cubic", {}
+        hyps["infinity_count_known"] = points_at_infinity(f, 3) is not None
+    else:
+        tid, where = "trace_2f1", {"sqrt_branch": sqrt_branch}
+        hyps["l_coprime_to_3"] = l % 3 != 0
+        hyps["even_ratio"] = hyps["congruence"] and u % 2 == 0
+
+    def sides():
+        aq = character_sum_count(f, CurveSpec(l, lam)).a_q
+        one_plus = f.add(1, f.from_rational(lam))
+        if l == 3:
+            return -aq, 2 + q * sum(series_value(f, [h, 0], [i * u], one_plus) for i in (1, 2))
+        total = 0j
+        for i in range(1, l):
+            r, j_phi, j_root = _sqrt_jacobi(f, -i * u, sqrt_branch)
+            total += j_phi / j_root * series_value(f, [r + h, r], [2 * i * u], one_plus)
+        return -aq, q * total
+
+    return _record(tid, f, hyps, tolerance, sides, d=1, l=l, lam=lam, **where)
 
 
 def verify_lambda_third(f: Field, l: int, tolerance: float = 1e-6) -> VerificationReport:
@@ -255,23 +250,22 @@ def verify_lambda_third(f: Field, l: int, tolerance: float = 1e-6) -> Verificati
     hyps = {
         "p_not_3": f.p != 3,
         "congruence": f.m % l == 0,
-        "infinity_count_known": l != 3 or f.p % 3 == 1,
+        "infinity_count_known": points_at_infinity(f, l) is not None,
     }
-    if not all(hyps.values()):
-        return _record("lambda_third", f, hyps, tolerance, l=l, lam=lam)
-    q, m = f.q, f.m
-    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-    if l != 3 and q % 3 == 2:
-        rhs = 0j
-    elif l != 3:
-        rhs = q * sum(_third_term(f, i * (m // l)) for i in range(1, l))
-    else:
-        m3 = m // 3
-        rhs = 2 + q * sum(
-            f.binom_c(m3, i * m3) + f.binom_c(2 * m3, i * m3) for i in (1, 2)
-        )
-    exact = round(complex(rhs).real) == -aq
-    return _record("lambda_third", f, hyps, tolerance, complex(-aq), rhs, exact, l=l, lam=lam)
+
+    def sides():
+        q, m = f.q, f.m
+        aq = character_sum_count(f, CurveSpec(l, lam)).a_q
+        if l == 3:
+            m3 = m // 3
+            return -aq, 2 + q * sum(
+                f.binom_c(m3, i * m3) + f.binom_c(2 * m3, i * m3) for i in (1, 2)
+            )
+        if q % 3 == 2:
+            return -aq, 0j
+        return -aq, q * sum(_third_term(f, i * (m // l)) for i in range(1, l))
+
+    return _record("lambda_third", f, hyps, tolerance, sides, d=1, l=l, lam=lam)
 
 
 def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationReport]:
@@ -283,23 +277,19 @@ def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationRepor
     """
     lam = Fraction(1, 3)
     hyps = {"congruence": f.q % 3 == 1}
-    tids = ("mccarthy_binomial", "mccarthy_gauss")
-    if not all(hyps.values()):
-        return [_record(tid, f, dict(hyps), tolerance, l=2, lam=lam) for tid in tids]
-    q, m = f.q, f.m
-    m3, h = m // 3, m // 2
-    aq = character_sum_count(f, CurveSpec(2, lam)).a_q
-    sign2 = _phi(f, f.neg(f.from_int(2)))
-    lhs2 = -sign2 * aq
-    lhs1 = lhs2 / q
-    rhs1 = 2 * f.binom_c(m3, h).real
-    exact1 = round(lhs1 * q) == round(rhs1 * q)
-    quotient = f.gauss_c(m3) * f.gauss_c(h) / f.gauss_c(m3 + h)
-    rhs2 = 2 * _phi(f, f.neg(1)) * quotient.real
-    exact2 = round(rhs2) == round(lhs2)
+    q, m3, h = f.q, f.m // 3, f.m // 2
+
+    @cache
+    def both():
+        aq = character_sum_count(f, CurveSpec(2, lam)).a_q
+        lhs2 = -_phi(f, f.neg(f.from_int(2))) * aq
+        quotient = f.gauss_c(m3) * f.gauss_c(h) / f.gauss_c(m3 + h)
+        return (lhs2 / q, 2 * f.binom_c(m3, h).real), (lhs2, 2 * _phi(f, f.neg(1)) * quotient.real)
+
+    where = {"l": 2, "lam": lam}
     return [
-        _record(tids[0], f, dict(hyps), tolerance, lhs1, rhs1, exact1, l=2, lam=lam),
-        _record(tids[1], f, dict(hyps), tolerance, lhs2, rhs2, exact2, l=2, lam=lam),
+        _record("mccarthy_binomial", f, dict(hyps), tolerance, lambda: both()[0], d=q, **where),
+        _record("mccarthy_gauss", f, dict(hyps), tolerance, lambda: both()[1], d=1, **where),
     ]
 
 
@@ -316,23 +306,18 @@ def verify_3f2_at_4(f: Field, chi: Character, tolerance: float = 1e-6) -> Verifi
     """
     s = chi.index
     hyps = {"order_admissible": chi.order not in (1, 3, 4), "p_not_3": f.p != 3}
-    if f.p == 3:
-        return _record("3f2_at_4", f, hyps, tolerance, char_index=s)
-    q, h = f.q, f.m // 2
-    lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], f.from_int(4))
-    base = -_phi(f, f.from_rational(-3)) * f.char_value(s, f.from_int(16)) / q
-    rhs = base
-    if q % 3 == 1:
+
+    def sides():
+        q, h = f.q, f.m // 2
+        lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], f.from_int(4))
+        base = -_phi(f, f.from_rational(-3)) * f.char_value(s, f.from_int(16)) / q
+        if q % 3 != 1:
+            return lhs, base
         bracket = _cubic_bracket(f, s)
-        rhs = (
-            f.char_value(s, f.from_rational(Fraction(-16, 27)))
-            * f.jacobi_c(-s, -s)
-            / f.jacobi_c(-3 * s, s)
-            * bracket
-            * bracket
-            + base
-        )
-    return _record("3f2_at_4", f, hyps, tolerance, lhs, rhs, char_index=s)
+        c = f.char_value(s, f.from_rational(Fraction(-16, 27)))
+        return lhs, c * f.jacobi_c(-s, -s) / f.jacobi_c(-3 * s, s) * bracket * bracket + base
+
+    return _record("3f2_at_4", f, hyps, tolerance, sides, gate=("p_not_3",), char_index=s)
 
 
 def verify_2f1_specials(
@@ -354,45 +339,40 @@ def verify_2f1_specials(
     _check_choice(part, SPECIAL_PARTS, "special-value part")
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
     s = chi.index
-    tid = f"2f1_special_{part}"
     hyps = {
         "is_square": s % 2 == 0,
         "order_not_1": s != 0,
         "order_not_3": chi.order != 3,
         "p_not_3": f.p != 3,
     }
+
+    def sides():
+        q, m, h = f.q, f.m, f.m // 2
+        r, j_phi, j_root = _sqrt_jacobi(f, s, sqrt_branch)
+        root_inv = (-2 * s - r) % m  # square root of the inverse character
+        v = (-r - s) % m  # the square root of S itself on this branch
+        jratio = j_root / j_phi
+        bracket = _cubic_bracket(f, s) if q % 3 == 1 else 0j
+        if part == "i":
+            lhs = series_value(f, [r + h, r], [-2 * s], f.from_rational(Fraction(4, 3)))
+            coeff = f.char_value(s, f.from_rational(Fraction(8, 27))) * jratio
+        elif part == "ii":
+            lhs = series_value(f, [r + h, r], [h - s], f.from_rational(Fraction(-1, 3)))
+            branch_sign = -1.0 if (v + h) % 2 else 1.0  # (sqrt(S) phi)(-1)
+            coeff = f.char_value(s, f.from_rational(Fraction(8, 27))) * jratio / branch_sign
+        elif part == "iii":
+            lhs = series_value(f, [r + h, root_inv], [-2 * s], f.from_int(4))
+            c = f.char_value(v, f.from_rational(Fraction(-64, 27)))
+            coeff = c * jratio / _phi(f, f.from_rational(-3))
+        else:
+            lhs = series_value(f, [r + h, v + h], [h - s], f.from_rational(Fraction(1, 4)))
+            c = f.char_value(v, f.from_rational(Fraction(-1, 27)))
+            coeff = c * jratio / _phi(f, f.from_int(3))
+        return lhs, coeff * bracket
+
+    gate = ("is_square", "p_not_3")
     where = {"char_index": s, "sqrt_branch": sqrt_branch}
-    if s % 2 or f.p == 3:
-        return _record(tid, f, hyps, tolerance, **where)
-    q, m, h = f.q, f.m, f.m // 2
-    r = _sqrt_index(f, -3 * s, sqrt_branch)
-    root_inv = (-2 * s - r) % m  # square root of the inverse character
-    root_cube_phi = (h - r) % m  # square root of the cube, times phi
-    v = (-r - s) % m  # the square root of S itself on this branch
-    jratio = f.jacobi_c(root_inv, root_cube_phi) / f.jacobi_c(h, s)
-    bracket = _cubic_bracket(f, s) if q % 3 == 1 else 0j
-    if part == "i":
-        lhs = series_value(f, [r + h, r], [-2 * s], f.from_rational(Fraction(4, 3)))
-        coeff = f.char_value(s, f.from_rational(Fraction(8, 27))) * jratio
-    elif part == "ii":
-        lhs = series_value(f, [r + h, r], [h - s], f.from_rational(Fraction(-1, 3)))
-        branch_sign = -1.0 if (v + h) % 2 else 1.0  # (sqrt(S) phi)(-1)
-        coeff = f.char_value(s, f.from_rational(Fraction(8, 27))) * jratio / branch_sign
-    elif part == "iii":
-        lhs = series_value(f, [r + h, root_inv], [-2 * s], f.from_int(4))
-        coeff = (
-            f.char_value(v, f.from_rational(Fraction(-64, 27)))
-            * jratio
-            / _phi(f, f.from_rational(-3))
-        )
-    else:
-        lhs = series_value(f, [r + h, v + h], [h - s], f.from_rational(Fraction(1, 4)))
-        coeff = (
-            f.char_value(v, f.from_rational(Fraction(-1, 27)))
-            * jratio
-            / _phi(f, f.from_int(3))
-        )
-    return _record(tid, f, hyps, tolerance, lhs, coeff * bracket, **where)
+    return _record(f"2f1_special_{part}", f, hyps, tolerance, sides, gate=gate, **where)
 
 
 # ----------------------------------------------------------------------
@@ -407,25 +387,25 @@ def verify_corollary_c3(f: Field, tolerance: float = 1e-6) -> list[VerificationR
     p = f.p
     lam = Fraction(-1, 2)
     hyps = {"congruence": p % 3 == 1}
-    tids = ("c3_point_count", "c3_2f1_sum")
-    if not all(hyps.values()):
-        return [_record(tid, f, dict(hyps), tolerance, l=3, lam=lam) for tid in tids]
-    x, y = cornacchia_3(p)
-    sym = 1 if x % 3 == 1 else -1
-    aq = character_sum_count(f, CurveSpec(3, lam)).a_q
-    phi2 = _phi(f, f.from_int(2))
-    predicted = phi2 * (-1.0 if (x + y - 1) % 2 else 1.0) * sym * 2 * x
-    m3, h = f.m // 3, f.m // 2
-    half = f.from_rational(Fraction(1, 2))
-    lhs2 = p * (
-        series_value(f, [h, 0], [m3], half) + series_value(f, [h, 0], [2 * m3], half)
-    )
-    rhs2 = phi2 * (-1.0 if (x + y) % 2 else 1.0) * sym * 2 * x - 2
-    exact1 = round(predicted) == aq
-    exact2 = round(lhs2.real) == round(rhs2)
+
+    @cache
+    def both():
+        x, y = cornacchia_3(p)
+        sym = 1 if x % 3 == 1 else -1
+        aq = character_sum_count(f, CurveSpec(3, lam)).a_q
+        phi2 = _phi(f, f.from_int(2))
+        predicted = phi2 * (-1.0 if (x + y - 1) % 2 else 1.0) * sym * 2 * x
+        m3, h = f.m // 3, f.m // 2
+        half = f.from_rational(Fraction(1, 2))
+        lhs2 = p * (
+            series_value(f, [h, 0], [m3], half) + series_value(f, [h, 0], [2 * m3], half)
+        )
+        rhs2 = phi2 * (-1.0 if (x + y) % 2 else 1.0) * sym * 2 * x - 2
+        return (aq, predicted), (lhs2, rhs2)
+
     return [
-        _record(tids[0], f, dict(hyps), tolerance, complex(aq), predicted, exact1, l=3, lam=lam),
-        _record(tids[1], f, dict(hyps), tolerance, lhs2, rhs2, exact2, l=3, lam=lam),
+        _record("c3_point_count", f, dict(hyps), tolerance, lambda: both()[0], d=1, l=3, lam=lam),
+        _record("c3_2f1_sum", f, dict(hyps), tolerance, lambda: both()[1], d=1, l=3, lam=lam),
     ]
 
 
@@ -437,44 +417,44 @@ def verify_corollary_chi4(
     lam = Fraction(lam)
     hyps = {"congruence_mod_4": f.m % 4 == 0}
     hyps.update(_lambda_flags(f, 2, lam))
-    if not all(hyps.values()):
-        return _record("chi4_square", f, hyps, tolerance, lam=lam)
-    q, m, h = f.q, f.m, f.m // 2
-    m4 = m // 4
-    le = f.from_rational(lam)
-    one_plus = f.add(1, le)
-    arg = f.div(one_plus, le)
-    lhs = series_value(f, [h, h, h], [0, 0], arg)
-    inner = series_value(f, [-m4, m4], [0], one_plus)
-    sign = _phi(f, le)
-    rhs = sign * inner * inner - sign / q
-    return _record("chi4_square", f, hyps, tolerance, lhs, rhs, lam=lam, char_index=m4)
+    q, h, m4 = f.q, f.m // 2, f.m // 4
+
+    def sides():
+        le = f.from_rational(lam)
+        one_plus = f.add(1, le)
+        lhs = series_value(f, [h, h, h], [0, 0], f.div(one_plus, le))
+        inner = series_value(f, [-m4, m4], [0], one_plus)
+        sign = _phi(f, le)
+        return lhs, sign * inner * inner - sign / q
+
+    # a skip names no character
+    chi4 = m4 if all(hyps.values()) else None
+    return _record("chi4_square", f, hyps, tolerance, sides, lam=lam, char_index=chi4)
 
 
 def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> VerificationReport:
     """-a_q at lambda = 1/3 via real parts of binomial brackets, under the
     congruence q = 1 (mod lcm(3, l)); branches on l = 3 / odd / even."""
     lam = Fraction(1, 3)
-    d = lcm(3, l)
     hyps = {
-        "congruence_mod_lcm": f.m % d == 0,
+        "congruence_mod_lcm": f.m % lcm(3, l) == 0,
         "p_not_3": f.p != 3,
-        "infinity_count_known": l != 3 or f.p % 3 == 1,
+        "infinity_count_known": points_at_infinity(f, l) is not None,
     }
-    if not all(hyps.values()):
-        return _record("lcm_third_trace", f, hyps, tolerance, l=l, lam=lam)
-    q, m, h = f.q, f.m, f.m // 2
-    m3, u = m // 3, m // l
-    aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-    if l == 3:
-        rhs = 2 + 2 * q * (f.binom_c(m3, m3) + f.binom_c(2 * m3, m3)).real
-    elif l % 2:
-        rhs = 2 * q * sum(_third_term(f, i * u).real for i in range(1, (l - 1) // 2 + 1))
-    else:
-        head = _phi(f, f.neg(f.from_int(2))) * f.binom_c(m3, h).real
-        rhs = 2 * q * (head + sum(_third_term(f, i * u).real for i in range(1, (l - 2) // 2 + 1)))
-    exact = round(float(rhs)) == -aq
-    return _record("lcm_third_trace", f, hyps, tolerance, complex(-aq), rhs, exact, l=l, lam=lam)
+
+    def sides():
+        q, m, h = f.q, f.m, f.m // 2
+        m3, u = m // 3, m // l
+        aq = character_sum_count(f, CurveSpec(l, lam)).a_q
+        if l == 3:
+            return -aq, 2 + 2 * q * (f.binom_c(m3, m3) + f.binom_c(2 * m3, m3)).real
+        # i up to (l-1)/2 for odd l and (l-2)/2 for even l
+        terms = sum(_third_term(f, i * u).real for i in range(1, (l - 1) // 2 + 1))
+        if l % 2:
+            return -aq, 2 * q * terms
+        return -aq, 2 * q * (_phi(f, f.neg(f.from_int(2))) * f.binom_c(m3, h).real + terms)
+
+    return _record("lcm_third_trace", f, hyps, tolerance, sides, d=1, l=l, lam=lam)
 
 
 # ----------------------------------------------------------------------
@@ -501,65 +481,100 @@ def verify_charsum_lemmas(
     _check_choice(part, LEMMA_PARTS, "lemma part")
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
     s = chi.index
-    q, m, h = f.q, f.m, f.m // 2
-    tid = f"charsum_{part}"
+    q, h = f.q, f.m // 2
+    lam = Fraction(1, 3) if part == "one_third" else Fraction(lam)
+    where = {"lam": lam, "char_index": s}
     if part == "one_third":
-        lam = Fraction(1, 3)
         hyps = {"nontrivial_character": s != 0, "p_not_3": f.p != 3}
-        if not all(hyps.values()):
-            return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
-        lhs = curve_char_sum(f, s, f.from_rational(lam))
-        if q % 3 == 2:
-            rhs = 0j
-        else:
-            rhs = q * f.char_value(s, f.from_rational(Fraction(-8, 27))) * _cubic_bracket(f, s)
-        return _record(tid, f, hyps, tolerance, lhs, rhs, lam=lam, char_index=s)
-    lam = Fraction(lam)
-    if part == "square_3f2":
+
+        def sides():
+            lhs = curve_char_sum(f, s, f.from_rational(lam))
+            if q % 3 == 2:
+                return lhs, 0j
+            c = f.from_rational(Fraction(-8, 27))
+            return lhs, q * f.char_value(s, c) * _cubic_bracket(f, s)
+
+    elif part == "square_3f2":
         hyps = {"order_not_1": s != 0, "order_not_3": chi.order != 3, "order_not_4": chi.order != 4}
         hyps.update(_lambda_flags(f, 2, lam))
-        if not all(hyps.values()):
-            return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
-        le = f.from_rational(lam)
-        arg = f.div(f.add(1, le), le)
-        w = curve_char_sum(f, s, le)
-        lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], arg)
-        c1 = f.neg(f.mul(f.from_int(4), f.pow(le, 3)))
-        rhs = (
-            f.jacobi_c(-s, -s)
-            / (q * q * f.char_value(s, c1) * f.jacobi_c(-3 * s, s))
-            * w
-            * w
-            - f.char_value(2 * s, arg) * _phi(f, f.neg(le)) / q
-        )
-        return _record(tid, f, hyps, tolerance, lhs, rhs, lam=lam, char_index=s)
-    if part == "sqrt_2f1":
+
+        def sides():
+            le = f.from_rational(lam)
+            arg = f.div(f.add(1, le), le)
+            w = curve_char_sum(f, s, le)
+            lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], arg)
+            c1 = f.neg(f.mul(f.from_int(4), f.pow(le, 3)))
+            coeff = f.jacobi_c(-s, -s) / (q * q * f.char_value(s, c1) * f.jacobi_c(-3 * s, s))
+            return lhs, coeff * w * w - f.char_value(2 * s, arg) * _phi(f, f.neg(le)) / q
+
+    elif part == "sqrt_2f1":
         hyps = {"is_square": s % 2 == 0, "order_not_1": s != 0, "order_not_3": chi.order != 3}
         hyps.update(_lambda_flags(f, 2, lam))
-        where = {"lam": lam, "char_index": s, "sqrt_branch": sqrt_branch}
-        if not all(hyps.values()):
-            return _record(tid, f, hyps, tolerance, **where)
-        le = f.from_rational(lam)
-        one_plus = f.add(1, le)
-        r = _sqrt_index(f, -3 * s, sqrt_branch)
-        root_inv = (-2 * s - r) % m
-        root_cube_phi = (h - r) % m
-        lhs = curve_char_sum(f, s, le)
-        rhs = (
-            q
-            * f.jacobi_c(h, s)
-            / f.jacobi_c(root_inv, root_cube_phi)
-            * series_value(f, [r + h, r], [-2 * s], one_plus)
-        )
-        return _record(tid, f, hyps, tolerance, lhs, rhs, **where)
-    hyps = {"order_3": chi.order == 3}
-    hyps.update(_lambda_flags(f, 2, lam))
-    if not all(hyps.values()):
-        return _record(tid, f, hyps, tolerance, lam=lam, char_index=s)
-    le = f.from_rational(lam)
-    lhs = curve_char_sum(f, s, le)
-    rhs = q * series_value(f, [h, 0], [s], f.add(1, le))
-    return _record(tid, f, hyps, tolerance, lhs, rhs, lam=lam, char_index=s)
+        where["sqrt_branch"] = sqrt_branch
+
+        def sides():
+            le = f.from_rational(lam)
+            r, j_phi, j_root = _sqrt_jacobi(f, s, sqrt_branch)
+            lhs = curve_char_sum(f, s, le)
+            return lhs, q * j_phi / j_root * series_value(f, [r + h, r], [-2 * s], f.add(1, le))
+
+    else:
+        hyps = {"order_3": chi.order == 3}
+        hyps.update(_lambda_flags(f, 2, lam))
+
+        def sides():
+            le = f.from_rational(lam)
+            return curve_char_sum(f, s, le), q * series_value(f, [h, 0], [s], f.add(1, le))
+
+    return _record(f"charsum_{part}", f, hyps, tolerance, sides, **where)
+
+
+# ----------------------------------------------------------------------
+# Greene's two argument transformations of 2F1
+
+
+def greene_transform_check(
+    a: Character,
+    b: Character,
+    c: Character,
+    x: int,
+    variant: str,
+    tolerance: float = 1e-6,
+) -> VerificationReport:
+    """Check one of the two argument transformations of the 2F1 series.
+
+    Variant "i" rewrites the series at 1-x with bottom character A*B/C and
+    delta corrections at x = 0 and x = 1; variant "ii" rewrites it at
+    x/(x-1) with prefactor C(-1) Abar(1-x) and a delta correction at x = 1.
+    """
+    field = same_field(a, b, c)
+    _check_choice(variant, ("i", "ii"), "transform variant")
+
+    def sides():
+        m = field.m
+        lhs = series_value(field, [a.index, b.index], [c.index], x)
+        one_minus_x = field.sub(1, x)
+        a_sign = -1.0 if a.index % 2 else 1.0
+        delta_1mx = 1.0 if one_minus_x == 0 else 0.0
+        if variant == "i":
+            new_bottom = (a.index + b.index - c.index) % m
+            rhs = a_sign * series_value(field, [a.index, b.index], [new_bottom], one_minus_x)
+            rhs += a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
+            rhs -= field.binom_c(b.index, c.index) * (1.0 if x == 0 else 0.0)
+            return lhs, rhs
+        c_sign = -1.0 if c.index % 2 else 1.0
+        if one_minus_x == 0:
+            rhs = 0j
+        else:
+            ratio = field.div(x, field.sub(x, 1))
+            rhs = (
+                c_sign
+                * field.char_value(-a.index, one_minus_x)
+                * series_value(field, [a.index, (c.index - b.index) % m], [c.index], ratio)
+            )
+        return lhs, rhs + a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
+
+    return _record(f"greene_transform_{variant}", field, {}, tolerance, sides, char_index=a.index)
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +647,6 @@ class SweepConfig:
     theorems: tuple[str, ...] = ("all",)
     tolerance: float = 1e-6
     q_cap: int = 2000
-    output_format: str = "json"
 
     def __post_init__(self):
         if self.prime_min > self.prime_max:
@@ -641,8 +655,6 @@ class SweepConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.q_cap < 3:
             raise ValueError(f"q_cap must be at least 3, got {self.q_cap}")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if not self.theorems:
             raise ValueError("no theorem key given")
         for name in self.theorems:

@@ -252,6 +252,13 @@ def test_config_file_merge_and_override(capsys, tmp_path):
     assert {json.loads(line)["q"] for line in out.splitlines()} == {13}
 
 
+def test_config_empty_path_is_an_error(capsys):
+    # an empty path is an error, as a missing file is, not the absence of --config
+    for flag in (["--config="], ["--config", ""]):
+        code, out, err = run(capsys, "verify", *flag, "--primes", "5:5", "--theorem", "ono")
+        assert code == 2 and out == "" and err.startswith("error:"), flag
+
+
 def test_config_file_for_count(capsys, tmp_path):
     cfg = tmp_path / "curve.cfg"
     cfg.write_text("p = 13\nl = 2\nlambda = 2\n")

@@ -23,7 +23,7 @@ from hgfq import (
     reduce_lambda,
     weierstrass_count_l3,
 )
-from hgfq.curves import curve_char_sum, curve_histogram
+from hgfq.curves import curve_char_sum, curve_histogram, points_at_infinity
 
 import oracle_helpers as oracle
 
@@ -100,6 +100,13 @@ def test_projective_closure_and_trace():
     assert pc.a_q == 1 + f.q - pc.projective
     pc3 = brute_force_count(f, CurveSpec(3, Fraction(1)))
     assert pc3.projective == pc3.affine + 3
+
+
+def test_points_at_infinity_rule():
+    for p, e in ((3, 1), (5, 1), (7, 1), (13, 1), (5, 2), (3, 2)):
+        f = make_field(p, e)
+        assert [points_at_infinity(f, l) for l in (2, 4, 5, 6)] == [1] * 4
+        assert points_at_infinity(f, 3) == (3 if p % 3 == 1 else None)
 
 
 def test_l3_needs_p_1_mod_3_for_infinity():

@@ -130,6 +130,51 @@ def test_main_square_l2_consistent_with_ono(default_reports):
     assert checked > 30
 
 
+def test_skip_sides_are_zero_except_at_excluded_orders(default_reports):
+    """Only 3f2_at_4 and 2f1_special_* evaluate the sides of a skip, at the
+    character orders their identities exclude; every other skip records 0."""
+    evaluated = {}
+    for r in default_reports:
+        if r.skipped and (r.lhs != 0 or r.rhs != 0):
+            evaluated[r.theorem_id] = evaluated.get(r.theorem_id, 0) + 1
+            assert r.lhs != 0 and r.rhs != 0, r.theorem_id
+    specials = {f"2f1_special_{part}": 12 for part in ("i", "ii", "iii", "iv")}
+    assert evaluated == {"3f2_at_4": 12, **specials}
+
+
+def test_exact_check_decides_inside_the_tolerance(monkeypatch):
+    # 1/q^2 is inside the 1e-6 tolerance at q = 1009, but q^2 * lhs moves
+    # to the next integer, so only the exact check can fail the record
+    f = make_field(1009)
+    assert verify_ono(f, 1).passed
+    series = hgfq.verifier.series_value
+    monkeypatch.setattr(
+        hgfq.verifier, "series_value", lambda *args: series(*args) + 1 / f.q**2
+    )
+    r = verify_ono(f, 1)
+    assert all(r.hypotheses.values())
+    assert r.failed
+    assert r.abs_diff <= r.tolerance
+    assert r.abs_diff == pytest.approx(1 / 1009**2)
+
+
+def test_every_infinity_flag_reads_the_curves_rule(monkeypatch):
+    f = make_field(13)
+
+    def records():
+        return [
+            verify_main_square(f, 2, 1),
+            verify_2f1_trace(f, 3, 2),
+            verify_lambda_third(f, 3),
+            verify_corollary_lcm(f, 3),
+        ]
+
+    assert all(r.hypotheses["infinity_count_known"] and r.passed for r in records())
+    monkeypatch.setattr(hgfq.verifier, "points_at_infinity", lambda field, l: None)
+    for r in records():
+        assert r.skipped and r.hypotheses["infinity_count_known"] is False, r.theorem_id
+
+
 def test_passing_trace_l2_implies_chi4(default_reports):
     checked = 0
     for r in default_reports:
@@ -252,8 +297,6 @@ def test_sweep_config_validation():
         SweepConfig(prime_min=11, prime_max=7)
     with pytest.raises(ValueError):
         SweepConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(output_format="xml")
     with pytest.raises(ValueError):
         SweepConfig(theorems=("ono", "nope"))
     with pytest.raises(ValueError):
