@@ -9,6 +9,14 @@ with multiplicative order q - 1, and a full discrete-log table is built up
 front, so element encodings, character indices, and every downstream sum
 are reproducible across runs.
 
+The exp, dlog and trace tables are built in numpy by block doubling: the
+powers g^w, ..., g^(2w-1) are the first w powers times g^w, one int64
+product mod p per block for e = 1 (below p^2 <= 10^10) and one product with
+the e x e matrix of multiplication by g^w on base-p digits for e > 1.  They
+are stored as Python int lists (the trace of F_p as `range(q)`), since the
+scalar arithmetic indexes them.  The scalar loop they replace is the
+oracle in the tests.
+
 Encodings are the only element type.  `Field.check` raises `ValueError`
 for an encoding outside [0, q); the public functions that take an element
 call it once, and so do the table reads `dlog`, `char_value` and `trace`.
@@ -236,12 +244,6 @@ class Field:
             out.append(r)
         return out
 
-    def _encode(self, digits: list[int]) -> int:
-        n = 0
-        for c in reversed(digits):
-            n = n * self.p + c
-        return n
-
     def _find_generator(self) -> int:
         one = [1] + [0] * (self.e - 1)
         checks = [self.m // r for r in prime_factors(self.m)]
@@ -252,35 +254,63 @@ class Field:
         raise RuntimeError("no generator found")  # unreachable
 
     def _build_tables(self) -> None:
-        exp = [0] * self.m
-        dlog = [-1] * self.q
-        gen = self._digits(self.generator)
-        cur = [1] + [0] * (self.e - 1)
-        for k in range(self.m):
-            n = self._encode(cur)
-            exp[k] = n
-            dlog[n] = k
-            cur = _poly_mul_mod(cur, gen, self._tail, self.p)
-        if dlog.count(-1) != 1:
-            raise RuntimeError("generator order check failed")
-        self._exp = exp
-        self._dlog = dlog
-        if self.e == 1:
-            self._trace = list(range(self.q))
+        """The exp, dlog and trace tables, built by doubling blocks of powers of g.
+
+        With the first w powers of g known, the next w are the same block
+        times g^w.  For e = 1 that is one int64 product mod p per block;
+        every product is below p^2 <= 10^10.  For e > 1 the block is a
+        (w, e) array of base-p digits, and multiplication by g^w is the
+        e x e matrix over F_p whose row j holds the digits of x^j g^w; its
+        entries and the digits are below p, so a matrix product stays below
+        e p^2.  dlog is one scatter of the exponents into encoding order,
+        and a generator of order below q - 1 leaves more than the one entry
+        at 0 unset.  The scalar loop these tables replace is kept in the
+        tests as their oracle (`oracle_helpers.scalar_field_tables`).
+        """
+        p, e, m = self.p, self.e, self.m
+        if e == 1:
+            exp = np.ones(m, dtype=np.int64)
+            w, gw = 1, self.generator
+            while w < m:
+                n = min(w, m - w)
+                np.multiply(exp[:n], gw, out=exp[w : w + n])
+                exp[w : w + n] %= p
+                w, gw = w + n, gw * gw % p
         else:
-            # The trace is F_p-linear: Tr(x) = sum over j of digit_j(x) Tr(x^j),
-            # with Tr(x^j) the Frobenius sum of the basis element x^j.
-            digits, places = self._digit_table()
-            basis = []
-            for b in places.tolist():
-                s = 0
-                for i in range(self.e):
-                    s = self.add(s, exp[(dlog[b] * self.p**i) % self.m])
-                # The trace lands in the prime subfield: a single digit.
-                if s >= self.p:
-                    raise RuntimeError("trace left the prime subfield")
-                basis.append(s)
-            self._trace = (digits @ np.array(basis, dtype=np.int64) % self.p).tolist()
+            digits = np.zeros((m, e), dtype=np.int64)
+            digits[0, 0] = 1
+            basis = np.eye(e, dtype=np.int64).tolist()
+            w, gw = 1, self._digits(self.generator)
+            while w < m:
+                n = min(w, m - w)
+                times = np.array([_poly_mul_mod(x, gw, self._tail, p) for x in basis])
+                np.matmul(digits[:n], times, out=digits[w : w + n])
+                digits[w : w + n] %= p
+                w, gw = w + n, _poly_mul_mod(gw, gw, self._tail, p)
+            places = p ** np.arange(e, dtype=np.int64)
+            exp = digits @ places
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        dlog[exp] = np.arange(m, dtype=np.int64)
+        if np.count_nonzero(dlog == -1) != 1:
+            raise RuntimeError("generator order check failed")
+        if e == 1:
+            self._trace = range(self.q)
+        else:
+            # The trace is F_p-linear: Tr(g^k) = sum over j of digit_j(g^k) Tr(x^j),
+            # and Tr(x^j) sums the digits of the Frobenius images x^(j p^i).
+            frob = [[dlog[b] * pow(p, i, m) % m for i in range(e)] for b in places.tolist()]
+            basis_tr = digits[frob].sum(axis=1) % p
+            # The trace lands in the prime subfield: a single digit.
+            if basis_tr[:, 1:].any():
+                raise RuntimeError("trace left the prime subfield")
+            trace = np.zeros(self.q, dtype=np.int64)
+            trace[exp] = digits @ basis_tr[:, 0] % p
+            # Free each array before its list is made, to keep the peak down.
+            del digits
+            self._trace = trace.tolist()
+            del trace
+        self._exp = exp.tolist()
+        self._dlog = dlog.tolist()
 
     def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The (q, e) array of base-p digits of every encoding, and the place values p**j."""

@@ -427,8 +427,8 @@ def verify_corollary_chi4(
         sign = _phi(f, le)
         return lhs, sign * inner * inner - sign / q
 
-    # a skip names no character
-    chi4 = m4 if all(hyps.values()) else None
+    # the order-4 character exists whenever q = 1 (mod 4), whatever lambda is
+    chi4 = m4 if hyps["congruence_mod_4"] else None
     return _record("chi4_square", f, hyps, tolerance, sides, lam=lam, char_index=chi4)
 
 

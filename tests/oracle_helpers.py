@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: dict tables, double loops, cmath.
 Prime fields only, and no imports from the package under test, except the
-oracles at the end, which take a package `Field`: the loop oracles sum its
-scalar binomials over k one at a time, and `binom_rows` builds whole
-binomial rows from Jacobi weights by bincount and inverse FFT.
+oracles at the end, which take a package `Field` of any degree: the loop
+oracles sum its scalar binomials over k one at a time, `binom_rows` builds
+whole binomial rows from Jacobi weights by bincount and inverse FFT, and
+`scalar_field_tables` rebuilds its exp, dlog and trace tables one power of
+the generator at a time.
 """
 
 import cmath
@@ -172,3 +174,51 @@ def binom_rows(field, tops, bottoms, steps):
     rows = np.fft.ifft(spectra, axis=1)
     rows *= m / field.q
     return rows
+
+
+def _poly_mul_mod(a, b, tail, p):
+    """a b modulo x^e + tail(x) over F_p, for digit lists of length e, low to high."""
+    e = len(tail)
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        c, prod[k] = prod[k], 0
+        if c:
+            for j, tj in enumerate(tail):
+                prod[k - e + j] = (prod[k - e + j] - c * tj) % p
+    return prod[:e]
+
+
+def scalar_field_tables(field):
+    """(exp, dlog, trace) of a package `Field` by one scalar pass over the powers of its generator.
+
+    The oracle for `Field._build_tables`: it reads only p, e, the modulus
+    and the generator.  dlog[0] is -1.  The trace is F_p-linear, so it is
+    the sum over j of digit_j(x) Tr(x^j), each Tr(x^j) a Frobenius sum.
+    """
+    p, e, q, m, tail = field.p, field.e, field.q, field.m, field._tail
+    places = [p**j for j in range(e)]
+
+    def digits(n):
+        return [n // v % p for v in places]
+
+    def encode(ds):
+        return sum(c * v for c, v in zip(ds, places))
+
+    exp, dlog = [0] * m, [-1] * q
+    gen, cur = digits(field.generator), digits(1)
+    for k in range(m):
+        exp[k] = n = encode(cur)
+        dlog[n] = k
+        cur = _poly_mul_mod(cur, gen, tail, p)
+    basis = []
+    for j in range(e):
+        frobenius = [digits(exp[dlog[places[j]] * p**i % m]) for i in range(e)]
+        s = [sum(col) % p for col in zip(*frobenius)]
+        assert not any(s[1:]), "trace outside the prime subfield"
+        basis.append(s[0])
+    trace = [sum(c * t for c, t in zip(digits(x), basis)) % p for x in range(q)]
+    return exp, dlog, trace

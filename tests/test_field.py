@@ -1,4 +1,4 @@
-"""Field construction, encoding arithmetic, and the exp/dlog tables."""
+"""Field construction, encoding arithmetic, and the exp, dlog and trace tables."""
 
 from fractions import Fraction
 
@@ -7,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgfq import (
+    Character,
     Field,
     FieldTooLargeError,
     LogOfZeroError,
     NotPrimeError,
     OddPrimeRequiredError,
+    gauss_sum,
     is_prime,
     make_field,
 )
 from hgfq.field import ord_p_rational, prime_factors
 
-from oracle_helpers import primitive_root, trace_frobenius
+from oracle_helpers import primitive_root, scalar_field_tables, trace_frobenius
 
 
 def test_is_prime_small():
@@ -158,6 +160,46 @@ def test_linear_tables_match_scalar_oracles(p, e):
     jx, j1mx = f._jacobi_logs()
     assert jx.tolist() == [f.dlog(x) for x in range(2, f.q)]
     assert j1mx.tolist() == [f.dlog(f.sub(1, x)) for x in range(2, f.q)]
+
+
+def _assert_tables_match_scalar_oracle(f):
+    exp, dlog, trace = scalar_field_tables(f)
+    assert f._exp == exp and f._dlog == dlog and list(f._trace) == trace, f
+    for table in (f._exp, f._dlog, f._trace):
+        assert all(type(v) is int for v in table), f
+
+
+def test_tables_match_scalar_oracle_up_to_2000():
+    fields = [(p, e) for p in range(3, 2000, 2) if is_prime(p) for e in range(1, 11) if p**e <= 2000]
+    assert len(fields) == 323  # 302 odd primes and 21 higher powers
+    for p, e in fields:
+        _assert_tables_match_scalar_oracle(make_field(p, e))
+
+
+@pytest.mark.parametrize("p, e", [(99991, 1), (313, 2), (3, 10), (5, 7), (11, 4)])
+def test_tables_match_scalar_oracle_at_the_cap(p, e):
+    _assert_tables_match_scalar_oracle(make_field(p, e))
+
+
+@pytest.mark.parametrize("p, e, g", [(7, 1, 2), (13, 1, 12), (3, 2, 2), (5, 2, 6)])
+def test_non_primitive_generator_fails_the_order_check(monkeypatch, p, e, g):
+    # g has order below q - 1: 2 and -1 mod 7 and 13, -1 and 1 + x in F_9 and F_25
+    monkeypatch.setattr(Field, "_find_generator", lambda self: g)
+    with pytest.raises(RuntimeError, match="generator order check failed"):
+        make_field(p, e)
+
+
+def test_prime_field_trace_is_a_range():
+    # the trace of F_p is the identity; its three readers see the same values
+    f = make_field(9001)
+    assert f._trace == range(f.q)
+    assert f.trace(0) == 0 and f.trace(f.q - 1) == f.q - 1
+    g, h = f.gauss_sums()
+    exact = [gauss_sum(Character(f, k)) for k in (1, 2, 4500, 9000)]
+    f._gauss, f._trace = None, list(range(f.q))
+    g_list, h_list = f.gauss_sums()
+    assert g.tobytes() == g_list.tobytes() and h.tobytes() == h_list.tobytes()
+    assert [gauss_sum(Character(f, k)) for k in (1, 2, 4500, 9000)] == exact
 
 
 def test_from_int_and_from_rational():

@@ -78,7 +78,7 @@ DEFAULT_CENSUS = {
     "trace_2f1": (114, 0, 126),
     "trace_2f1_cubic": (20, 0, 20),
 }
-DEFAULT_DIGEST = "43be41173b26efd42b124f5a901ab622c4826c71bbc17913cd18593bb0fb6206"
+DEFAULT_DIGEST = "a9c16fd00999e54af5d25d23fff53fbce112d3830d53b6add9fae4e255dbb9b1"
 
 
 def test_default_sweep_golden(default_reports):
@@ -183,6 +183,17 @@ def test_passing_trace_l2_implies_chi4(default_reports):
             assert verify_corollary_chi4(f, r.lam).passed
             checked += 1
     assert checked > 10
+
+
+def test_chi4_names_its_character_whenever_it_exists(default_reports):
+    # char_index depends on q alone, not on the lambda flags or the status
+    seen = set()
+    for r in default_reports:
+        if r.theorem_id == "chi4_square":
+            mod4 = r.hypotheses["congruence_mod_4"]
+            assert r.char_index == ((r.q - 1) // 4 if mod4 else None), r
+            seen.add((r.status, mod4))
+    assert seen == {("pass", True), ("skip", True), ("skip", False)}
 
 
 def test_empty_prime_range_gives_empty_sweep():
