@@ -51,7 +51,7 @@ def jacobi_sum(a: Character, b: Character) -> CyclotomicSum:
 
 
 def gauss_sum(chi: Character) -> CyclotomicSum:
-    """G(chi) = sum over x of chi(x) zeta_p**trace(x).
+    """G(chi) = sum over x of chi(x) zeta_p**trace(x), with x = g^t for t in [0, q-1).
 
     Exponents are composed over roots of unity of order (q-1)*p, which is
     lcm(q-1, p) since p never divides q-1.
@@ -59,9 +59,8 @@ def gauss_sum(chi: Character) -> CyclotomicSum:
     field = chi.field
     m, p = field.m, field.p
     order = m * p
-    lx = np.asarray(field._dlog[1:], dtype=np.int64)
-    tr = np.asarray(field._trace[1:], dtype=np.int64)
-    t = (p * ((chi.index * lx) % m) + m * tr) % order
+    t = np.arange(m, dtype=np.int64) * (chi.index % m) % m
+    t = (p * t + m * field._trace_pow) % order
     exponents, counts = np.unique(t, return_counts=True)
     return CyclotomicSum(order, exponents, counts.astype(np.int64))
 
@@ -75,19 +74,17 @@ def binomial(a: Character, b: Character) -> complex:
 def g_sum(a: Character, b: Character, x: int) -> CyclotomicSum:
     """g(A, B; x) = sum over t of A(1-t) B(1-x*t^2).
 
-    t = 0 gives 1 and t = 1 gives 0; every other t comes from the field's
-    tables of dlog t and dlog(1-t), the latter also read at dlog(x t^2).
+    t = 0 gives 1 and t = 1 gives 0; every other t is g^s for s in [1, q-1),
+    read off the field's table Z[s] = dlog(1 - g^s), also at s = dlog(x t^2).
     """
     field = same_field(a, b)
     field.check(x)
     m = field.m
-    jt, j1mt = field._jacobi_logs()  # dlog t and dlog(1-t) over t in F_q minus {0, 1}
-    exps = a.index % m * j1mt
+    z = field.log_one_minus()
+    exps = a.index % m * z[1:]
     if x != 0:
-        log_one_minus = np.zeros(m, dtype=np.int64)
-        log_one_minus[jt] = j1mt  # dlog(1 - g^k) for k != 0
-        k = (field.dlog(x) + 2 * jt) % m  # dlog(x t^2)
-        exps = (exps + b.index % m * log_one_minus[k])[k != 0]  # k = 0: 1 - x t^2 is 0
+        k = (field.dlog(x) + 2 * np.arange(1, m, dtype=np.int64)) % m  # dlog(x t^2)
+        exps = (exps + b.index % m * z[k])[k != 0]  # k = 0: 1 - x t^2 is 0
     counts = np.bincount(exps % m, minlength=m)
     counts[0] += 1  # t = 0
     return CyclotomicSum.from_counts(m, counts)

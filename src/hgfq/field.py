@@ -9,13 +9,12 @@ with multiplicative order q - 1, and a full discrete-log table is built up
 front, so element encodings, character indices, and every downstream sum
 are reproducible across runs.
 
-The exp, dlog and trace tables are built in numpy by block doubling: the
-powers g^w, ..., g^(2w-1) are the first w powers times g^w, one int64
-product mod p per block for e = 1 (below p^2 <= 10^10) and one product with
-the e x e matrix of multiplication by g^w on base-p digits for e > 1.  They
-are stored as Python int lists (the trace of F_p as `range(q)`), since the
-scalar arithmetic indexes them.  The scalar loop they replace is the
-oracle in the tests.
+The powers of the generator g are built in numpy by block doubling, as
+base-p digit vectors for every e: g^w, ..., g^(2w-1) are the first w powers
+times the e x e matrix of multiplication by g^w.  The exp and dlog tables
+are kept as Python int lists, which the scalar arithmetic indexes, and the
+trace along the powers, Tr(g^t), as an int64 array.  The scalar loop they
+replace is the oracle in the tests.
 
 Encodings are the only element type.  `Field.check` raises `ValueError`
 for an encoding outside [0, q); the public functions that take an element
@@ -30,8 +29,8 @@ coefficient is a Jacobi sum up to a sign and 1/q, and a whole binomial row
 k -> (chi_{t+sk} | chi_{b+k}) is a product of rolled copies of G and of
 H[k] = 1/G[k]; the few entries where a character in the quotient is
 trivial take their closed forms under chi(0) = 0.  The exact root-of-unity
-counts (`Field.jacobi_counts`) serve only `charsums.jacobi_sum` and
-`charsums.g_sum`.
+counts read the lazy table Z[t] = dlog(1 - g^t) (`Field.log_one_minus`) and
+serve only `charsums.jacobi_sum` and `charsums.g_sum`.
 """
 
 from __future__ import annotations
@@ -64,6 +63,15 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def fits_cap(p: int, e: int, q_cap: int) -> bool:
+    """Whether q = p^e is at most q_cap, for p >= 2.
+
+    p^e >= 2^e, so an e of at least q_cap.bit_length() is refused without
+    forming p^e, which could run to millions of digits.
+    """
+    return e < q_cap.bit_length() and p**e <= q_cap
 
 
 def prime_factors(n: int) -> list[int]:
@@ -192,23 +200,22 @@ class Field:
     def __init__(self, p: int, e: int = 1, q_cap: int = DEFAULT_Q_CAP):
         if e < 1:
             raise ValueError("extension degree must be at least 1")
+        # Before the primality test, whose trial division grows with p.
+        if p >= 2 and not fits_cap(p, e, q_cap):
+            raise FieldTooLargeError(f"q = {p}^{e} exceeds the cap {q_cap}")
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if p == 2:
             raise OddPrimeRequiredError("fields of characteristic 2 are not supported")
-        q = p**e
-        if q > q_cap:
-            raise FieldTooLargeError(f"q = {q} exceeds the cap {q_cap}")
         self.p = p
         self.e = e
-        self.q = q
-        self.m = q - 1
+        self.q = p**e
+        self.m = self.q - 1
         self._tail = self._find_modulus_tail()
         self.generator = self._find_generator()
         self._build_tables()
         self._zeta: np.ndarray | None = None
-        self._jx: np.ndarray | None = None
-        self._j1mx: np.ndarray | None = None
+        self._log_one_minus: np.ndarray | None = None
         self._gauss: tuple[np.ndarray, np.ndarray] | None = None
 
     def _find_modulus_tail(self) -> tuple[int, ...]:
@@ -254,68 +261,45 @@ class Field:
         raise RuntimeError("no generator found")  # unreachable
 
     def _build_tables(self) -> None:
-        """The exp, dlog and trace tables, built by doubling blocks of powers of g.
+        """exp, dlog and Tr(g^t), from the (q-1, e) base-p digits of the powers of g.
 
-        With the first w powers of g known, the next w are the same block
-        times g^w.  For e = 1 that is one int64 product mod p per block;
-        every product is below p^2 <= 10^10.  For e > 1 the block is a
-        (w, e) array of base-p digits, and multiplication by g^w is the
-        e x e matrix over F_p whose row j holds the digits of x^j g^w; its
-        entries and the digits are below p, so a matrix product stays below
-        e p^2.  dlog is one scatter of the exponents into encoding order,
-        and a generator of order below q - 1 leaves more than the one entry
-        at 0 unset.  The scalar loop these tables replace is kept in the
-        tests as their oracle (`oracle_helpers.scalar_field_tables`).
+        With the first w powers known, the next w are the same block times
+        the e x e matrix over F_p whose row j holds the digits of x^j g^w
+        (for e = 1, g^w).  Entries and digits are below p, so a product stays
+        below e p^2.  dlog is one scatter of the exponents into encoding
+        order; a generator of order below q - 1 leaves more than the one
+        entry at 0 unset.  The oracle is `oracle_helpers.scalar_field_tables`.
         """
         p, e, m = self.p, self.e, self.m
-        if e == 1:
-            exp = np.ones(m, dtype=np.int64)
-            w, gw = 1, self.generator
-            while w < m:
-                n = min(w, m - w)
-                np.multiply(exp[:n], gw, out=exp[w : w + n])
-                exp[w : w + n] %= p
-                w, gw = w + n, gw * gw % p
-        else:
-            digits = np.zeros((m, e), dtype=np.int64)
-            digits[0, 0] = 1
-            basis = np.eye(e, dtype=np.int64).tolist()
-            w, gw = 1, self._digits(self.generator)
-            while w < m:
-                n = min(w, m - w)
-                times = np.array([_poly_mul_mod(x, gw, self._tail, p) for x in basis])
-                np.matmul(digits[:n], times, out=digits[w : w + n])
-                digits[w : w + n] %= p
-                w, gw = w + n, _poly_mul_mod(gw, gw, self._tail, p)
-            places = p ** np.arange(e, dtype=np.int64)
-            exp = digits @ places
+        digits = np.zeros((m, e), dtype=np.int64)
+        digits[0, 0] = 1
+        basis = np.eye(e, dtype=np.int64).tolist()
+        w, gw = 1, self._digits(self.generator)
+        while w < m:
+            n = min(w, m - w)
+            times = np.array([_poly_mul_mod(x, gw, self._tail, p) for x in basis])
+            np.matmul(digits[:n], times, out=digits[w : w + n])
+            digits[w : w + n] %= p
+            w, gw = w + n, _poly_mul_mod(gw, gw, self._tail, p)
+        places = p ** np.arange(e, dtype=np.int64)
+        exp = digits @ places
         dlog = np.full(self.q, -1, dtype=np.int64)
         dlog[exp] = np.arange(m, dtype=np.int64)
         if np.count_nonzero(dlog == -1) != 1:
             raise RuntimeError("generator order check failed")
-        if e == 1:
-            self._trace = range(self.q)
-        else:
-            # The trace is F_p-linear: Tr(g^k) = sum over j of digit_j(g^k) Tr(x^j),
-            # and Tr(x^j) sums the digits of the Frobenius images x^(j p^i).
-            frob = [[dlog[b] * pow(p, i, m) % m for i in range(e)] for b in places.tolist()]
-            basis_tr = digits[frob].sum(axis=1) % p
-            # The trace lands in the prime subfield: a single digit.
-            if basis_tr[:, 1:].any():
-                raise RuntimeError("trace left the prime subfield")
-            trace = np.zeros(self.q, dtype=np.int64)
-            trace[exp] = digits @ basis_tr[:, 0] % p
-            # Free each array before its list is made, to keep the peak down.
-            del digits
-            self._trace = trace.tolist()
-            del trace
+        # The trace is F_p-linear: Tr(g^t) = sum over j of digit_j(g^t) Tr(x^j),
+        # and Tr(x^j) sums the digits of the Frobenius images x^(j p^i).
+        frob = [[dlog[b] * pow(p, i, m) % m for i in range(e)] for b in places.tolist()]
+        basis_tr = digits[frob].sum(axis=1) % p
+        # The trace lands in the prime subfield: a single digit.
+        if basis_tr[:, 1:].any():
+            raise RuntimeError("trace left the prime subfield")
+        self._trace_pow = digits @ basis_tr[:, 0] % p
+        # Free each array before the next list is made, to keep the peak down.
+        del digits
         self._exp = exp.tolist()
+        del exp
         self._dlog = dlog.tolist()
-
-    def _digit_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (q, e) array of base-p digits of every encoding, and the place values p**j."""
-        places = self.p ** np.arange(self.e, dtype=np.int64)
-        return np.arange(self.q, dtype=np.int64)[:, None] // places % self.p, places
 
     # ------------------------------------------------------------------
     # integer-encoding arithmetic
@@ -380,7 +364,10 @@ class Field:
         return self._exp[k % self.m]
 
     def trace(self, x: int) -> int:
-        return self._trace[self.check(x)]
+        """Tr(x), read along the powers as Tr(g^dlog x); Tr(0) = 0."""
+        if self.check(x) == 0:
+            return 0
+        return int(self._trace_pow[self._dlog[x]])
 
     def check(self, x: int) -> int:
         """x itself, once it is known to be an element encoding in [0, q)."""
@@ -419,16 +406,14 @@ class Field:
             self._zeta = z
         return self._zeta
 
-    def _jacobi_logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """dlog x and dlog(1-x) for x running over F_q minus {0, 1}, for the exact sums."""
-        if self._jx is None:
-            digits, places = self._digit_table()
-            digits[:, 0] -= 1
-            one_minus_x = (-digits % self.p) @ places  # 1 - x, digit by digit
-            dlog = np.array(self._dlog, dtype=np.int64)
-            self._jx = dlog[2:]
-            self._j1mx = dlog[one_minus_x[2:]]
-        return self._jx, self._j1mx
+    def log_one_minus(self) -> np.ndarray:
+        """Z[t] = dlog(1 - g^t) along the powers, built on first use; Z[0] = -1 for dlog 0."""
+        if self._log_one_minus is None:
+            places = self.p ** np.arange(self.e, dtype=np.int64)
+            digits = np.array(self._exp, dtype=np.int64)[:, None] // places % self.p
+            digits[:, 0] -= 1  # 1 - g^t, digit by digit
+            self._log_one_minus = np.array(self._dlog, dtype=np.int64)[(-digits % self.p) @ places]
+        return self._log_one_minus
 
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
         """Exact exponent counts of J(chi_a, chi_b) over (q-1)-th roots, one O(q) pass.
@@ -436,11 +421,11 @@ class Field:
         This is the exact path of `charsums.jacobi_sum`; `jacobi_c` reads the
         Gauss table instead.
         """
-        jx, j1mx = self._jacobi_logs()
-        t = jx * (a % self.m)
-        t += j1mx * (b % self.m)
-        t %= self.m
-        return np.bincount(t, minlength=self.m)
+        m = self.m
+        t = np.arange(1, m, dtype=np.int64) * (a % m)  # x = g^t runs over F_q minus {0, 1}
+        t += self.log_one_minus()[1:] * (b % m)
+        t %= m
+        return np.bincount(t, minlength=m)
 
     def gauss_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """The Gauss sums G[k] = G(chi_k) of every character, and H[k] = (-1)^k G[-k] / q.
@@ -453,7 +438,7 @@ class Field:
         complex (q-1)-vectors, 3.2 MB at q = 99991.
         """
         if self._gauss is None:
-            psi = np.exp(2j * np.pi / self.p * np.array(self._trace, dtype=float).take(self._exp))
+            psi = np.exp(2j * np.pi / self.p * self._trace_pow)
             g = np.fft.ifft(psi)
             g *= self.m
             g[0] = -1.0

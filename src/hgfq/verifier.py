@@ -34,7 +34,7 @@ from .characters import Character, character_of_order, same_field
 from .curves import (
     CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction, points_at_infinity
 )
-from .field import Field, is_prime, make_field
+from .field import Field, fits_cap, is_prime, make_field
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
 
@@ -672,8 +672,9 @@ class SweepConfig:
                 raise ValueError(f"repeated {what} value in {', '.join(map(str, values))}")
 
 
-def _odd_primes(lo: int, hi: int) -> list[int]:
-    return [n for n in range(max(lo, 3), hi + 1) if n % 2 and is_prime(n)]
+def _odd_primes(lo: int, hi: int) -> Iterator[int]:
+    """The odd primes in [lo, hi] in increasing order, each tested when asked for."""
+    return (n for n in range(max(lo, 3) | 1, hi + 1, 2) if is_prime(n))
 
 
 def row_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
@@ -684,12 +685,15 @@ def row_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
 
     The grid is checked by the call itself, before any field is built: a
     prime range with no odd prime gives no fields; one whose fields all
-    exceed q_cap is an error.  Each field is built only when its first list
+    exceed q_cap is an error.  Primes above q_cap have no field under it,
+    so the scan stops there.  Each field is built only when its first list
     is asked for, and each row runs only when its list is."""
     keys = [k for k in THEOREM_KEYS if "all" in config.theorems or k in config.theorems]
-    primes = _odd_primes(config.prime_min, config.prime_max)
-    grid = sorted((p**e, p, e) for p in primes for e in config.degrees if p**e <= config.q_cap)
-    if primes and not grid:
+    lo, hi, cap = config.prime_min, config.prime_max, config.q_cap
+    primes = _odd_primes(lo, min(hi, cap))
+    grid = sorted((p**e, p, e) for p in primes for e in config.degrees if fits_cap(p, e, cap))
+    # any() stops at the first odd prime at or above lo; prime gaps are small.
+    if not grid and any(_odd_primes(lo, hi)):
         raise ValueError(f"no field of the grid has q = p^e <= q_cap = {config.q_cap}")
     fields = (make_field(p, e, q_cap=config.q_cap) for _, p, e in grid)
     return (

@@ -155,7 +155,8 @@ def binom_rows(field, tops, bottoms, steps):
     but the dlog and zeta tables.
     """
     m = field.m
-    jx, j1mx = field._jacobi_logs()
+    jx = np.arange(1, m, dtype=np.int64)  # x = g^jx runs over F_q minus {0, 1}
+    j1mx = field.log_one_minus()[1:]
     lv = (m // 2 - j1mx) % m  # 1/(x-1) = -1/(1-x)
     t, b, s = (np.array([tops, bottoms, steps], dtype=np.int64) % m)[:, :, None]
     n = len(t)

@@ -44,6 +44,12 @@ def test_fieldinfo_rejects_composite(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [("--p", "3", "--e", "100000000"), ("--p", "1000000000000000003",)])
+def test_fieldinfo_refuses_an_oversized_field_at_once(capsys, argv):
+    code, out, err = run(capsys, "fieldinfo", *argv)
+    assert code == 2 and out == "" and "exceeds the cap" in err
+
+
 def test_explicit_zero_is_not_a_default(capsys):
     # --e 0 and --q-cap 0 reach the field, which rejects them
     commands = (

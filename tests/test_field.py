@@ -1,7 +1,9 @@
 """Field construction, encoding arithmetic, and the exp, dlog and trace tables."""
 
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from hgfq import (
     is_prime,
     make_field,
 )
-from hgfq.field import ord_p_rational, prime_factors
+import hgfq.field
+from hgfq.field import fits_cap, ord_p_rational, prime_factors
 
 from oracle_helpers import primitive_root, scalar_field_tables, trace_frobenius
 
@@ -59,6 +62,30 @@ def test_constructor_rejects_bad_input():
         make_field(5, 0)
     with pytest.raises(FieldTooLargeError):
         make_field(5, 2, q_cap=20)
+
+
+def test_fits_cap_is_exact_at_the_bit_length():
+    # e >= q_cap.bit_length() refuses without p^e; just below it p^e decides
+    assert fits_cap(3, 10, 59049) and not fits_cap(3, 10, 59048)
+    assert fits_cap(2, 16, 65536) and not fits_cap(2, 17, 131071) and fits_cap(2, 17, 131072)
+    assert not fits_cap(3, 10**100, 100_000)
+
+
+def test_cap_is_checked_before_work_that_grows_with_p_or_e(monkeypatch):
+    def is_prime_below_the_cap(n):
+        assert n <= 100_000, f"primality test of {n}, above the cap"
+        return is_prime(n)
+
+    monkeypatch.setattr(hgfq.field, "is_prime", is_prime_below_the_cap)
+    for p, e in ((3, 11), (3, 10_000), (3, 100_000_000), (100_003, 1), (10**18 + 3, 1)):
+        start = time.perf_counter()
+        with pytest.raises(FieldTooLargeError, match=rf"^q = {p}\^{e} exceeds the cap 100000$"):
+            make_field(p, e)
+        assert time.perf_counter() - start < 1, (p, e)
+    # p < 2 is no prime, and refused as such before p^e is formed
+    for p in (1, 0, -3):
+        with pytest.raises(NotPrimeError):
+            make_field(p, 100_000_000)
 
 
 def test_prime_field_generator_is_smallest_primitive_root():
@@ -152,20 +179,24 @@ def test_trace_properties():
     assert counts == [f.q // f.p] * f.p
 
 
-@pytest.mark.parametrize("p, e", [(3, 5), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p, e", [(3, 5), (5, 3), (7, 2), (101, 1)])
 def test_linear_tables_match_scalar_oracles(p, e):
-    # the trace and dlog(1-x) tables are built digit-wise, not per element
+    # the trace and Z[t] = dlog(1 - g^t) tables are built digit-wise, not per element
     f = make_field(p, e)
-    assert f._trace == trace_frobenius(f)
-    jx, j1mx = f._jacobi_logs()
-    assert jx.tolist() == [f.dlog(x) for x in range(2, f.q)]
-    assert j1mx.tolist() == [f.dlog(f.sub(1, x)) for x in range(2, f.q)]
+    assert [f.trace(x) for x in range(f.q)] == trace_frobenius(f)
+    z = f.log_one_minus()
+    assert z[0] == -1 and f.log_one_minus() is z
+    assert z[1:].tolist() == [f.dlog(f.sub(1, f.exp(t))) for t in range(1, f.m)]
 
 
 def _assert_tables_match_scalar_oracle(f):
     exp, dlog, trace = scalar_field_tables(f)
-    assert f._exp == exp and f._dlog == dlog and list(f._trace) == trace, f
-    for table in (f._exp, f._dlog, f._trace):
+    assert f._exp == exp and f._dlog == dlog, f
+    traces = [f.trace(x) for x in range(f.q)]
+    assert traces == trace, f
+    # the trace is kept along the powers: Tr(g^t) at t
+    assert f._trace_pow.dtype == np.int64 and f._trace_pow.tolist() == [trace[x] for x in exp], f
+    for table in (f._exp, f._dlog, traces):
         assert all(type(v) is int for v in table), f
 
 
@@ -189,17 +220,27 @@ def test_non_primitive_generator_fails_the_order_check(monkeypatch, p, e, g):
         make_field(p, e)
 
 
-def test_prime_field_trace_is_a_range():
-    # the trace of F_p is the identity; its three readers see the same values
-    f = make_field(9001)
-    assert f._trace == range(f.q)
-    assert f.trace(0) == 0 and f.trace(f.q - 1) == f.q - 1
-    g, h = f.gauss_sums()
-    exact = [gauss_sum(Character(f, k)) for k in (1, 2, 4500, 9000)]
-    f._gauss, f._trace = None, list(range(f.q))
-    g_list, h_list = f.gauss_sums()
-    assert g.tobytes() == g_list.tobytes() and h.tobytes() == h_list.tobytes()
-    assert [gauss_sum(Character(f, k)) for k in (1, 2, 4500, 9000)] == exact
+@pytest.mark.parametrize("p, e", [(9001, 1), (313, 2), (3, 10)])
+def test_gauss_table_is_read_off_the_oracle_trace(p, e):
+    # G and H equal, bit for bit, the table built from the oracle's trace in encoding order
+    f = make_field(p, e)
+    exp, dlog, trace = scalar_field_tables(f)
+    g = np.fft.ifft(np.exp(2j * np.pi / p * np.array(trace, dtype=float).take(exp)))
+    g *= f.m
+    g[0] = -1.0
+    h = np.roll(g[::-1], 1)
+    h[1::2] *= -1.0
+    h /= f.q
+    got_g, got_h = f.gauss_sums()
+    assert got_g.tobytes() == g.tobytes() and got_h.tobytes() == h.tobytes()
+    # the exact sums count zeta_{(q-1)p}^(p k dlog x + (q-1) Tr x) over x != 0
+    lx, tr = np.array(dlog[1:]), np.array(trace[1:])
+    for k in (1, 2, f.m // 2, f.m - 1):
+        t = (p * (k * lx % f.m) + f.m * tr) % (f.m * p)
+        exponents, counts = np.unique(t, return_counts=True)
+        got = gauss_sum(Character(f, k))
+        assert got.exponents.tolist() == exponents.tolist()
+        assert got.counts.tolist() == counts.tolist()
 
 
 def test_from_int_and_from_rational():

@@ -210,6 +210,25 @@ def test_grid_above_q_cap_is_an_error():
         iter_sweep(SweepConfig(prime_min=3001, prime_max=3001))
 
 
+def test_prime_scan_stops_at_the_cap(monkeypatch):
+    def is_prime_up_to_101(n):
+        assert n <= 101, f"primality test of {n}"
+        return hgfq.field.is_prime(n)
+
+    monkeypatch.setattr(hgfq.verifier, "is_prime", is_prime_up_to_101)
+
+    def ono(lo, hi, **kw):
+        return sweep(SweepConfig(prime_min=lo, prime_max=hi, theorems=("ono",), q_cap=50, **kw))
+
+    assert ono(5, 10**12) == ono(5, 50) != []
+    # a range with an odd prime but no field under the cap is still an error
+    with pytest.raises(ValueError, match="no field of the grid"):
+        ono(101, 10**12)
+    assert ono(90, 96) == []  # no odd prime in the range: no records
+    # a degree too large for the cap adds no field, and is refused without forming p^e
+    assert ono(3, 13, degrees=(1, 100_000_000)) == ono(3, 13, degrees=(1,))
+
+
 def test_iter_sweep_yields_a_field_before_building_the_next(monkeypatch):
     built = []
 
