@@ -80,7 +80,7 @@ def g_sum(a: Character, b: Character, x: int) -> CyclotomicSum:
     field = same_field(a, b)
     field.check(x)
     m = field.m
-    z = field.log_one_minus()
+    z = field.log_one_minus
     exps = a.index % m * z[1:]
     if x != 0:
         k = (field.dlog(x) + 2 * np.arange(1, m, dtype=np.int64)) % m  # dlog(x t^2)

@@ -23,18 +23,20 @@ The arithmetic methods (`add`, `mul`, `pow`, ...) assume a valid encoding
 and do not check.
 
 Every complex character sum is read off one table per field, the q-1
-Gauss sums G[k] = G(chi_k), built on first use by one inverse FFT
-(`Field.gauss_sums`).  A Jacobi sum is G[a] G[b] / G[a+b], a binomial
-coefficient is a Jacobi sum up to a sign and 1/q, and a whole binomial row
-k -> (chi_{t+sk} | chi_{b+k}) is a product of rolled copies of G and of
-H[k] = 1/G[k]; the few entries where a character in the quotient is
-trivial take their closed forms under chi(0) = 0.  The exact root-of-unity
-counts read the lazy table Z[t] = dlog(1 - g^t) (`Field.log_one_minus`) and
-serve only `charsums.jacobi_sum` and `charsums.g_sum`.
+Gauss sums G[k] = G(chi_k), built by one inverse FFT on first use of the
+attribute `Field.gauss_sums`.  A Jacobi sum is G[a] G[b] / G[a+b], a
+binomial coefficient is a Jacobi sum up to a sign and 1/q, and one binomial
+row k -> (chi_{t+sk} | chi_{b+k}) is a product of rolled copies of G and of
+H[k] = 1/G[k] (`Field.binom_row`); the few entries where a character in the
+quotient is trivial take their closed forms under chi(0) = 0.  The exact
+root-of-unity counts read the table Z[t] = dlog(1 - g^t), the attribute
+`Field.log_one_minus`, also built on first use, and serve only
+`charsums.jacobi_sum` and `charsums.g_sum`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -50,18 +52,35 @@ from .errors import (
 )
 
 DEFAULT_Q_CAP = 100_000
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin on the 13 prime bases 2 to 41, in time polynomial in the digits of n.
+
+    No composite below 3317044064679887385961981 (about 3.3e24) is a strong
+    probable prime to all 13 bases (Sorenson and Webster, Math. Comp. 2017),
+    so below that bound the test is exact.  Above that bound it is a strong
+    probable-prime test; only the grid scan of `verifier.row_blocks`, which
+    looks for an odd prime in a range above the cap, asks numbers that large.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:  # b^(d 2^i) never reached -1: b witnesses that n is composite
             return False
-        d += 2
     return True
 
 
@@ -181,10 +200,11 @@ def _poly_rem(poly: list[int], div: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(tail: tuple[int, ...], p: int) -> bool:
-    # A nontrivial factor of a degree-e polynomial has degree <= e // 2.
-    if tail[0] == 0:
-        return False
+    # A zero constant term means x divides f, a proper factor only for e > 1;
+    # any other proper factor of a degree-e polynomial has degree <= e // 2.
     e = len(tail)
+    if tail[0] == 0:
+        return e == 1
     poly = list(tail) + [1]
     for d in range(1, e // 2 + 1):
         for div_tail in itertools.product(range(p), repeat=d):
@@ -197,10 +217,14 @@ def _is_irreducible(tail: tuple[int, ...], p: int) -> bool:
 class Field:
     """Fully tabulated F_q for odd q = p**e up to a configurable cap."""
 
+    # Slots hold what is built up front: on CPython 3.11 cached_property's read
+    # of __dict__ slows later reads from it ~70%, and add and mul read per call.
+    __slots__ = ("p", "e", "q", "m", "_tail", "generator", "_exp", "_dlog", "_trace_pow", "__dict__")
+
     def __init__(self, p: int, e: int = 1, q_cap: int = DEFAULT_Q_CAP):
         if e < 1:
             raise ValueError("extension degree must be at least 1")
-        # Before the primality test, whose trial division grows with p.
+        # The cap first, so that an oversized p is refused as too large.
         if p >= 2 and not fits_cap(p, e, q_cap):
             raise FieldTooLargeError(f"q = {p}^{e} exceeds the cap {q_cap}")
         if not is_prime(p):
@@ -214,17 +238,13 @@ class Field:
         self._tail = self._find_modulus_tail()
         self.generator = self._find_generator()
         self._build_tables()
-        self._zeta: np.ndarray | None = None
-        self._log_one_minus: np.ndarray | None = None
-        self._gauss: tuple[np.ndarray, np.ndarray] | None = None
 
     def _find_modulus_tail(self) -> tuple[int, ...]:
-        if self.e == 1:
-            return (0,)
-        for tail in itertools.product(range(self.p), repeat=self.e):
-            if _is_irreducible(tail, self.p):
-                return tail
-        raise RuntimeError("no irreducible modulus found")  # unreachable
+        # In lexicographic order.  The constant term runs over a lazy range:
+        # product() copies each range up front, O(p) work a prime field skips.
+        p, e = self.p, self.e
+        heads = (itertools.product((c,), *[range(p)] * (e - 1)) for c in range(p))
+        return next(t for t in itertools.chain.from_iterable(heads) if _is_irreducible(t, p))
 
     @property
     def modulus_poly(self) -> list[int]:
@@ -252,9 +272,10 @@ class Field:
         return out
 
     def _find_generator(self) -> int:
+        # For e > 1 the encodings below p are F_p, whose orders divide p - 1 < q - 1.
         one = [1] + [0] * (self.e - 1)
         checks = [self.m // r for r in prime_factors(self.m)]
-        for n in range(2, self.q):
+        for n in range(self.p if self.e > 1 else 2, self.q):
             digs = self._digits(n)
             if all(_poly_pow_mod(digs, c, self._tail, self.p) != one for c in checks):
                 return n
@@ -389,31 +410,28 @@ class Field:
     # ------------------------------------------------------------------
     # the Gauss-sum table: complex character sums and whole binomial rows
 
-    @property
+    @functools.cached_property
     def zeta(self) -> np.ndarray:
-        """(q-1)-th roots of unity, zeta[k] = exp(2*pi*i*k/(q-1)).
+        """(q-1)-th roots of unity, zeta[k] = exp(2*pi*i*k/(q-1)), built on first use.
 
         The four cardinal roots are stored exactly so that character values
         on the real axis (and at -1 in particular) come out as exact signs.
         """
-        if self._zeta is None:
-            z = np.exp(2j * np.pi * np.arange(self.m) / self.m)
-            z[0] = 1.0
-            z[self.m // 2] = -1.0
-            if self.m % 4 == 0:
-                z[self.m // 4] = 1j
-                z[3 * self.m // 4] = -1j
-            self._zeta = z
-        return self._zeta
+        z = np.exp(2j * np.pi * np.arange(self.m) / self.m)
+        z[0] = 1.0
+        z[self.m // 2] = -1.0
+        if self.m % 4 == 0:
+            z[self.m // 4] = 1j
+            z[3 * self.m // 4] = -1j
+        return z
 
+    @functools.cached_property
     def log_one_minus(self) -> np.ndarray:
         """Z[t] = dlog(1 - g^t) along the powers, built on first use; Z[0] = -1 for dlog 0."""
-        if self._log_one_minus is None:
-            places = self.p ** np.arange(self.e, dtype=np.int64)
-            digits = np.array(self._exp, dtype=np.int64)[:, None] // places % self.p
-            digits[:, 0] -= 1  # 1 - g^t, digit by digit
-            self._log_one_minus = np.array(self._dlog, dtype=np.int64)[(-digits % self.p) @ places]
-        return self._log_one_minus
+        places = self.p ** np.arange(self.e, dtype=np.int64)
+        digits = np.array(self._exp, dtype=np.int64)[:, None] // places % self.p
+        digits[:, 0] -= 1  # 1 - g^t, digit by digit
+        return np.array(self._dlog, dtype=np.int64)[(-digits % self.p) @ places]
 
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
         """Exact exponent counts of J(chi_a, chi_b) over (q-1)-th roots, one O(q) pass.
@@ -423,10 +441,11 @@ class Field:
         """
         m = self.m
         t = np.arange(1, m, dtype=np.int64) * (a % m)  # x = g^t runs over F_q minus {0, 1}
-        t += self.log_one_minus()[1:] * (b % m)
+        t += self.log_one_minus[1:] * (b % m)
         t %= m
         return np.bincount(t, minlength=m)
 
+    @functools.cached_property
     def gauss_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """The Gauss sums G[k] = G(chi_k) of every character, and H[k] = (-1)^k G[-k] / q.
 
@@ -437,16 +456,14 @@ class Field:
         k != 0.  Both are built on first use and kept with the field: two
         complex (q-1)-vectors, 3.2 MB at q = 99991.
         """
-        if self._gauss is None:
-            psi = np.exp(2j * np.pi / self.p * self._trace_pow)
-            g = np.fft.ifft(psi)
-            g *= self.m
-            g[0] = -1.0
-            h = np.roll(g[::-1], 1)  # h[k] = g[-k]
-            h[1::2] *= -1.0
-            h /= self.q
-            self._gauss = (g, h)
-        return self._gauss
+        psi = np.exp(2j * np.pi / self.p * self._trace_pow)
+        g = np.fft.ifft(psi)
+        g *= self.m
+        g[0] = -1.0
+        h = np.roll(g[::-1], 1)  # h[k] = g[-k]
+        h[1::2] *= -1.0
+        h /= self.q
+        return g, h
 
     def _jacobi_special(self, a: int | np.ndarray, c: int | np.ndarray) -> np.ndarray:
         """J(chi_a, chi_c) for a, c in [0, q-1) where one of a, c, a + c is trivial.
@@ -466,7 +483,7 @@ class Field:
         a, b = a % m, b % m
         if a == 0 or b == 0 or (a + b) % m == 0:
             return complex(self._jacobi_special(a, b))
-        g = self.gauss_sums()[0]
+        g = self.gauss_sums[0]
         return complex(g[a] * g[b] / g[(a + b) % m])
 
     def binom_c(self, a: int, b: int) -> complex:
@@ -474,11 +491,10 @@ class Field:
         sign = -1.0 if b % 2 else 1.0
         return sign * self.jacobi_c(a, -b) / self.q
 
-    def binom_rows(self, tops: list[int], bottoms: list[int], steps: list[int]) -> np.ndarray:
-        """The (n, q-1) array of rows i, k -> (chi_{tops[i] + steps[i]*k} | chi_{bottoms[i] + k}).
+    def binom_row(self, t: int, b: int, s: int) -> np.ndarray:
+        """The row k -> (chi_{t+sk} | chi_{b+k}), a complex (q-1)-vector.
 
-        With t, b, s one row's top, bottom and step, the entry at k is
-        (-1)^(b+k)/q * J(chi_{t+sk}, chi_{-(b+k)}), which is
+        Its entry at k is (-1)^(b+k)/q * J(chi_{t+sk}, chi_{-(b+k)}), which is
         G[t+sk] H[b+k] H[t+(s-1)k-b] wherever none of the three indices is
         trivial: for s = 1 a rolled copy of G times a rolled copy of H times
         the scalar H[t-b] = 1/G[t-b].  No bincount and no FFT.  Each of s and
@@ -488,22 +504,21 @@ class Field:
         t = b that is every k.
         """
         m = self.m
-        g, h = self.gauss_sums()
-        rows = np.ones((len(tops), m), dtype=complex)
-        for row, t, b, s in zip(rows, tops, bottoms, steps):
-            t, b, s = int(t) % m, int(b) % m, int(s) % m
-            _times_progression(row, g, t, s)
-            _times_progression(row, h, b, 1)
-            _times_progression(row, h, t - b, s - 1)
-            # A k in two of the sets gets the same value twice.
-            k = np.concatenate([_solve_mod(s, -t, m), [(-b) % m], _solve_mod(s - 1, b - t, m)])
-            a, c = (t + s * k) % m, (-b - k) % m
-            row[k] = np.where(c % 2, -1.0, 1.0) * self._jacobi_special(a, c) / self.q
-        return rows
+        g, h = self.gauss_sums
+        t, b, s = int(t) % m, int(b) % m, int(s) % m
+        row = np.ones(m, dtype=complex)
+        _times_progression(row, g, t, s)
+        _times_progression(row, h, b, 1)
+        _times_progression(row, h, t - b, s - 1)
+        # A k in two of the sets gets the same value twice.
+        k = np.concatenate([_solve_mod(s, -t, m), [(-b) % m], _solve_mod(s - 1, b - t, m)])
+        a, c = (t + s * k) % m, (-b - k) % m
+        row[k] = np.where(c % 2, -1.0, 1.0) * self._jacobi_special(a, c) / self.q
+        return row
 
     def gauss_c(self, k: int) -> complex:
         """Complex Gauss sum of chi_k, a read of the Gauss table."""
-        return complex(self.gauss_sums()[0][k % self.m])
+        return complex(self.gauss_sums[0][k % self.m])
 
     def char_value(self, k: int, x: int) -> complex:
         """chi_k(x) as a complex number, with chi_k(0) = 0."""

@@ -6,14 +6,13 @@ The (n+1)F_n series is the normalized character-indexed sum
 
 evaluated as one product of whole binomial rows: each row k -> (A chi_k | B chi_k)
 is read off the field's table of Gauss sums as a product of rolled copies of G
-and 1/G (`Field.binom_rows`), with no FFT per row.  Rows are built one at a
-time, each multiplied into one running product that starts at 1, as
-`ndarray.prod(axis=0)` does, so the floats are those of one `prod(axis=0)` over
-all rows, and a series holds about 3.5 complex (q-1)-vectors besides the
-field's tables, whatever its number of rows.  At q = 99991 a 3F2 call peaks
-about 13 MB above the field's own tables, the 3.2 MB Gauss table included
-(README.md).  The variant F(A, B; x) sums (A chi^2 | chi)(A chi | B chi) chi(x/4)
-instead, and F* adds the normalization term A B(-1) Abar(x/4) / q.
+and 1/G (`Field.binom_row`), with no FFT per row.  Rows are built one at a time
+and multiplied into one running product that starts at 1, so a series holds
+about 3.5 complex (q-1)-vectors besides the field's tables, whatever its number
+of rows.  At q = 99991 a 3F2 call peaks about 13 MB above the field's own
+tables, the 3.2 MB Gauss table included (README.md).  The variant F(A, B; x)
+sums (A chi^2 | chi)(A chi | B chi) chi(x/4) instead, and F* adds the
+normalization term A B(-1) Abar(x/4) / q.
 """
 
 from __future__ import annotations
@@ -30,15 +29,15 @@ def series_value(field: Field, tops: list[int], bottoms: list[int], x: int) -> c
         raise ValueError("a series needs exactly one more top index")
     if field.check(x) == 0:
         return 0j
-    return _row_series(field, tops, [0, *bottoms], [1] * len(tops), x)
+    return _row_series(field, [(t, b, 1) for t, b in zip(tops, [0, *bottoms])], x)
 
 
-def _row_series(field: Field, tops: list, bottoms: list, steps: list, x: int) -> complex:
-    """q/(q-1) * sum over k of chi_k(x) times the product of the `Field.binom_rows` rows at k."""
+def _row_series(field: Field, rows: list[tuple[int, int, int]], x: int) -> complex:
+    """q/(q-1) * sum over k of chi_k(x) times the product at k of `field.binom_row(*row)`."""
     m = field.m
     product = np.ones(m, dtype=complex)
-    for t, b, s in zip(tops, bottoms, steps):
-        product *= field.binom_rows([t], [b], [s])[0]
+    for row in rows:
+        product *= field.binom_row(*row)
     k = np.arange(m, dtype=np.int64)
     k *= field.dlog(x)
     k %= m
@@ -54,7 +53,7 @@ def evans_F(a: Character, b: Character, x: int) -> complex:
     x4 = field.div(field.check(x), field.from_int(4))
     if x4 == 0:
         return 0j
-    return _row_series(field, [a.index, a.index], [0, b.index], [2, 1], x4)
+    return _row_series(field, [(a.index, 0, 2), (a.index, b.index, 1)], x4)
 
 
 def evans_F_star(a: Character, b: Character, x: int) -> complex:

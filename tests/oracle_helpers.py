@@ -3,8 +3,8 @@
 Everything here is deliberately naive: dict tables, double loops, cmath.
 Prime fields only, and no imports from the package under test, except the
 oracles at the end, which take a package `Field` of any degree: the loop
-oracles sum its scalar binomials over k one at a time, `binom_rows` builds
-whole binomial rows from Jacobi weights by bincount and inverse FFT, and
+oracles sum its scalar binomials over k one at a time, `binom_row` builds
+a whole binomial row from Jacobi weights by bincount and inverse FFT, and
 `scalar_field_tables` rebuilds its exp, dlog and trace tables one power of
 the generator at a time.
 """
@@ -145,36 +145,27 @@ def trace_frobenius(field) -> list[int]:
     return out
 
 
-def binom_rows(field, tops, bottoms, steps):
-    """The (n, q-1) array of rows i, k -> (chi_{tops[i] + steps[i]*k} | chi_{bottoms[i] + k}).
+def binom_row(field, t, b, s):
+    """The row k -> (chi_{t+sk} | chi_{b+k}), a complex (q-1)-vector.
 
     With v = 1/(x-1), (chi_{t+sk} | chi_{b+k}) = 1/q * sum over x of
     zeta^(t dlog x + b dlog v + k (s dlog x + dlog v)): one inverse DFT
     of the weights bucketed by s dlog x + dlog v.  The oracle for
-    `Field.binom_rows`: it shares nothing with the field's Gauss-sum table
+    `Field.binom_row`: it shares nothing with the field's Gauss-sum table
     but the dlog and zeta tables.
     """
     m = field.m
+    t, b, s = int(t) % m, int(b) % m, int(s) % m
     jx = np.arange(1, m, dtype=np.int64)  # x = g^jx runs over F_q minus {0, 1}
-    j1mx = field.log_one_minus()[1:]
-    lv = (m // 2 - j1mx) % m  # 1/(x-1) = -1/(1-x)
-    t, b, s = (np.array([tops, bottoms, steps], dtype=np.int64) % m)[:, :, None]
-    n = len(t)
-    buf = t * jx
-    buf += b * lv
-    buf %= m
-    w = field.zeta.take(buf)
-    np.multiply(s, jx, out=buf)
-    buf += lv
-    buf %= m
-    buf += np.arange(0, n * m, m)[:, None]  # row i bins from i*m
-    spectra = np.empty((n, m), dtype=complex)
-    spectra.real = np.bincount(buf.ravel(), w.real.ravel(), n * m).reshape(n, m)
-    spectra.imag = np.bincount(buf.ravel(), w.imag.ravel(), n * m).reshape(n, m)
-    del buf, w
-    rows = np.fft.ifft(spectra, axis=1)
-    rows *= m / field.q
-    return rows
+    lv = (m // 2 - field.log_one_minus[1:]) % m  # 1/(x-1) = -1/(1-x)
+    w = field.zeta.take((t * jx + b * lv) % m)
+    bins = (s * jx + lv) % m
+    spectrum = np.empty(m, dtype=complex)
+    spectrum.real = np.bincount(bins, w.real, m)
+    spectrum.imag = np.bincount(bins, w.imag, m)
+    row = np.fft.ifft(spectrum)
+    row *= m / field.q
+    return row
 
 
 def _poly_mul_mod(a, b, tail, p):

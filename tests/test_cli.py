@@ -197,6 +197,20 @@ def test_verify_grid_above_cap_and_empty_range(capsys):
     assert err == "# pass=0 fail=0 skip=0\n"
 
 
+def test_verify_refuses_a_31_digit_grid_at_once():
+    # The range holds the prime 10^30 + 57 but no field under the cap; a
+    # subprocess with a timeout, so that a slow primality test fails here.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    lo, hi = 10**30, 10**30 + 100
+    argv = ["verify", "--theorem", "ono", "--primes", f"{lo}:{hi}", "--q-cap", "50"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hgfq", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "no field of the grid" in proc.stderr
+
+
 def test_verify_streams_fields_in_increasing_q(capsys):
     code, out, _ = run(capsys, "verify", "--primes", "5:13", "--degrees", "1,2")
     assert code == 1

@@ -1,5 +1,7 @@
 """Field construction, encoding arithmetic, and the exp, dlog and trace tables."""
 
+import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -29,12 +31,24 @@ def test_is_prime_small():
     def reference(n):
         if n < 2:
             return False
-        return all(n % d for d in range(2, n))
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
 
-    for n in range(-3, 200):
+    for n in range(-3, 200_000):
         assert is_prime(n) == reference(n), n
     assert is_prime(7919)
     assert not is_prime(7917)
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # the least strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+    pseudoprimes = (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461,
+    )
+    for n in pseudoprimes:
+        assert not is_prime(n), n
+    for n in (2**61 - 1, 2**89 - 1, 10**30 + 57):
+        assert is_prime(n), n
 
 
 def test_prime_factors():
@@ -184,8 +198,9 @@ def test_linear_tables_match_scalar_oracles(p, e):
     # the trace and Z[t] = dlog(1 - g^t) tables are built digit-wise, not per element
     f = make_field(p, e)
     assert [f.trace(x) for x in range(f.q)] == trace_frobenius(f)
-    z = f.log_one_minus()
-    assert z[0] == -1 and f.log_one_minus() is z
+    z = f.log_one_minus
+    assert z[0] == -1 and f.log_one_minus is z
+    assert list(vars(f)) == ["log_one_minus"]  # the tables built up front stay in slots
     assert z[1:].tolist() == [f.dlog(f.sub(1, f.exp(t))) for t in range(1, f.m)]
 
 
@@ -205,6 +220,32 @@ def test_tables_match_scalar_oracle_up_to_2000():
     assert len(fields) == 323  # 302 odd primes and 21 higher powers
     for p, e in fields:
         _assert_tables_match_scalar_oracle(make_field(p, e))
+
+
+def test_moduli_and_generators_up_to_2000_are_pinned():
+    # sha256 of the lines "q modulus generator", in increasing q, as built
+    # when the modulus search had an e = 1 branch and the generator search
+    # started at 2 for every e
+    odd_primes = [p for p in range(3, 2000, 2) if is_prime(p)]
+    fields = sorted((p**e, p, e) for p in odd_primes for e in range(1, 11) if p**e <= 2000)
+    lines = []
+    for q, p, e in fields:
+        f = make_field(p, e)
+        lines.append(f"{q} {f.modulus_str()} {f.generator}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 323
+    assert digest == "f08473d0aa1fd2f07b5069d55f8ff4ef9ce154447b558799e5e6d056309b308a"
+
+
+def test_extension_generator_is_the_smallest_primitive_encoding():
+    # the search starts at p, past F_p, and still finds the smallest n of order q - 1
+    fields = [(p, e) for p in range(3, 45, 2) if is_prime(p) for e in range(2, 11) if p**e <= 2000]
+    assert len(fields) == 21
+    for p, e in fields:
+        f = make_field(p, e)
+        checks = [f.m // r for r in prime_factors(f.m)]
+        primitive = (n for n in range(1, f.q) if all(f.pow(n, c) != 1 for c in checks))
+        assert f.generator == next(primitive), (p, e)
 
 
 @pytest.mark.parametrize("p, e", [(99991, 1), (313, 2), (3, 10), (5, 7), (11, 4)])
@@ -231,7 +272,7 @@ def test_gauss_table_is_read_off_the_oracle_trace(p, e):
     h = np.roll(g[::-1], 1)
     h[1::2] *= -1.0
     h /= f.q
-    got_g, got_h = f.gauss_sums()
+    got_g, got_h = f.gauss_sums
     assert got_g.tobytes() == g.tobytes() and got_h.tobytes() == h.tobytes()
     # the exact sums count zeta_{(q-1)p}^(p k dlog x + (q-1) Tr x) over x != 0
     lx, tr = np.array(dlog[1:]), np.array(trace[1:])
