@@ -4,6 +4,10 @@ One record captures a single identity instance: the two evaluated sides,
 their difference, the effective tolerance, named hypothesis flags, and the
 resulting status.  A record whose hypotheses are not all met is a skip,
 never a failure.
+
+REPORT_FIELDS is the one column order, of the JSON objects and of the CSV
+rows alike.  `build_report` takes theorem_id, p, e and q, and the instance
+fields l, lam, char_index and sqrt_branch as optional keywords.
 """
 
 from __future__ import annotations
@@ -34,16 +38,19 @@ REPORT_FIELDS = (
 )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class VerificationReport:
+    """One record: the columns of REPORT_FIELDS, in that order, but for
+    the three renames of `to_dict`."""
+
     theorem_id: str
     p: int
     e: int
     q: int
-    l: int | None
-    lam: Fraction | None
-    char_index: int | None
-    sqrt_branch: str | None
+    l: int | None = None
+    lam: Fraction | None = None
+    char_index: int | None = None
+    sqrt_branch: str | None = None
     lhs: complex
     rhs: complex
     abs_diff: float
@@ -64,24 +71,13 @@ class VerificationReport:
         return self.status == "skip"
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "p": self.p,
-            "e": self.e,
-            "q": self.q,
-            "l": self.l,
-            "lambda": None if self.lam is None else str(self.lam),
-            "char_index": self.char_index,
-            "sqrt_branch": self.sqrt_branch,
-            "lhs_re": self.lhs.real,
-            "lhs_im": self.lhs.imag,
-            "rhs_re": self.rhs.real,
-            "rhs_im": self.rhs.imag,
-            "abs_diff": self.abs_diff,
-            "tolerance": self.tolerance,
-            "hypotheses": dict(self.hypotheses),
-            "status": self.status,
-        }
+        """`lam` is the column "lambda", each side splits into its `_re` and
+        `_im` columns, and the hypotheses are copied."""
+        row = dict(vars(self), hypotheses=dict(self.hypotheses))
+        row["lambda"] = None if self.lam is None else str(self.lam)
+        for side in ("lhs", "rhs"):
+            row[side + "_re"], row[side + "_im"] = row[side].real, row[side].imag
+        return {k: row[k] for k in REPORT_FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -89,22 +85,17 @@ class VerificationReport:
 
 def build_report(
     *,
-    theorem_id: str,
-    p: int,
-    e: int,
-    q: int,
-    l: int | None = None,
-    lam: Fraction | None = None,
-    char_index: int | None = None,
-    sqrt_branch: str | None = None,
     lhs: complex = 0j,
     rhs: complex = 0j,
     tolerance: float = 1e-6,
     hypotheses: dict[str, bool],
     exact_ok: bool = True,
+    **instance,
 ) -> VerificationReport:
     """Assemble a record, deciding status from hypotheses and the scaled
-    tolerance |lhs - rhs| <= tolerance * max(1, |lhs|, |rhs|)."""
+    tolerance |lhs - rhs| <= tolerance * max(1, |lhs|, |rhs|).  `instance`
+    holds theorem_id, p, e, q and the optional instance fields l, lam,
+    char_index and sqrt_branch, and goes to VerificationReport as it is."""
     lhs = complex(lhs)
     rhs = complex(rhs)
     diff = abs(lhs - rhs)
@@ -116,20 +107,7 @@ def build_report(
     else:
         status = "fail"
     return VerificationReport(
-        theorem_id=theorem_id,
-        p=p,
-        e=e,
-        q=q,
-        l=l,
-        lam=lam,
-        char_index=char_index,
-        sqrt_branch=sqrt_branch,
-        lhs=lhs,
-        rhs=rhs,
-        abs_diff=diff,
-        tolerance=tol_eff,
-        hypotheses=hypotheses,
-        status=status,
+        lhs=lhs, rhs=rhs, abs_diff=diff, tolerance=tol_eff, hypotheses=hypotheses, status=status, **instance
     )
 
 

@@ -6,7 +6,9 @@ oracles at the end, which take a package `Field` of any degree: the loop
 oracles sum its scalar binomials over k one at a time, `binom_row` builds
 a whole binomial row from Jacobi weights by bincount and inverse FFT, and
 `scalar_field_tables` rebuilds its exp, dlog and trace tables one power of
-the generator at a time.
+the generator at a time.  `weil_predict` reads no field at all: it
+predicts the traces of a curve over F_{p^e} from those over F_p, ...,
+F_{p^g}, in integers.
 """
 
 import cmath
@@ -103,6 +105,34 @@ def count_affine(p: int, l: int, num: int, den: int) -> int:
             if pow(y, l, p) == rhs:
                 pts += 1
     return pts
+
+
+def weil_predict(traces, p: int, g: int, e_max: int) -> dict[int, int]:
+    """a_{p^e} for g < e <= e_max from traces = [a_p, ..., a_{p^g}] of a
+    genus-g curve with good reduction at p.
+
+    a_{p^e} is the e-th power sum s_e of the 2g inverse roots of the
+    L-polynomial L(T) = 1 + c_1 T + ... + c_{2g} T^{2g}, and Newton's
+    identities k c_k = -(s_k + c_1 s_{k-1} + ... + c_{k-1} s_1) give c_1,
+    ..., c_g.  The functional equation c_{2g-i} = p^{g-i} c_i gives the rest,
+    and Newton's identities then give every s_e.  For g = 1 that is
+    a_{p^2} = a_p^2 - 2p.  Traces that fit no such polynomial raise
+    ValueError.
+    """
+    if len(traces) != g:
+        raise ValueError(f"need the {g} traces a_p, ..., a_(p^{g})")
+    s = [0, *map(int, traces)]
+    c = [1]
+    for k in range(1, g + 1):
+        ck, rem = divmod(-sum(c[i] * s[k - i] for i in range(k)), k)
+        if rem:
+            raise ValueError(f"the traces {traces} fit no L-polynomial at p = {p}")
+        c.append(ck)
+    c += [p ** (i - g) * c[2 * g - i] for i in range(g + 1, 2 * g + 1)]
+    c += [0] * max(0, e_max - 2 * g)
+    for k in range(g + 1, e_max + 1):
+        s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, k)))
+    return {e: s[e] for e in range(g + 1, e_max + 1)}
 
 
 def series_loop(field, tops, bottoms, x: int) -> complex:

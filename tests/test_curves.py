@@ -2,7 +2,7 @@
 checks, and the quadratic-form representation used by the l=3 corollary."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -18,6 +18,7 @@ from hgfq import (
     genus,
     good_reduction,
     hasse_weil_bound,
+    is_prime,
     make_field,
     model_is_squarefree,
     reduce_lambda,
@@ -135,6 +136,31 @@ def test_charsum_count_for_every_l():
                 assert character_sum_count(f, curve) == brute_force_count(f, curve), (p, e, l, lam)
                 kinds.add((e > 1, "coprime" if g == 1 else "partial" if g < l else "divides"))
     assert kinds == {(ext, k) for ext in (False, True) for k in ("coprime", "partial", "divides")}
+
+
+def test_counts_obey_the_weil_relation_across_degrees():
+    # The traces over F_p, ..., F_{p^g} fix the L-polynomial, and so every
+    # trace over F_{p^e}: an oracle that shares no code with the count.
+    # l = 6, and l = 3 with p = 2 (mod 3), are left out: the points at
+    # infinity there do not yet follow the smooth model (ROADMAP item 6).
+    q_max = 3000
+    checked = set()
+    for l in (2, 3, 4, 5):
+        g = genus(l)
+        for p in range(3, isqrt(q_max) + 1, 2):
+            if not is_prime(p) or p ** (g + 1) > q_max or (l == 3 and p % 3 != 1):
+                continue
+            fields = [make_field(p, e, q_max) for e in range(1, q_max.bit_length()) if p**e <= q_max]
+            for lam in LAMBDAS + (Fraction(-3),):
+                curve = CurveSpec(l, lam)
+                if not good_reduction(p, curve):
+                    continue
+                traces = [character_sum_count(f, curve).a_q for f in fields]
+                predicted = oracle.weil_predict(traces[:g], p, g, len(traces))
+                assert predicted == dict(enumerate(traces[g:], g + 1)), (l, p, lam)
+                checked.add((l, p))
+    assert {l for l, p in checked} == {2, 3, 4, 5}
+    assert (5, 3) in checked and (4, 7) in checked and (2, 53) in checked
 
 
 def test_curve_char_sum_matches_per_x_sums():

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 from fractions import Fraction
+
+import pytest
 
 from hgfq import build_report, summarize
 from hgfq.report import (
     REPORT_FIELDS,
+    VerificationReport,
     csv_header,
     flatten_hypotheses,
     report_sort_key,
@@ -50,6 +54,27 @@ def test_dict_matches_field_contract():
     assert d["lambda"] == "1/3"
     assert d["lhs_re"] == 1.0 and d["lhs_im"] == 2.0
     assert json.loads(r.to_json()) == d
+    # a record built with no instance fields has the same columns, all null
+    bare = make(1.0, 1.0).to_dict()
+    assert tuple(bare) == REPORT_FIELDS
+    assert [bare[k] for k in ("l", "lambda", "char_index", "sqrt_branch")] == [None] * 4
+    assert json.loads(make(1.0, 1.0).to_json()) == bare
+
+
+def test_misspelt_instance_field_is_refused():
+    with pytest.raises(TypeError):
+        make(1.0, 1.0, lamda=Fraction(1, 3))
+
+
+def test_record_fields_are_the_report_columns():
+    # three renames and nothing else: lam is "lambda", each side is split
+    renames = {"lam": ("lambda",), "lhs": ("lhs_re", "lhs_im"), "rhs": ("rhs_re", "rhs_im")}
+    columns = [c for f in dataclasses.fields(VerificationReport) for c in renames.get(f.name, (f.name,))]
+    assert tuple(columns) == REPORT_FIELDS
+    # the hypotheses map is copied, not shared
+    r = make(1.0, 1.0, hyps={"a": True})
+    d = r.to_dict()
+    assert d["hypotheses"] == r.hypotheses and d["hypotheses"] is not r.hypotheses
 
 
 def test_csv_row_shape():
