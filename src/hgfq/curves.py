@@ -6,9 +6,9 @@ polynomial by discrete log and counts its roots.  `character_sum_count`
 reads the exact affine count off it for any l, and `curve_char_sum` the
 sum W(S) of a character over the curve polynomial; these are what the
 verification sweep uses.  `brute_force_count` (enumeration of affine
-pairs) and, for l = 3, `weierstrass_count_l3` (the short Weierstrass
-model) are kept as independent oracles for the tests and for
-`count --method both`.  `points_at_infinity` is the one rule for the
+pairs) is the count of `count --method brute|both` and an oracle for the
+tests; for l = 3, `weierstrass_count_l3` (the short Weierstrass model) is
+a test oracle only.  `points_at_infinity` is the one rule for the
 projective completion: one point at infinity for l != 3 and three when
 l = 3 with p = 1 mod 3; for l = 3 with p = 2 mod 3 the count at infinity
 is refused rather than guessed.
@@ -27,9 +27,10 @@ from .errors import (
     BadReductionError,
     CongruenceError,
     NoRepresentationError,
+    NotPrimeError,
     UnsupportedInfinityCountError,
 )
-from .field import Field, ord_p_rational
+from .field import Field, is_prime
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,16 @@ class PointCount:
 
 
 def good_reduction(p: int, curve: CurveSpec) -> bool:
+    """Whether p divides neither l nor the numerator or denominator of
+    lambda (lambda + 1).  With lambda = a/b in lowest terms, that quotient is
+    a (a + b) / b**2, also in lowest terms, so for a prime p it is a unit
+    exactly when p divides none of a, b and a + b."""
     if curve.l % p == 0:
         return False
-    return ord_p_rational(p, curve.lam * (curve.lam + 1)) == 0
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    a, b = curve.lam.numerator, curve.lam.denominator
+    return a * b * (a + b) % p != 0
 
 
 def reduce_lambda(field: Field, curve: CurveSpec) -> int:

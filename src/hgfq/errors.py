@@ -25,10 +25,6 @@ class LogOfZeroError(HgfqError):
     """The discrete logarithm of zero is undefined."""
 
 
-class ZeroArgumentError(HgfqError):
-    """The p-adic valuation of zero is undefined."""
-
-
 class OrderNotDividingError(HgfqError):
     """No character of the requested order exists in this field."""
 

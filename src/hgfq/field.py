@@ -48,7 +48,6 @@ from .errors import (
     LogOfZeroError,
     NotPrimeError,
     OddPrimeRequiredError,
-    ZeroArgumentError,
 )
 
 DEFAULT_Q_CAP = 100_000
@@ -106,24 +105,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def ord_p_rational(p: int, r: Fraction | int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    fr = Fraction(r)
-    if fr == 0:
-        raise ZeroArgumentError("the p-adic valuation of zero is undefined")
-
-    def mult(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return mult(abs(fr.numerator)) - mult(fr.denominator)
 
 
 def _solve_mod(s: int, r: int, m: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from hgfq import (
     BadReductionError,
     CongruenceError,
     CurveSpec,
+    NotPrimeError,
     UnsupportedInfinityCountError,
     brute_force_count,
     character_sum_count,
@@ -49,6 +50,37 @@ def test_good_reduction_table():
     assert not good_reduction(3, CurveSpec(2, Fraction(1, 3)))  # 3 | denominator
     assert not good_reduction(7, CurveSpec(2, Fraction(-8, 7)))
     assert good_reduction(7, CurveSpec(2, Fraction(1, 3)))
+
+
+def test_good_reduction_is_the_valuation_rule():
+    # The definition: p does not divide l, and lambda (lambda + 1) has
+    # p-adic valuation 0, counted here in its numerator and denominator.
+    def valuation(p, r):
+        v, n, d = 0, abs(r.numerator), r.denominator
+        while n % p == 0:
+            n, v = n // p, v + 1
+        while d % p == 0:
+            d, v = d // p, v - 1
+        return v
+
+    lams = {Fraction(n, d) for n in range(-12, 13) for d in range(1, 13)} - {0, -1}
+    divides = set()
+    for p in range(3, 61, 2):
+        prime = is_prime(p)
+        for l in (*range(2, 8), p, 2 * p):
+            for lam in lams:
+                curve = CurveSpec(l, lam)
+                if not prime and l % p:
+                    with pytest.raises(NotPrimeError):
+                        good_reduction(p, curve)
+                    continue
+                want = l % p != 0 and valuation(p, lam * (lam + 1)) == 0
+                assert good_reduction(p, curve) == want, (p, l, lam)
+                if prime:
+                    a, b = lam.numerator, lam.denominator
+                    named = (("l", l), ("a", a), ("b", b), ("a+b", a + b))
+                    divides.update(name for name, n in named if n % p == 0)
+    assert divides == {"l", "a", "b", "a+b"}
 
 
 def test_reduce_lambda():

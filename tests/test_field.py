@@ -22,7 +22,7 @@ from hgfq import (
     make_field,
 )
 import hgfq.field
-from hgfq.field import fits_cap, ord_p_rational, prime_factors
+from hgfq.field import fits_cap, prime_factors
 
 from oracle_helpers import primitive_root, scalar_field_tables, trace_frobenius
 
@@ -55,14 +55,6 @@ def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(12) == [2, 3]
     assert prime_factors(97) == [97]
-
-
-def test_ord_p_rational():
-    assert ord_p_rational(3, Fraction(9, 2)) == 2
-    assert ord_p_rational(3, Fraction(2, 27)) == -3
-    assert ord_p_rational(5, Fraction(7, 3)) == 0
-    assert ord_p_rational(5, 7) == 0
-    assert ord_p_rational(5, 50) == 2
 
 
 def test_constructor_rejects_bad_input():

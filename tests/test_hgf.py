@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from hgfq import (
     Character,
+    CurveSpec,
     FieldMismatchError,
+    character_sum_count,
     evans_F,
     evans_F_star,
+    good_reduction,
     greene_transform_check,
     hgf_2f1,
     make_field,
@@ -221,6 +224,31 @@ def test_ono_3f2_is_integral_at_the_field_size_cap(monkeypatch):
     for g, w in zip(got, want):
         assert abs(g.real - round(g.real)) <= 1e-6 and abs(g.imag) <= 1e-6, g
         assert abs(g - w) <= 1e-9, (g, w)
+
+
+def test_ono_3f2_follows_the_prime_field_trace_across_degrees():
+    # q^2 3F2(phi, phi, phi; eps, eps | (1+lambda)/lambda) = phi(-lambda) (a_q^2 - q)
+    # on y^2 = (x-1)(x^2+lambda).  That curve has genus 1, so a_q over F_{p^e}
+    # is predicted from the count over F_p alone: each series over an
+    # extension field is checked against a prime-field count.
+    q_max = 3000
+    cases = 0
+    for p in (3, 5, 7, 11, 13):
+        e_max = max(e for e in range(1, q_max.bit_length()) if p**e <= q_max)
+        for lam in map(Fraction, (1, 2, "1/3", "-1/2", "3/2", -3)):
+            curve = CurveSpec(2, lam)
+            if not good_reduction(p, curve):
+                continue
+            a_p = character_sum_count(make_field(p), curve).a_q
+            for e, aq in {1: a_p, **oracle.weil_predict([a_p], p, 1, e_max)}.items():
+                f = make_field(p, e, q_max)
+                q, h = f.q, f.m // 2
+                le = f.from_rational(lam)
+                lhs = q * q * series_value(f, [h, h, h], [0, 0], f.div(f.add(1, le), le))
+                phi = (-1) ** f.dlog(f.neg(le))
+                assert abs(lhs - phi * (aq * aq - q)) <= 1e-6, (p, e, lam, lhs, aq)
+                cases += 1
+    assert cases == 94
 
 
 SMALL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
