@@ -8,10 +8,13 @@ sum W(S) of a character over the curve polynomial; these are what the
 verification sweep uses.  `brute_force_count` (enumeration of affine
 pairs) is the count of `count --method brute|both` and an oracle for the
 tests; for l = 3, `weierstrass_count_l3` (the short Weierstrass model) is
-a test oracle only.  `points_at_infinity` is the one rule for the
-projective completion: one point at infinity for l != 3 and three when
-l = 3 with p = 1 mod 3; for l = 3 with p = 2 mod 3 the count at infinity
-is refused rather than guessed.
+a test oracle only.  `good_reduction` decides from the residues of l and
+of lambda = a/b modulo the field's characteristic, which is prime because
+the field exists; `reduce_lambda` is lambda in the field under it.
+`points_at_infinity` is the one rule for the projective completion: one
+point at infinity for l != 3 and three when l = 3 with p = 1 mod 3; for
+l = 3 with p = 2 mod 3 the count at infinity is refused rather than
+guessed.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from .errors import (
     BadReductionError,
     CongruenceError,
     NoRepresentationError,
-    NotPrimeError,
     UnsupportedInfinityCountError,
 )
-from .field import Field, is_prime
+from .field import Field
 
 
 @dataclass(frozen=True)
@@ -53,22 +55,18 @@ class PointCount:
     a_q: int
 
 
-def good_reduction(p: int, curve: CurveSpec) -> bool:
-    """Whether p divides neither l nor the numerator or denominator of
-    lambda (lambda + 1).  With lambda = a/b in lowest terms, that quotient is
-    a (a + b) / b**2, also in lowest terms, so for a prime p it is a unit
-    exactly when p divides none of a, b and a + b."""
-    if curve.l % p == 0:
-        return False
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+def good_reduction(field: Field, curve: CurveSpec) -> bool:
+    """Whether the characteristic p divides neither l nor the numerator or
+    denominator of lambda (lambda + 1).  With lambda = a/b in lowest terms,
+    that quotient is a (a + b) / b**2, also in lowest terms, so for the prime
+    p it is a unit exactly when p divides none of a, b and a + b."""
     a, b = curve.lam.numerator, curve.lam.denominator
-    return a * b * (a + b) % p != 0
+    return curve.l * a * b * (a + b) % field.p != 0
 
 
 def reduce_lambda(field: Field, curve: CurveSpec) -> int:
     """lambda as a field element, available exactly under good reduction."""
-    if not good_reduction(field.p, curve):
+    if not good_reduction(field, curve):
         raise BadReductionError(
             f"curve (l={curve.l}, lambda={curve.lam}) has bad reduction at p={field.p}"
         )
@@ -143,7 +141,7 @@ def weierstrass_count_l3(field: Field, curve: CurveSpec) -> PointCount:
         raise ValueError("the Weierstrass model applies to l = 3 only")
     if field.p == 3:
         raise BadReductionError("the Weierstrass model needs p different from 2 and 3")
-    if not good_reduction(field.p, curve):
+    if not good_reduction(field, curve):
         raise BadReductionError(
             f"curve (l=3, lambda={curve.lam}) has bad reduction at p={field.p}"
         )
@@ -177,14 +175,6 @@ def genus(l: int) -> int:
 
 def hasse_weil_bound(l: int, q: int) -> float:
     return 2 * genus(l) * q**0.5
-
-
-def model_is_squarefree(field: Field, lam: int) -> bool:
-    """Whether (x-1)(x**2 + lambda) has no repeated root over the algebraic
-    closure of the field."""
-    # Repeated roots occur exactly when 1 is a root of x^2 + lam (1+lam = 0)
-    # or x^2 + lam itself is a square (lam = 0).
-    return field.add(field.check(lam), 1) != 0 and lam != 0
 
 
 def count_points(field: Field, curve: CurveSpec, method: str) -> PointCount:

@@ -16,9 +16,14 @@ CATALOG maps each theorem key to the records it yields on one field; its
 keys follow the sorted order of the theorem ids they yield.  row_blocks()
 runs the selected rows over a configured grid of prime powers, one field
 at a time in increasing q and one row at a time within a field, and yields
-each row's records, sorted, before it runs the next row.  iter_sweep()
-chains those lists into the stream of records sorted by report_sort_key;
-sweep() collects them.
+each row's records, sorted, before it runs the next row; taken in order,
+they are the records sorted by report_sort_key, and sweep() collects them.
+
+lambda is a rational throughout, as on the curve over Q.  Every argument
+and coefficient of a verify_* operation is a rational expression in it,
+such as (1+lambda)/lambda or -4 lambda**3, reduced once into the field by
+Field.from_rational; _phi takes such a rational too.  The good_reduction
+flag is read off the residues of l and lambda modulo p.
 """
 
 from __future__ import annotations
@@ -43,16 +48,14 @@ SPECIAL_PARTS = ("i", "ii", "iii", "iv")
 LEMMA_PARTS = ("square_3f2", "one_third", "sqrt_2f1", "order3_2f1")
 
 
-def _phi(f: Field, x: int) -> float:
-    """The quadratic character as an exact sign, 0.0 at x = 0."""
-    if x == 0:
-        return 0.0
-    return -1.0 if f.dlog(x) % 2 else 1.0
+def _phi(f: Field, r: Fraction | int) -> float:
+    """The quadratic character of a rational r prime to p, as an exact sign."""
+    return -1.0 if f.dlog(f.from_rational(r)) % 2 else 1.0
 
 
 def _lambda_flags(f: Field, l: int, lam: Fraction) -> dict[str, bool]:
     admissible = lam not in (0, -1)
-    good = admissible and good_reduction(f.p, CurveSpec(l, lam))
+    good = admissible and good_reduction(f, CurveSpec(l, lam))
     return {"lambda_admissible": admissible, "good_reduction": good}
 
 
@@ -126,9 +129,8 @@ def verify_ono(f: Field, lam: Fraction | int, tolerance: float = 1e-6) -> Verifi
 
     def sides():
         aq = character_sum_count(f, CurveSpec(2, lam)).a_q
-        le = f.from_rational(lam)
-        lhs = series_value(f, [h, h, h], [0, 0], f.div(f.add(1, le), le))
-        return lhs, _phi(f, f.neg(le)) * (aq * aq - q) / q**2
+        lhs = series_value(f, [h, h, h], [0, 0], f.from_rational((1 + lam) / lam))
+        return lhs, _phi(f, -lam) * (aq * aq - q) / q**2
 
     return _record("ono_3f2", f, _lambda_flags(f, 2, lam), tolerance, sides, d=q * q, l=2, lam=lam)
 
@@ -167,13 +169,11 @@ def verify_main_square(
 
     def sides():
         aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-        le = f.from_rational(lam)
-        one_plus = f.add(1, le)
-        arg = f.div(one_plus, le)
-        four = f.from_int(4)
-        c1 = f.neg(f.mul(four, f.pow(le, 3)))
-        c2 = f.neg(f.mul(four, f.mul(le, f.mul(one_plus, one_plus))))
-        phi_neg_lam = _phi(f, f.neg(le))
+        one_plus = f.from_rational(1 + lam)
+        arg = f.from_rational((1 + lam) / lam)
+        c1 = f.from_rational(-4 * lam**3)
+        c2 = f.from_rational(-4 * lam * (1 + lam) ** 2)
+        phi_neg_lam = _phi(f, -lam)
         term1 = term2 = 0j
         for i in range(1, l):
             si = (i * u) % m
@@ -231,7 +231,7 @@ def verify_2f1_trace(
 
     def sides():
         aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-        one_plus = f.add(1, f.from_rational(lam))
+        one_plus = f.from_rational(1 + lam)
         if l == 3:
             return -aq, 2 + q * sum(series_value(f, [h, 0], [i * u], one_plus) for i in (1, 2))
         total = 0j
@@ -282,9 +282,9 @@ def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationRepor
     @cache
     def both():
         aq = character_sum_count(f, CurveSpec(2, lam)).a_q
-        lhs2 = -_phi(f, f.neg(f.from_int(2))) * aq
+        lhs2 = -_phi(f, -2) * aq
         quotient = f.gauss_c(m3) * f.gauss_c(h) / f.gauss_c(m3 + h)
-        return (lhs2 / q, 2 * f.binom_c(m3, h).real), (lhs2, 2 * _phi(f, f.neg(1)) * quotient.real)
+        return (lhs2 / q, 2 * f.binom_c(m3, h).real), (lhs2, 2 * _phi(f, -1) * quotient.real)
 
     where = {"l": 2, "lam": lam}
     return [
@@ -309,8 +309,8 @@ def verify_3f2_at_4(f: Field, chi: Character, tolerance: float = 1e-6) -> Verifi
 
     def sides():
         q, h = f.q, f.m // 2
-        lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], f.from_int(4))
-        base = -_phi(f, f.from_rational(-3)) * f.char_value(s, f.from_int(16)) / q
+        lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], f.from_rational(4))
+        base = -_phi(f, -3) * f.char_value(s, f.from_rational(16)) / q
         if q % 3 != 1:
             return lhs, base
         bracket = _cubic_bracket(f, s)
@@ -361,13 +361,13 @@ def verify_2f1_specials(
             branch_sign = -1.0 if (v + h) % 2 else 1.0  # (sqrt(S) phi)(-1)
             coeff = f.char_value(s, f.from_rational(Fraction(8, 27))) * jratio / branch_sign
         elif part == "iii":
-            lhs = series_value(f, [r + h, root_inv], [-2 * s], f.from_int(4))
+            lhs = series_value(f, [r + h, root_inv], [-2 * s], f.from_rational(4))
             c = f.char_value(v, f.from_rational(Fraction(-64, 27)))
-            coeff = c * jratio / _phi(f, f.from_rational(-3))
+            coeff = c * jratio / _phi(f, -3)
         else:
             lhs = series_value(f, [r + h, v + h], [h - s], f.from_rational(Fraction(1, 4)))
             c = f.char_value(v, f.from_rational(Fraction(-1, 27)))
-            coeff = c * jratio / _phi(f, f.from_int(3))
+            coeff = c * jratio / _phi(f, 3)
         return lhs, coeff * bracket
 
     gate = ("is_square", "p_not_3")
@@ -393,7 +393,7 @@ def verify_corollary_c3(f: Field, tolerance: float = 1e-6) -> list[VerificationR
         x, y = cornacchia_3(p)
         sym = 1 if x % 3 == 1 else -1
         aq = character_sum_count(f, CurveSpec(3, lam)).a_q
-        phi2 = _phi(f, f.from_int(2))
+        phi2 = _phi(f, 2)
         predicted = phi2 * (-1.0 if (x + y - 1) % 2 else 1.0) * sym * 2 * x
         m3, h = f.m // 3, f.m // 2
         half = f.from_rational(Fraction(1, 2))
@@ -420,11 +420,9 @@ def verify_corollary_chi4(
     q, h, m4 = f.q, f.m // 2, f.m // 4
 
     def sides():
-        le = f.from_rational(lam)
-        one_plus = f.add(1, le)
-        lhs = series_value(f, [h, h, h], [0, 0], f.div(one_plus, le))
-        inner = series_value(f, [-m4, m4], [0], one_plus)
-        sign = _phi(f, le)
+        lhs = series_value(f, [h, h, h], [0, 0], f.from_rational((1 + lam) / lam))
+        inner = series_value(f, [-m4, m4], [0], f.from_rational(1 + lam))
+        sign = _phi(f, lam)
         return lhs, sign * inner * inner - sign / q
 
     # the order-4 character exists whenever q = 1 (mod 4), whatever lambda is
@@ -452,7 +450,7 @@ def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> Verificat
         terms = sum(_third_term(f, i * u).real for i in range(1, (l - 1) // 2 + 1))
         if l % 2:
             return -aq, 2 * q * terms
-        return -aq, 2 * q * (_phi(f, f.neg(f.from_int(2))) * f.binom_c(m3, h).real + terms)
+        return -aq, 2 * q * (_phi(f, -2) * f.binom_c(m3, h).real + terms)
 
     return _record("lcm_third_trace", f, hyps, tolerance, sides, d=1, l=l, lam=lam)
 
@@ -499,13 +497,12 @@ def verify_charsum_lemmas(
         hyps.update(_lambda_flags(f, 2, lam))
 
         def sides():
-            le = f.from_rational(lam)
-            arg = f.div(f.add(1, le), le)
-            w = curve_char_sum(f, s, le)
+            arg = f.from_rational((1 + lam) / lam)
+            w = curve_char_sum(f, s, f.from_rational(lam))
             lhs = series_value(f, [-3 * s, -s, -2 * s + h], [-4 * s, -2 * s], arg)
-            c1 = f.neg(f.mul(f.from_int(4), f.pow(le, 3)))
+            c1 = f.from_rational(-4 * lam**3)
             coeff = f.jacobi_c(-s, -s) / (q * q * f.char_value(s, c1) * f.jacobi_c(-3 * s, s))
-            return lhs, coeff * w * w - f.char_value(2 * s, arg) * _phi(f, f.neg(le)) / q
+            return lhs, coeff * w * w - f.char_value(2 * s, arg) * _phi(f, -lam) / q
 
     elif part == "sqrt_2f1":
         hyps = {"is_square": s % 2 == 0, "order_not_1": s != 0, "order_not_3": chi.order != 3}
@@ -513,18 +510,18 @@ def verify_charsum_lemmas(
         where["sqrt_branch"] = sqrt_branch
 
         def sides():
-            le = f.from_rational(lam)
             r, j_phi, j_root = _sqrt_jacobi(f, s, sqrt_branch)
-            lhs = curve_char_sum(f, s, le)
-            return lhs, q * j_phi / j_root * series_value(f, [r + h, r], [-2 * s], f.add(1, le))
+            lhs = curve_char_sum(f, s, f.from_rational(lam))
+            one_plus = f.from_rational(1 + lam)
+            return lhs, q * j_phi / j_root * series_value(f, [r + h, r], [-2 * s], one_plus)
 
     else:
         hyps = {"order_3": chi.order == 3}
         hyps.update(_lambda_flags(f, 2, lam))
 
         def sides():
-            le = f.from_rational(lam)
-            return curve_char_sum(f, s, le), q * series_value(f, [h, 0], [s], f.add(1, le))
+            w = curve_char_sum(f, s, f.from_rational(lam))
+            return w, q * series_value(f, [h, 0], [s], f.from_rational(1 + lam))
 
     return _record(f"charsum_{part}", f, hyps, tolerance, sides, **where)
 
@@ -701,13 +698,7 @@ def row_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
     )
 
 
-def iter_sweep(config: SweepConfig) -> Iterator[VerificationReport]:
-    """The records of row_blocks one by one: a row's records are all
-    yielded before the next row runs."""
-    return chain.from_iterable(row_blocks(config))
-
-
 def sweep(config: SweepConfig) -> list[VerificationReport]:
-    """Every record of iter_sweep, in its order: increasing q, then
+    """Every record of row_blocks, in its order: increasing q, then
     report_sort_key within a field."""
-    return list(iter_sweep(config))
+    return list(chain.from_iterable(row_blocks(config)))

@@ -21,7 +21,6 @@ from hgfq import (
     hasse_weil_bound,
     is_prime,
     make_field,
-    model_is_squarefree,
     reduce_lambda,
     weierstrass_count_l3,
 )
@@ -44,12 +43,13 @@ def test_curve_spec_validation():
 
 
 def test_good_reduction_table():
-    assert good_reduction(5, CurveSpec(2, Fraction(1)))
-    assert not good_reduction(5, CurveSpec(5, Fraction(1)))  # p | l
-    assert not good_reduction(5, CurveSpec(2, Fraction(3, 2)))  # 5 | lam+1
-    assert not good_reduction(3, CurveSpec(2, Fraction(1, 3)))  # 3 | denominator
-    assert not good_reduction(7, CurveSpec(2, Fraction(-8, 7)))
-    assert good_reduction(7, CurveSpec(2, Fraction(1, 3)))
+    f3, f5, f7 = make_field(3), make_field(5), make_field(7)
+    assert good_reduction(f5, CurveSpec(2, Fraction(1)))
+    assert not good_reduction(f5, CurveSpec(5, Fraction(1)))  # p | l
+    assert not good_reduction(f5, CurveSpec(2, Fraction(3, 2)))  # 5 | lam+1
+    assert not good_reduction(f3, CurveSpec(2, Fraction(1, 3)))  # 3 | denominator
+    assert not good_reduction(f7, CurveSpec(2, Fraction(-8, 7)))
+    assert good_reduction(f7, CurveSpec(2, Fraction(1, 3)))
 
 
 def test_good_reduction_is_the_valuation_rule():
@@ -66,20 +66,19 @@ def test_good_reduction_is_the_valuation_rule():
     lams = {Fraction(n, d) for n in range(-12, 13) for d in range(1, 13)} - {0, -1}
     divides = set()
     for p in range(3, 61, 2):
-        prime = is_prime(p)
+        if not is_prime(p):
+            # a composite p has no field, so it never reaches good_reduction
+            with pytest.raises(NotPrimeError):
+                make_field(p)
+            continue
+        f = make_field(p)
         for l in (*range(2, 8), p, 2 * p):
             for lam in lams:
-                curve = CurveSpec(l, lam)
-                if not prime and l % p:
-                    with pytest.raises(NotPrimeError):
-                        good_reduction(p, curve)
-                    continue
                 want = l % p != 0 and valuation(p, lam * (lam + 1)) == 0
-                assert good_reduction(p, curve) == want, (p, l, lam)
-                if prime:
-                    a, b = lam.numerator, lam.denominator
-                    named = (("l", l), ("a", a), ("b", b), ("a+b", a + b))
-                    divides.update(name for name, n in named if n % p == 0)
+                assert good_reduction(f, CurveSpec(l, lam)) == want, (p, l, lam)
+                a, b = lam.numerator, lam.denominator
+                named = (("l", l), ("a", a), ("b", b), ("a+b", a + b))
+                divides.update(name for name, n in named if n % p == 0)
     assert divides == {"l", "a", "b", "a+b"}
 
 
@@ -98,7 +97,7 @@ def test_counts_match_naive_oracle():
                 continue
             for lam in LAMBDAS:
                 curve = CurveSpec(l, lam)
-                if not good_reduction(p, curve):
+                if not good_reduction(f, curve):
                     continue
                 if l == 3 and p % 3 != 1:
                     continue
@@ -115,7 +114,7 @@ def test_brute_and_charsum_agree_on_extension_fields():
                 continue
             for lam in (Fraction(1), Fraction(2)):
                 curve = CurveSpec(l, lam)
-                if not good_reduction(p, curve):
+                if not good_reduction(f, curve):
                     continue
                 b = brute_force_count(f, curve)
                 s = character_sum_count(f, curve)
@@ -163,7 +162,7 @@ def test_charsum_count_for_every_l():
             g = gcd(l, f.m)
             for lam in LAMBDAS:
                 curve = CurveSpec(l, lam)
-                if not good_reduction(p, curve):
+                if not good_reduction(f, curve):
                     continue
                 assert character_sum_count(f, curve) == brute_force_count(f, curve), (p, e, l, lam)
                 kinds.add((e > 1, "coprime" if g == 1 else "partial" if g < l else "divides"))
@@ -185,7 +184,7 @@ def test_counts_obey_the_weil_relation_across_degrees():
             fields = [make_field(p, e, q_max) for e in range(1, q_max.bit_length()) if p**e <= q_max]
             for lam in LAMBDAS + (Fraction(-3),):
                 curve = CurveSpec(l, lam)
-                if not good_reduction(p, curve):
+                if not good_reduction(fields[0], curve):
                     continue
                 traces = [character_sum_count(f, curve).a_q for f in fields]
                 predicted = oracle.weil_predict(traces[:g], p, g, len(traces))
@@ -200,7 +199,7 @@ def test_curve_char_sum_matches_per_x_sums():
     for p in (5, 7, 11, 13):
         f = make_field(p)
         for lam in LAMBDAS:
-            if not good_reduction(p, CurveSpec(2, lam)):
+            if not good_reduction(f, CurveSpec(2, lam)):
                 continue
             le = f.from_rational(lam)
             for s in range(f.m):
@@ -212,7 +211,7 @@ def test_curve_char_sum_matches_per_x_sums():
     for p, e in ((3, 2), (5, 2), (3, 3)):
         f = make_field(p, e)
         for lam in LAMBDAS:
-            if not good_reduction(p, CurveSpec(2, lam)):
+            if not good_reduction(f, CurveSpec(2, lam)):
                 continue
             le = f.from_rational(lam)
             values = [f.mul(f.sub(x, 1), f.add(f.mul(x, x), le)) for x in range(f.q)]
@@ -230,7 +229,7 @@ def test_weierstrass_model_agrees():
         f = make_field(p)
         for lam in LAMBDAS:
             curve = CurveSpec(3, lam)
-            if not good_reduction(p, curve):
+            if not good_reduction(f, curve):
                 continue
             assert weierstrass_count_l3(f, curve).a_q == brute_force_count(f, curve).a_q
     with pytest.raises(ValueError):
@@ -262,20 +261,10 @@ def test_genus_and_hasse_weil():
                 continue
             for lam in LAMBDAS:
                 curve = CurveSpec(l, lam)
-                if not good_reduction(p, curve):
+                if not good_reduction(f, curve):
                     continue
                 aq = brute_force_count(f, curve).a_q
                 assert abs(aq) <= hasse_weil_bound(l, f.q)
-
-
-def test_squarefree_matches_good_reduction():
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        f = make_field(p)
-        for lam in LAMBDAS:
-            if lam.denominator % p == 0:
-                continue
-            le = f.from_rational(lam)
-            assert model_is_squarefree(f, le) == good_reduction(p, CurveSpec(2, lam))
 
 
 def test_cornacchia_values():

@@ -288,6 +288,30 @@ def test_from_int_and_from_rational():
     assert g.from_rational(Fraction(-1, 2)) == g.div(g.neg(1), g.from_int(2))
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_from_rational_is_a_ring_homomorphism(data):
+    # On the rationals with denominator prime to p, from_rational is the ring
+    # map Z_(p) -> F_p inside F_q, so a rational expression in lambda may be
+    # reduced once instead of being rebuilt from field operations.
+    fields = [(5, 1), (13, 1), (3, 2), (5, 2), (3, 3), (5, 3)]
+    f = make_field(*data.draw(st.sampled_from(fields)))
+
+    def p_integral():
+        den = data.draw(st.integers(1, 10**6).filter(lambda d: d % f.p))
+        return Fraction(data.draw(st.integers(-(10**6), 10**6)), den)
+
+    r, s = p_integral(), p_integral()
+    fr, fs = f.from_rational(r), f.from_rational(s)
+    assert f.from_rational(r + s) == f.add(fr, fs)
+    assert f.from_rational(r - s) == f.sub(fr, fs)
+    assert f.from_rational(r * s) == f.mul(fr, fs)
+    assert f.from_rational(-r) == f.neg(fr)
+    assert f.from_rational(r**3) == f.pow(fr, 3)
+    if fr:
+        assert f.from_rational(1 / r) == f.inv(fr)
+
+
 def test_element_encoding_base_p_digits():
     f = make_field(3, 2)
     assert f.add(2, 3) == 5  # 2 + x encodes as 2 + 1*3

@@ -235,11 +235,12 @@ def test_ono_3f2_follows_the_prime_field_trace_across_degrees():
     cases = 0
     for p in (3, 5, 7, 11, 13):
         e_max = max(e for e in range(1, q_max.bit_length()) if p**e <= q_max)
+        fp = make_field(p)
         for lam in map(Fraction, (1, 2, "1/3", "-1/2", "3/2", -3)):
             curve = CurveSpec(2, lam)
-            if not good_reduction(p, curve):
+            if not good_reduction(fp, curve):
                 continue
-            a_p = character_sum_count(make_field(p), curve).a_q
+            a_p = character_sum_count(fp, curve).a_q
             for e, aq in {1: a_p, **oracle.weil_predict([a_p], p, 1, e_max)}.items():
                 f = make_field(p, e, q_max)
                 q, h = f.q, f.m // 2

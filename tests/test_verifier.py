@@ -12,7 +12,6 @@ from hgfq import (
     Character,
     SweepConfig,
     character_of_order,
-    iter_sweep,
     make_field,
     summarize,
     sweep,
@@ -207,7 +206,7 @@ def test_grid_above_q_cap_is_an_error():
         sweep(SweepConfig(prime_min=11, prime_max=13, degrees=(2,), q_cap=100))
     # raised by the call itself, before any record is asked for
     with pytest.raises(ValueError):
-        iter_sweep(SweepConfig(prime_min=3001, prime_max=3001))
+        row_blocks(SweepConfig(prime_min=3001, prime_max=3001))
 
 
 def test_prime_scan_stops_at_the_cap(monkeypatch):
@@ -229,7 +228,7 @@ def test_prime_scan_stops_at_the_cap(monkeypatch):
     assert ono(3, 13, degrees=(1, 100_000_000)) == ono(3, 13, degrees=(1,))
 
 
-def test_iter_sweep_yields_a_field_before_building_the_next(monkeypatch):
+def test_row_blocks_yields_a_field_before_building_the_next(monkeypatch):
     built = []
 
     def counting_make_field(p, e, **kw):
@@ -237,16 +236,16 @@ def test_iter_sweep_yields_a_field_before_building_the_next(monkeypatch):
         return make_field(p, e, **kw)
 
     monkeypatch.setattr(hgfq.verifier, "make_field", counting_make_field)
-    records = iter_sweep(SweepConfig(prime_min=5, prime_max=7, degrees=(1, 2)))
+    blocks = row_blocks(SweepConfig(prime_min=5, prime_max=7, degrees=(1, 2)))
     assert built == []
-    first = next(records)
-    assert built == [5] and first.q == 5
-    rest = list(records)
+    first = next(blocks)
+    assert built == [5] and {r.q for r in first} == {5}
+    rest = [r for block in blocks for r in block]
     assert built == [5, 7, 25, 49]
     assert [r.q for r in rest] == sorted(r.q for r in rest)
 
 
-def test_iter_sweep_yields_a_row_before_running_the_next(monkeypatch):
+def test_row_blocks_yields_a_row_before_running_the_next(monkeypatch):
     calls = []
     for name in ("verify_2f1_specials", "verify_3f2_at_4", "verify_ono"):
         verify = getattr(hgfq.verifier, name)
@@ -256,11 +255,11 @@ def test_iter_sweep_yields_a_row_before_running_the_next(monkeypatch):
             return verify(*args, **kw)
 
         monkeypatch.setattr(hgfq.verifier, name, counting)
-    records = iter_sweep(SweepConfig(prime_min=13, prime_max=13, degrees=(1,)))
-    first = next(records)
-    assert first.theorem_id == "2f1_special_i"
+    blocks = row_blocks(SweepConfig(prime_min=13, prime_max=13, degrees=(1,)))
+    first = next(blocks)
+    assert first[0].theorem_id == "2f1_special_i"
     assert set(calls) == {"verify_2f1_specials"}
-    rest = list(records)
+    rest = [r for block in blocks for r in block]
     assert set(calls) == {"verify_2f1_specials", "verify_3f2_at_4", "verify_ono"}
     assert rest[-1].theorem_id.startswith("trace_2f1")
 
@@ -303,7 +302,7 @@ def test_row_blocks_are_catalog_rows_in_sorted_order(default_reports):
 def test_sweep_is_the_streamed_records():
     config = SweepConfig(prime_min=3, prime_max=7, degrees=(1, 2), l_values=(2, 3, 4))
     reports = sweep(config)
-    assert reports == list(iter_sweep(config))
+    assert reports == [r for block in row_blocks(config) for r in block]
     assert reports == sorted(reports, key=report_sort_key)
 
 
