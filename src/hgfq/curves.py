@@ -55,18 +55,19 @@ class PointCount:
     a_q: int
 
 
-def good_reduction(field: Field, curve: CurveSpec) -> bool:
+def good_reduction(field: Field, l: int, lam: Fraction) -> bool:
     """Whether the characteristic p divides neither l nor the numerator or
     denominator of lambda (lambda + 1).  With lambda = a/b in lowest terms,
     that quotient is a (a + b) / b**2, also in lowest terms, so for the prime
-    p it is a unit exactly when p divides none of a, b and a + b."""
-    a, b = curve.lam.numerator, curve.lam.denominator
-    return curve.l * a * b * (a + b) % field.p != 0
+    p it is a unit exactly when p divides none of a, b and a + b.  So it is
+    False at lambda = 0 (a = 0) and at lambda = -1 (a + b = 0) for every p."""
+    a, b = lam.numerator, lam.denominator
+    return l * a * b * (a + b) % field.p != 0
 
 
 def reduce_lambda(field: Field, curve: CurveSpec) -> int:
     """lambda as a field element, available exactly under good reduction."""
-    if not good_reduction(field, curve):
+    if not good_reduction(field, curve.l, curve.lam):
         raise BadReductionError(
             f"curve (l={curve.l}, lambda={curve.lam}) has bad reduction at p={field.p}"
         )
@@ -141,7 +142,7 @@ def weierstrass_count_l3(field: Field, curve: CurveSpec) -> PointCount:
         raise ValueError("the Weierstrass model applies to l = 3 only")
     if field.p == 3:
         raise BadReductionError("the Weierstrass model needs p different from 2 and 3")
-    if not good_reduction(field, curve):
+    if not good_reduction(field, curve.l, curve.lam):
         raise BadReductionError(
             f"curve (l=3, lambda={curve.lam}) has bad reduction at p={field.p}"
         )

@@ -27,8 +27,10 @@ Gauss sums G[k] = G(chi_k), built by one inverse FFT on first use of the
 attribute `Field.gauss_sums`.  A Jacobi sum is G[a] G[b] / G[a+b], a
 binomial coefficient is a Jacobi sum up to a sign and 1/q, and one binomial
 row k -> (chi_{t+sk} | chi_{b+k}) is a product of rolled copies of G and of
-H[k] = 1/G[k] (`Field.binom_row`); the few entries where a character in the
-quotient is trivial take their closed forms under chi(0) = 0.  The exact
+H[k] = 1/G[k] (`Field.binom_row`).  The few entries where a character in the
+quotient is trivial take their closed forms under chi(0) = 0, one solution
+set at a time: (-1)^(b+k+1)/q where chi_{t+sk} is trivial, -1/q where the
+product is, and last the single k = -b, (q-2)/q or -1/q.  The exact
 root-of-unity counts read the table Z[t] = dlog(1 - g^t), the attribute
 `Field.log_one_minus`, also built on first use, and serve only
 `charsums.jacobi_sum` and `charsums.g_sum`.
@@ -446,24 +448,18 @@ class Field:
         h /= self.q
         return g, h
 
-    def _jacobi_special(self, a: int | np.ndarray, c: int | np.ndarray) -> np.ndarray:
-        """J(chi_a, chi_c) for a, c in [0, q-1) where one of a, c, a + c is trivial.
-
-        With chi(0) = 0 these are q - 2 when both characters are trivial, -1
-        when exactly one is, and -chi_a(-1) when a + c is trivial.
-        """
-        return np.where(
-            (a == 0) & (c == 0),
-            self.q - 2.0,
-            np.where((a == 0) | (c == 0), -1.0, np.where(a % 2, 1.0, -1.0)),
-        )
-
     def jacobi_c(self, a: int, b: int) -> complex:
-        """Complex value of J(chi_a, chi_b) = G[a] G[b] / G[a + b], two reads of the Gauss table."""
+        """Complex value of J(chi_a, chi_b) = G[a] G[b] / G[a + b], two reads of the Gauss table.
+
+        Where a character is trivial it is the closed form under chi(0) = 0:
+        q - 2 when both are, -1 when one is, and -chi_a(-1) when a + b is.
+        """
         m = self.m
         a, b = a % m, b % m
-        if a == 0 or b == 0 or (a + b) % m == 0:
-            return complex(self._jacobi_special(a, b))
+        if a == 0 or b == 0:
+            return complex(self.q - 2 if a == b else -1)
+        if (a + b) % m == 0:
+            return complex(1 if a % 2 else -1)
         g = self.gauss_sums[0]
         return complex(g[a] * g[b] / g[(a + b) % m])
 
@@ -481,8 +477,11 @@ class Field:
         the scalar H[t-b] = 1/G[t-b].  No bincount and no FFT.  Each of s and
         s - 1 must be 0 or divide q - 1, as s = 1 and s = 2 do; any other step
         raises `ValueError`.  The few k where an index is trivial solve linear
-        congruences mod q-1 and are set from `_jacobi_special`; for s = 1 and
-        t = b that is every k.
+        congruences mod q-1 and take the closed form of J, one set at a time:
+        (-1)^(b+k+1)/q where chi_{t+sk} is trivial, -1/q where the product
+        chi_{t+(s-1)k-b} is (for s = 1 and t = b that is every k), and last
+        k = -b, where chi_{b+k} is: (q-2)/q when t = s b (mod q-1), else -1/q.
+        Written last, k = -b keeps its value when it lies in another set too.
         """
         m = self.m
         g, h = self.gauss_sums
@@ -491,10 +490,10 @@ class Field:
         _times_progression(row, g, t, s)
         _times_progression(row, h, b, 1)
         _times_progression(row, h, t - b, s - 1)
-        # A k in two of the sets gets the same value twice.
-        k = np.concatenate([_solve_mod(s, -t, m), [(-b) % m], _solve_mod(s - 1, b - t, m)])
-        a, c = (t + s * k) % m, (-b - k) % m
-        row[k] = np.where(c % 2, -1.0, 1.0) * self._jacobi_special(a, c) / self.q
+        k = _solve_mod(s, -t, m)
+        row[k] = np.where((b + k) % 2, 1.0, -1.0) / self.q
+        row[_solve_mod(s - 1, b - t, m)] = -1.0 / self.q
+        row[-b] = (self.q - 2.0 if (t - s * b) % m == 0 else -1.0) / self.q
         return row
 
     def gauss_c(self, k: int) -> complex:

@@ -54,9 +54,7 @@ def _phi(f: Field, r: Fraction | int) -> float:
 
 
 def _lambda_flags(f: Field, l: int, lam: Fraction) -> dict[str, bool]:
-    admissible = lam not in (0, -1)
-    good = admissible and good_reduction(f, CurveSpec(l, lam))
-    return {"lambda_admissible": admissible, "good_reduction": good}
+    return {"lambda_admissible": lam not in (0, -1), "good_reduction": good_reduction(f, l, lam)}
 
 
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:

@@ -102,7 +102,7 @@ def test_criterion_01_count_oracle_agreement(capsys):
                 continue
             for lam in LAMBDAS:
                 curve = CurveSpec(l, lam)
-                if not good_reduction(f, curve):
+                if not good_reduction(f, l, lam):
                     continue
                 covered += 1
                 b = brute_force_count(f, curve).a_q

@@ -155,17 +155,20 @@ def test_jacobi_c_matches_exact_jacobi_sums(p, e):
     seen = set()
     for a in range(m):
         for b in range(m):
+            # The three closed forms are exact: q - 2, -1 and -A(-1).
             if a == 0 and b == 0:
-                case = "both trivial"
+                case, exact = "both trivial", f.q - 2
             elif a == 0 or b == 0:
-                case = "one trivial"
+                case, exact = "one trivial", -1
             elif (a + b) % m == 0:
-                case = "product trivial"
+                case, exact = "product trivial", -((-1) ** a)
             else:
-                case = "gauss quotient"
+                case, exact = "gauss quotient", None
             seen.add(case)
             want = jacobi_sum(Character(f, a), Character(f, b)).to_complex()
             assert f.jacobi_c(a, b) == pytest.approx(want, abs=1e-9), (a, b, case)
+            if exact is not None:
+                assert f.jacobi_c(a, b) == exact, (a, b, case)
             assert f.jacobi_c(a + m, b - 2 * m) == f.jacobi_c(a, b)
     assert seen == {"both trivial", "one trivial", "product trivial", "gauss quotient"}
 
@@ -239,8 +242,8 @@ def test_binomial_reduction_at_trivial_bottom():
         f = make_field(p, e)
         for a in range(f.m):
             want = (f.q - 2) / f.q if a == 0 else -1 / f.q
-            assert f.binom_c(a, 0) == pytest.approx(want, abs=1e-9)
-            assert f.binom_c(a, a) == pytest.approx(want, abs=1e-9)
+            assert f.binom_c(a, 0) == want
+            assert f.binom_c(a, a) == want
 
 
 def test_binomial_theorem_expansion():
