@@ -1,11 +1,11 @@
-"""Gauss sums, Jacobi sums, binomial coefficients and the quadratic-argument
-g-sum, computed exact-first.
+"""Gauss sums, Jacobi sums and the quadratic-argument g-sum, computed
+exact-first.
 
 Single character sums are held as sparse integer counts of roots of unity
 (order q-1 for multiplicative sums, lcm(q-1, p) for Gauss sums) and
 converted to complex doubles only at comparison boundaries.  These exact
 sums are independent of the field's complex Gauss-sum table, which
-`binomial` and the series read, and serve as its oracle in the tests.
+`Field.binom_c` and the series read, and serve as its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ def gauss_sum(chi: Character) -> CyclotomicSum:
     t = (p * t + m * field._trace_pow) % order
     exponents, counts = np.unique(t, return_counts=True)
     return CyclotomicSum(order, exponents, counts.astype(np.int64))
-
-
-def binomial(a: Character, b: Character) -> complex:
-    """Greene's binomial coefficient (A | B) = B(-1)/q * J(A, inverse of B)."""
-    field = same_field(a, b)
-    return field.binom_c(a.index, b.index)
 
 
 def g_sum(a: Character, b: Character, x: int) -> CyclotomicSum:

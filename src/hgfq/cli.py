@@ -9,7 +9,9 @@ sorted within each field, and flushes stdout as each catalog row of a
 field ends; the pass/fail/skip summary goes to stderr so that stdout
 stays machine-parseable.  The configuration and the grid are checked before
 anything is written; an error in a later row leaves the finished rows'
-records on stdout.
+records on stdout.  Both numeric bounds are fixed, not options: a record's
+relative bound is report.RELATIVE_TOLERANCE, and `hgf` reports a value as
+exact when q^2 times it lies within EXACT_TOLERANCE of an integer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import isfinite
 
 from .characters import parse_character
 from .curves import CurveSpec, count_points
@@ -134,7 +135,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     hg.add_argument("--bottom", required=True, help="comma list of character specs")
     hg.add_argument("--x", type=int, required=True, help="argument as an element encoding")
-    hg.add_argument("--tolerance", type=float, default=1e-6)
     hg.set_defaults(handler=_cmd_hgf)
 
     defaults = SweepConfig()
@@ -171,7 +171,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         default=defaults.lambdas,
         help="comma list of rationals",
     )
-    vf.add_argument("--tolerance", type=float, default=defaults.tolerance)
     vf.add_argument(
         "--format",
         dest="output_format",
@@ -219,21 +218,23 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+# A value is reported exact when q^2 times it lies within this bound of a real
+# integer.  The bound is on the q^2 multiple, not on the value: 1e-6 on the
+# value would be 1e-6 * q^2 on the multiple, at least 1/2 once q > 707, and
+# would accept every real number.
+EXACT_TOLERANCE = 1e-6
+
+
 def _cmd_hgf(args: argparse.Namespace) -> int:
-    tol = args.tolerance
-    if not (tol >= 0 and isfinite(tol)):
-        raise ValueError(f"tolerance must be finite and not negative, got {tol}")
     f = make_field(args.p, args.e, args.q_cap)
     tops = [parse_character(f, spec).index for spec in args.top.split(",")]
     bottoms = [parse_character(f, spec).index for spec in args.bottom.split(",")]
     value = series_value(f, tops, bottoms, args.x)
-    # A value is reported exact when q^2 times it lies within tol of a real
-    # integer; tol scales the q^2 multiple, not the value, since a bound of
-    # tol * q^2 >= 1/2 would accept every real value.
     q2 = f.q * f.q
     scaled = value * q2
     exact = None
-    if abs(scaled.real - round(scaled.real)) <= tol and abs(scaled.imag) <= tol:
+    near = abs(scaled.real - round(scaled.real)), abs(scaled.imag)
+    if all(d <= EXACT_TOLERANCE for d in near):
         exact = str(Fraction(round(scaled.real), q2))
     print(json.dumps({"q": f.q, "re": value.real, "im": value.imag, "exact": exact}))
     return 0
@@ -247,7 +248,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         l_values=args.l_values,
         lambdas=args.lambdas,
         theorems=args.theorem,
-        tolerance=args.tolerance,
         q_cap=args.q_cap,
     )
     blocks = row_blocks(config)  # a grid error raises here, before any output

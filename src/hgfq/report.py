@@ -1,9 +1,10 @@
 """Verification records and their JSON/CSV serialization.
 
 One record captures a single identity instance: the two evaluated sides,
-their difference, the effective tolerance, named hypothesis flags, and the
-resulting status.  A record whose hypotheses are not all met is a skip,
-never a failure.
+their difference, the bound applied to it, named hypothesis flags, and the
+resulting status.  The bound is relative and fixed: RELATIVE_TOLERANCE
+times max(1, |lhs|, |rhs|).  A record whose hypotheses are not all met is
+a skip, never a failure.
 
 REPORT_FIELDS is the one column order, of the JSON objects and of the CSV
 rows alike.  `build_report` takes theorem_id, p, e and q, and the instance
@@ -36,6 +37,8 @@ REPORT_FIELDS = (
     "hypotheses",
     "status",
 )
+
+RELATIVE_TOLERANCE = 1e-6
 
 
 @dataclass(kw_only=True)
@@ -87,19 +90,18 @@ def build_report(
     *,
     lhs: complex = 0j,
     rhs: complex = 0j,
-    tolerance: float = 1e-6,
     hypotheses: dict[str, bool],
     exact_ok: bool = True,
     **instance,
 ) -> VerificationReport:
     """Assemble a record, deciding status from hypotheses and the scaled
-    tolerance |lhs - rhs| <= tolerance * max(1, |lhs|, |rhs|).  `instance`
+    bound |lhs - rhs| <= RELATIVE_TOLERANCE * max(1, |lhs|, |rhs|).  `instance`
     holds theorem_id, p, e, q and the optional instance fields l, lam,
     char_index and sqrt_branch, and goes to VerificationReport as it is."""
     lhs = complex(lhs)
     rhs = complex(rhs)
     diff = abs(lhs - rhs)
-    tol_eff = tolerance * max(1.0, abs(lhs), abs(rhs))
+    tol_eff = RELATIVE_TOLERANCE * max(1.0, abs(lhs), abs(rhs))
     if not all(hypotheses.values()):
         status = "skip"
     elif diff <= tol_eff and exact_ok:

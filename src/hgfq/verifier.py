@@ -9,8 +9,9 @@ there to a VerificationReport.  It runs the sides only when the flags hold
 (3f2_at_4 and 2f1_special_* gate on fewer, so that the orders their
 identities exclude still leave data) and records 0 for both otherwise.  An
 unmet flag makes a "skip", never an exception and never a failure.  Under
-met flags a numeric mismatch is a "fail", and so is, where d is declared,
-round(d * lhs) != round(d * rhs).
+met flags a "fail" is a gap |lhs - rhs| above report.RELATIVE_TOLERANCE
+times max(1, |lhs|, |rhs|), one fixed bound for every identity, or, where
+d is declared, round(d * lhs) != round(d * rhs).
 
 CATALOG maps each theorem key to the records it yields on one field; its
 keys follow the sorted order of the theorem ids they yield.  row_blocks()
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import isfinite, lcm
+from math import lcm
 
 from .characters import Character, character_of_order, same_field
 from .curves import (
@@ -92,7 +93,6 @@ def _record(
     tid: str,
     f: Field,
     hyps: dict[str, bool],
-    tolerance: float,
     sides: Callable[[], tuple[complex, complex]],
     d: int | None = None,
     gate: tuple[str, ...] | None = None,
@@ -110,7 +110,7 @@ def _record(
         lhs, rhs = (complex(side) for side in sides())
         exact = d is None or round(d * lhs.real) == round(d * rhs.real)
     return build_report(
-        theorem_id=tid, p=f.p, e=f.e, q=f.q, lhs=lhs, rhs=rhs, tolerance=tolerance,
+        theorem_id=tid, p=f.p, e=f.e, q=f.q, lhs=lhs, rhs=rhs,
         hypotheses=hyps, exact_ok=exact, **where
     )
 
@@ -119,7 +119,7 @@ def _record(
 # curve-trace identities
 
 
-def verify_ono(f: Field, lam: Fraction | int, tolerance: float = 1e-6) -> VerificationReport:
+def verify_ono(f: Field, lam: Fraction | int) -> VerificationReport:
     """3F2(phi,phi,phi; eps,eps | (1+lambda)/lambda) against the squared
     trace of the quadratic member of the curve family."""
     lam = Fraction(lam)
@@ -130,12 +130,10 @@ def verify_ono(f: Field, lam: Fraction | int, tolerance: float = 1e-6) -> Verifi
         lhs = series_value(f, [h, h, h], [0, 0], f.from_rational((1 + lam) / lam))
         return lhs, _phi(f, -lam) * (aq * aq - q) / q**2
 
-    return _record("ono_3f2", f, _lambda_flags(f, 2, lam), tolerance, sides, d=q * q, l=2, lam=lam)
+    return _record("ono_3f2", f, _lambda_flags(f, 2, lam), sides, d=q * q, l=2, lam=lam)
 
 
-def verify_main_square(
-    f: Field, l: int, lam: Fraction | int, tolerance: float = 1e-6
-) -> VerificationReport:
+def verify_main_square(f: Field, l: int, lam: Fraction | int) -> VerificationReport:
     """a_q**2 against the 3F2((1+lambda)/lambda) double-sum expansion.
 
     The expansion applies Jacobi-ratio coefficients to order-l character
@@ -197,15 +195,11 @@ def verify_main_square(
             rhs += (l - 2) * m - (l - 2) * aq - 2 * q * tail
         return aq * aq, rhs
 
-    return _record("aq_square_3f2", f, hyps, tolerance, sides, d=1, l=l, lam=lam)
+    return _record("aq_square_3f2", f, hyps, sides, d=1, l=l, lam=lam)
 
 
 def verify_2f1_trace(
-    f: Field,
-    l: int,
-    lam: Fraction | int,
-    sqrt_branch: str = "first",
-    tolerance: float = 1e-6,
+    f: Field, l: int, lam: Fraction | int, sqrt_branch: str = "first"
 ) -> VerificationReport:
     """-a_q against the q-scaled sum of 2F1(1+lambda) values.
 
@@ -238,10 +232,10 @@ def verify_2f1_trace(
             total += j_phi / j_root * series_value(f, [r + h, r], [2 * i * u], one_plus)
         return -aq, q * total
 
-    return _record(tid, f, hyps, tolerance, sides, d=1, l=l, lam=lam, **where)
+    return _record(tid, f, hyps, sides, d=1, l=l, lam=lam, **where)
 
 
-def verify_lambda_third(f: Field, l: int, tolerance: float = 1e-6) -> VerificationReport:
+def verify_lambda_third(f: Field, l: int) -> VerificationReport:
     """-a_q at lambda = 1/3 against the closed binomial-bracket evaluation,
     branching on l and on q mod 3."""
     lam = Fraction(1, 3)
@@ -263,10 +257,10 @@ def verify_lambda_third(f: Field, l: int, tolerance: float = 1e-6) -> Verificati
             return -aq, 0j
         return -aq, q * sum(_third_term(f, i * (m // l)) for i in range(1, l))
 
-    return _record("lambda_third", f, hyps, tolerance, sides, d=1, l=l, lam=lam)
+    return _record("lambda_third", f, hyps, sides, d=1, l=l, lam=lam)
 
 
-def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationReport]:
+def verify_mccarthy(f: Field) -> list[VerificationReport]:
     """Both closed forms for the trace of the quadratic curve at lambda=1/3:
     one through a single binomial coefficient, one through Gauss sums.
 
@@ -286,8 +280,8 @@ def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationRepor
 
     where = {"l": 2, "lam": lam}
     return [
-        _record("mccarthy_binomial", f, dict(hyps), tolerance, lambda: both()[0], d=q, **where),
-        _record("mccarthy_gauss", f, dict(hyps), tolerance, lambda: both()[1], d=1, **where),
+        _record("mccarthy_binomial", f, dict(hyps), lambda: both()[0], d=q, **where),
+        _record("mccarthy_gauss", f, dict(hyps), lambda: both()[1], d=1, **where),
     ]
 
 
@@ -295,7 +289,7 @@ def verify_mccarthy(f: Field, tolerance: float = 1e-6) -> list[VerificationRepor
 # special series values
 
 
-def verify_3f2_at_4(f: Field, chi: Character, tolerance: float = 1e-6) -> VerificationReport:
+def verify_3f2_at_4(f: Field, chi: Character) -> VerificationReport:
     """3F2 at argument 4 for a character avoiding orders 1, 3, 4.
 
     Sides are evaluated for every character when computable so that
@@ -315,15 +309,11 @@ def verify_3f2_at_4(f: Field, chi: Character, tolerance: float = 1e-6) -> Verifi
         c = f.char_value(s, f.from_rational(Fraction(-16, 27)))
         return lhs, c * f.jacobi_c(-s, -s) / f.jacobi_c(-3 * s, s) * bracket * bracket + base
 
-    return _record("3f2_at_4", f, hyps, tolerance, sides, gate=("p_not_3",), char_index=s)
+    return _record("3f2_at_4", f, hyps, sides, gate=("p_not_3",), char_index=s)
 
 
 def verify_2f1_specials(
-    f: Field,
-    chi: Character,
-    part: str,
-    sqrt_branch: str = "first",
-    tolerance: float = 1e-6,
+    f: Field, chi: Character, part: str, sqrt_branch: str = "first"
 ) -> VerificationReport:
     """The four 2F1 special values at arguments 4/3, -1/3, 4 and 1/4 for a
     square character.
@@ -370,14 +360,14 @@ def verify_2f1_specials(
 
     gate = ("is_square", "p_not_3")
     where = {"char_index": s, "sqrt_branch": sqrt_branch}
-    return _record(f"2f1_special_{part}", f, hyps, tolerance, sides, gate=gate, **where)
+    return _record(f"2f1_special_{part}", f, hyps, sides, gate=gate, **where)
 
 
 # ----------------------------------------------------------------------
 # corollaries
 
 
-def verify_corollary_c3(f: Field, tolerance: float = 1e-6) -> list[VerificationReport]:
+def verify_corollary_c3(f: Field) -> list[VerificationReport]:
     """Prime-field cubic member at lambda = -1/2: the trace against the
     x**2 + 3y**2 = p representation, and the matching 2F1(1/2) sum."""
     if f.e != 1:
@@ -402,14 +392,12 @@ def verify_corollary_c3(f: Field, tolerance: float = 1e-6) -> list[VerificationR
         return (aq, predicted), (lhs2, rhs2)
 
     return [
-        _record("c3_point_count", f, dict(hyps), tolerance, lambda: both()[0], d=1, l=3, lam=lam),
-        _record("c3_2f1_sum", f, dict(hyps), tolerance, lambda: both()[1], d=1, l=3, lam=lam),
+        _record("c3_point_count", f, dict(hyps), lambda: both()[0], d=1, l=3, lam=lam),
+        _record("c3_2f1_sum", f, dict(hyps), lambda: both()[1], d=1, l=3, lam=lam),
     ]
 
 
-def verify_corollary_chi4(
-    f: Field, lam: Fraction | int, tolerance: float = 1e-6
-) -> VerificationReport:
+def verify_corollary_chi4(f: Field, lam: Fraction | int) -> VerificationReport:
     """The 3F2((1+lambda)/lambda) value as a squared 2F1(1+lambda) with an
     order-4 character, available when q = 1 (mod 4)."""
     lam = Fraction(lam)
@@ -425,10 +413,10 @@ def verify_corollary_chi4(
 
     # the order-4 character exists whenever q = 1 (mod 4), whatever lambda is
     chi4 = m4 if hyps["congruence_mod_4"] else None
-    return _record("chi4_square", f, hyps, tolerance, sides, lam=lam, char_index=chi4)
+    return _record("chi4_square", f, hyps, sides, lam=lam, char_index=chi4)
 
 
-def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> VerificationReport:
+def verify_corollary_lcm(f: Field, l: int) -> VerificationReport:
     """-a_q at lambda = 1/3 via real parts of binomial brackets, under the
     congruence q = 1 (mod lcm(3, l)); branches on l = 3 / odd / even."""
     lam = Fraction(1, 3)
@@ -450,7 +438,7 @@ def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> Verificat
             return -aq, 2 * q * terms
         return -aq, 2 * q * (_phi(f, -2) * f.binom_c(m3, h).real + terms)
 
-    return _record("lcm_third_trace", f, hyps, tolerance, sides, d=1, l=l, lam=lam)
+    return _record("lcm_third_trace", f, hyps, sides, d=1, l=l, lam=lam)
 
 
 # ----------------------------------------------------------------------
@@ -458,12 +446,7 @@ def verify_corollary_lcm(f: Field, l: int, tolerance: float = 1e-6) -> Verificat
 
 
 def verify_charsum_lemmas(
-    f: Field,
-    chi: Character,
-    lam: Fraction | int,
-    part: str,
-    sqrt_branch: str = "first",
-    tolerance: float = 1e-6,
+    f: Field, chi: Character, lam: Fraction | int, part: str, sqrt_branch: str = "first"
 ) -> VerificationReport:
     """The four evaluations of W(S) = sum of S((x-1)(x**2+lambda)).
 
@@ -521,7 +504,7 @@ def verify_charsum_lemmas(
             w = curve_char_sum(f, s, f.from_rational(lam))
             return w, q * series_value(f, [h, 0], [s], f.from_rational(1 + lam))
 
-    return _record(f"charsum_{part}", f, hyps, tolerance, sides, **where)
+    return _record(f"charsum_{part}", f, hyps, sides, **where)
 
 
 # ----------------------------------------------------------------------
@@ -529,12 +512,7 @@ def verify_charsum_lemmas(
 
 
 def greene_transform_check(
-    a: Character,
-    b: Character,
-    c: Character,
-    x: int,
-    variant: str,
-    tolerance: float = 1e-6,
+    a: Character, b: Character, c: Character, x: int, variant: str
 ) -> VerificationReport:
     """Check one of the two argument transformations of the 2F1 series.
 
@@ -569,7 +547,7 @@ def greene_transform_check(
             )
         return lhs, rhs + a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
 
-    return _record(f"greene_transform_{variant}", field, {}, tolerance, sides, char_index=a.index)
+    return _record(f"greene_transform_{variant}", field, {}, sides, char_index=a.index)
 
 
 # ----------------------------------------------------------------------
@@ -589,18 +567,18 @@ def _characters(f: Field, c: SweepConfig) -> list[Character]:
 # the field's records sorted by report_sort_key: row_blocks relies on it.
 CATALOG = {
     "specials": lambda f, c: [
-        verify_2f1_specials(f, chi, part, branch, c.tolerance)
+        verify_2f1_specials(f, chi, part, branch)
         for chi in _characters(f, c)
         for part in SPECIAL_PARTS
         for branch in SQRT_BRANCHES
     ],
-    "3f2at4": lambda f, c: [verify_3f2_at_4(f, chi, c.tolerance) for chi in _characters(f, c)],
+    "3f2at4": lambda f, c: [verify_3f2_at_4(f, chi) for chi in _characters(f, c)],
     "main": lambda f, c: [
-        verify_main_square(f, l, lam, c.tolerance) for l in c.l_values for lam in c.lambdas
+        verify_main_square(f, l, lam) for l in c.l_values for lam in c.lambdas
     ],
-    "c3": lambda f, c: verify_corollary_c3(f, c.tolerance) if f.e == 1 else [],
+    "c3": lambda f, c: verify_corollary_c3(f) if f.e == 1 else [],
     "charsum_lemmas": lambda f, c: [
-        verify_charsum_lemmas(f, chi, lam, part, branch, c.tolerance)
+        verify_charsum_lemmas(f, chi, lam, part, branch)
         for chi in _characters(f, c)
         for part, lams, branches in (
             ("square_3f2", c.lambdas, SQRT_BRANCHES[:1]),
@@ -611,13 +589,13 @@ CATALOG = {
         for lam in lams
         for branch in branches
     ],
-    "chi4": lambda f, c: [verify_corollary_chi4(f, lam, c.tolerance) for lam in c.lambdas],
-    "lambda_third": lambda f, c: [verify_lambda_third(f, l, c.tolerance) for l in c.l_values],
-    "lcm": lambda f, c: [verify_corollary_lcm(f, l, c.tolerance) for l in c.l_values],
-    "mccarthy": lambda f, c: verify_mccarthy(f, c.tolerance),
-    "ono": lambda f, c: [verify_ono(f, lam, c.tolerance) for lam in c.lambdas],
+    "chi4": lambda f, c: [verify_corollary_chi4(f, lam) for lam in c.lambdas],
+    "lambda_third": lambda f, c: [verify_lambda_third(f, l) for l in c.l_values],
+    "lcm": lambda f, c: [verify_corollary_lcm(f, l) for l in c.l_values],
+    "mccarthy": lambda f, c: verify_mccarthy(f),
+    "ono": lambda f, c: [verify_ono(f, lam) for lam in c.lambdas],
     "trace": lambda f, c: [
-        verify_2f1_trace(f, l, lam, branch, c.tolerance)
+        verify_2f1_trace(f, l, lam, branch)
         for l in c.l_values
         for lam in c.lambdas
         for branch in (SQRT_BRANCHES[:1] if l == 3 else SQRT_BRANCHES)
@@ -640,14 +618,11 @@ class SweepConfig:
         Fraction(3, 2),
     )
     theorems: tuple[str, ...] = ("all",)
-    tolerance: float = 1e-6
     q_cap: int = 2000
 
     def __post_init__(self):
         if self.prime_min > self.prime_max:
             raise ValueError("prime_min must not exceed prime_max")
-        if not (self.tolerance > 0 and isfinite(self.tolerance)):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.q_cap < 3:
             raise ValueError(f"q_cap must be at least 3, got {self.q_cap}")
         if not self.theorems:

@@ -138,9 +138,6 @@ def test_hgf_domain_errors(capsys):
                "--x", "2")[0] == 2
     assert run(capsys, "hgf", "--p", "7", "--top", "ord4,phi", "--bottom", "eps",
                "--x", "2")[0] == 2  # 4 does not divide 6
-    for tolerance in ("nan", "inf", "-1"):
-        assert run(capsys, "hgf", "--p", "5", "--top", "phi,phi", "--bottom", "eps",
-                   "--x", "2", f"--tolerance={tolerance}")[:2] == (2, ""), tolerance
 
 
 VERIFY_ARGS = (
@@ -236,12 +233,27 @@ def test_verify_config_errors_write_nothing(capsys):
         ("--lambda=1/3,2/6",),
         ("--degrees", "0"),
         ("--degrees", "1,1"),
-        ("--tolerance", "nan"),
-        ("--tolerance", "inf"),
     ):
         for fmt in ("json", "csv"):
             code, out, err = run(capsys, "verify", "--primes", "5:7", "--format", fmt, *bad)
             assert code == 2 and out == "" and err.startswith("error:"), (bad, fmt)
+
+
+def test_tolerance_is_not_an_option(capsys, tmp_path):
+    # both bounds are fixed: a --tolerance flag or config key is a usage error
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "verify", "--primes", "5:7", "--format", fmt, "--tolerance=1e-3")
+        assert (code, out) == (2, ""), fmt
+        assert "--tolerance" in err
+    hgf = ("hgf", "--p", "5", "--top", "phi,phi,phi", "--bottom", "eps,eps", "--x", "2")
+    assert run(capsys, *hgf)[0] == 0
+    assert run(capsys, *hgf, "--tolerance=0.5")[:2] == (2, "")
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tolerance = 1e-3\n")
+    for argv in (("verify", "--primes", "5:7"), hgf):
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, ""), argv[0]
+        assert f"{cfg}:1: unknown key 'tolerance'" in err
 
 
 def test_verify_rejects_unknown_theorem(capsys):
@@ -319,7 +331,6 @@ CONFIG_CASES = {
         "top": ("ord8,ord8^7,phi", "phi,phi,phi"),
         "bottom": ("eps,eps", "phi,eps"),
         "x": ("5", "2"),
-        "tolerance": ("1e-6", "0.5"),
         "q-cap": ("2000", "1000"),
     },
     "verify": {
@@ -328,7 +339,6 @@ CONFIG_CASES = {
         "degrees": ("1", "1,2"),
         "l": ("2", "2,3"),
         "lambda": ("-1/2,1/3", "1"),
-        "tolerance": ("1e-6", "1e-3"),
         "format": ("json", "csv"),
         "q-cap": ("2000", "6"),
     },

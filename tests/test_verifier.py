@@ -43,6 +43,12 @@ def test_failed_reports_have_all_hypotheses_met(default_reports):
             assert all(r.hypotheses.values()), r.theorem_id
 
 
+def test_every_record_carries_the_fixed_relative_bound(default_reports):
+    for r in default_reports:
+        assert r.tolerance == 1e-6 * max(1.0, abs(r.lhs), abs(r.rhs)), r
+        assert r.abs_diff == abs(r.lhs - r.rhs), r
+
+
 def test_default_sweep_failure_census(default_reports):
     failed = [r for r in default_reports if r.failed]
     counts = summarize(default_reports)
@@ -324,8 +330,8 @@ def test_small_sweep_covers_core_families():
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(prime_min=11, prime_max=7)
-    with pytest.raises(ValueError):
-        SweepConfig(tolerance=0.0)
+    with pytest.raises(TypeError):  # the record's bound is fixed, not configured
+        SweepConfig(tolerance=1e-3)
     with pytest.raises(ValueError):
         SweepConfig(theorems=("ono", "nope"))
     with pytest.raises(ValueError):
@@ -333,9 +339,6 @@ def test_sweep_config_validation():
     for cap in (0, 2):
         with pytest.raises(ValueError):
             SweepConfig(q_cap=cap)
-    for tolerance in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
-            SweepConfig(tolerance=tolerance)
     for l_values in ((1,), (0,), (2, -3), (2, 3, 2)):
         with pytest.raises(ValueError):
             SweepConfig(l_values=l_values)
