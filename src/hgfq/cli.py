@@ -1,9 +1,11 @@
 """Command-line front end: field inspection, point counting, series
 evaluation, and identity sweeps.
 
-Exit codes: 0 clean, 1 at least one identity failure (or a count
-cross-check mismatch), 2 usage, configuration, or domain error, and 141
-(128 + SIGPIPE, with no error line) when the reader closes stdout early.
+`count` reads the curve's points off `curves.character_sum_count`, the
+count the sweep uses; there is no second counting path to choose.
+Exit codes: 0 clean, 1 at least one identity failure, 2 usage,
+configuration, or domain error, and 141 (128 + SIGPIPE, with no error
+line) when the reader closes stdout early.
 A sweep streams its records to stdout field by field, in increasing q,
 sorted within each field, and flushes stdout as each catalog row of a
 field ends; the pass/fail/skip summary goes to stderr so that stdout
@@ -24,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .characters import parse_character
-from .curves import CurveSpec, count_points
+from .curves import CurveSpec, character_sum_count
 from .errors import HgfqError
 from .field import DEFAULT_Q_CAP, make_field
 from .hgf import series_value
@@ -124,7 +126,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ct = sub.add_parser("count", parents=[_CONFIG, field], help="count points on one curve")
     ct.add_argument("--l", type=int, required=True)
     ct.add_argument("--lambda", dest="lam", type=_fraction, required=True)
-    ct.add_argument("--method", choices=("brute", "charsum", "both"), default="brute")
     ct.set_defaults(handler=_cmd_count)
 
     hg = sub.add_parser("hgf", parents=[_CONFIG, field], help="evaluate a hypergeometric series")
@@ -199,22 +200,8 @@ def _cmd_fieldinfo(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     f = make_field(args.p, args.e, args.q_cap)
-    try:
-        pc = count_points(f, CurveSpec(args.l, args.lam), args.method)
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    print(
-        json.dumps(
-            {
-                "q": f.q,
-                "affine": pc.affine,
-                "projective": pc.projective,
-                "a_q": pc.a_q,
-                "method": args.method,
-            }
-        )
-    )
+    pc = character_sum_count(f, CurveSpec(args.l, args.lam))
+    print(json.dumps({"q": f.q, "affine": pc.affine, "projective": pc.projective, "a_q": pc.a_q}))
     return 0
 
 

@@ -5,12 +5,12 @@ lambda): `curve_histogram` buckets the nonzero values of the curve
 polynomial by discrete log and counts its roots.  `character_sum_count`
 reads the exact affine count off it for any l, and `curve_char_sum` the
 sum W(S) of a character over the curve polynomial; these are what the
-verification sweep uses.  `brute_force_count` (enumeration of affine
-pairs) is the count of `count --method brute|both` and an oracle for the
-tests; for l = 3, `weierstrass_count_l3` (the short Weierstrass model) is
-a test oracle only.  `good_reduction` decides from the residues of l and
-of lambda = a/b modulo the field's characteristic, which is prime because
-the field exists; `reduce_lambda` is lambda in the field under it.
+verification sweep and `hgfq count` use.  `brute_force_count` (enumeration
+of affine pairs) and, for l = 3, `weierstrass_count_l3` (the short
+Weierstrass model) are oracles for the tests.  `good_reduction` decides
+from the residues of l and of lambda = a/b modulo the field's
+characteristic, which is prime because the field exists; `reduce_lambda`
+is lambda in the field under it.
 `points_at_infinity` is the one rule for the projective completion: one
 point at infinity for l != 3 and three when l = 3 with p = 1 mod 3; for
 l = 3 with p = 2 mod 3 the count at infinity is refused rather than
@@ -176,19 +176,3 @@ def genus(l: int) -> int:
 
 def hasse_weil_bound(l: int, q: int) -> float:
     return 2 * genus(l) * q**0.5
-
-
-def count_points(field: Field, curve: CurveSpec, method: str) -> PointCount:
-    if method == "brute":
-        return brute_force_count(field, curve)
-    if method == "charsum":
-        return character_sum_count(field, curve)
-    if method == "both":
-        a = brute_force_count(field, curve)
-        b = character_sum_count(field, curve)
-        if a != b:
-            raise RuntimeError(
-                f"count cross-check failed: brute {a} versus character sum {b}"
-            )
-        return a
-    raise ValueError(f"unknown counting method {method!r}")

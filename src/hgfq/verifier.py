@@ -1,14 +1,13 @@
 """Machine verification of the curve/series identities over sweeps of F_q.
 
-Every verify_* operation, and greene_transform_check, states one identity
-instance for concrete (q, l, lambda, character) data: its named premise
-flags, its two sides as a deferred computation, and the denominator d of
-both sides where they are rationals (q**2 for ono_3f2, q for
-mccarthy_binomial, 1 for the a_q-valued ids).  _record is the one path from
-there to a VerificationReport.  It runs the sides only when the flags hold
-(3f2_at_4 and 2f1_special_* gate on fewer, so that the orders their
-identities exclude still leave data) and records 0 for both otherwise.  An
-unmet flag makes a "skip", never an exception and never a failure.  Under
+Every verify_* operation states one identity instance for concrete (q, l,
+lambda, character) data: its named premise flags, its two sides as a
+deferred computation, and the denominator d of both sides where they are
+rationals (q**2 for ono_3f2, q for mccarthy_binomial, 1 for the a_q-valued
+ids).  _record is the one path from there to a VerificationReport.  It
+runs the sides only when the flags hold (3f2_at_4 and 2f1_special_* gate
+on fewer, so that the orders their identities exclude still leave data)
+and records 0 for both otherwise.  An unmet flag makes a "skip", never an exception and never a failure.  Under
 met flags a "fail" is a gap |lhs - rhs| above report.RELATIVE_TOLERANCE
 times max(1, |lhs|, |rhs|), one fixed bound for every identity, or, where
 d is declared, round(d * lhs) != round(d * rhs).
@@ -36,7 +35,7 @@ from functools import cache
 from itertools import chain
 from math import lcm
 
-from .characters import Character, character_of_order, same_field
+from .characters import Character, character_of_order
 from .curves import (
     CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction, points_at_infinity
 )
@@ -505,49 +504,6 @@ def verify_charsum_lemmas(
             return w, q * series_value(f, [h, 0], [s], f.from_rational(1 + lam))
 
     return _record(f"charsum_{part}", f, hyps, sides, **where)
-
-
-# ----------------------------------------------------------------------
-# Greene's two argument transformations of 2F1
-
-
-def greene_transform_check(
-    a: Character, b: Character, c: Character, x: int, variant: str
-) -> VerificationReport:
-    """Check one of the two argument transformations of the 2F1 series.
-
-    Variant "i" rewrites the series at 1-x with bottom character A*B/C and
-    delta corrections at x = 0 and x = 1; variant "ii" rewrites it at
-    x/(x-1) with prefactor C(-1) Abar(1-x) and a delta correction at x = 1.
-    """
-    field = same_field(a, b, c)
-    _check_choice(variant, ("i", "ii"), "transform variant")
-
-    def sides():
-        m = field.m
-        lhs = series_value(field, [a.index, b.index], [c.index], x)
-        one_minus_x = field.sub(1, x)
-        a_sign = -1.0 if a.index % 2 else 1.0
-        delta_1mx = 1.0 if one_minus_x == 0 else 0.0
-        if variant == "i":
-            new_bottom = (a.index + b.index - c.index) % m
-            rhs = a_sign * series_value(field, [a.index, b.index], [new_bottom], one_minus_x)
-            rhs += a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
-            rhs -= field.binom_c(b.index, c.index) * (1.0 if x == 0 else 0.0)
-            return lhs, rhs
-        c_sign = -1.0 if c.index % 2 else 1.0
-        if one_minus_x == 0:
-            rhs = 0j
-        else:
-            ratio = field.div(x, field.sub(x, 1))
-            rhs = (
-                c_sign
-                * field.char_value(-a.index, one_minus_x)
-                * series_value(field, [a.index, (c.index - b.index) % m], [c.index], ratio)
-            )
-        return lhs, rhs + a_sign * field.binom_c(b.index, c.index - a.index) * delta_1mx
-
-    return _record(f"greene_transform_{variant}", field, {}, sides, char_index=a.index)
 
 
 # ----------------------------------------------------------------------

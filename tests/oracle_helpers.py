@@ -9,10 +9,18 @@ a whole binomial row from Jacobi weights by bincount and inverse FFT, and
 the generator at a time.  `weil_predict` reads no field at all: it
 predicts the traces of a curve over F_{p^e} from those over F_p, ...,
 F_{p^g}, in integers.
+
+The every-element oracles at the end take a package `Field` too and
+return one value per element encoding: `series_every_x` a series at every
+argument, `greene_transform_sides` both sides of Greene's two 2F1
+argument transformations, `affine_counts_all_lambda` the affine point
+count of the curve at every lambda, and `ono_3f2_every_lambda` both sides
+of Ono's 3F2 evaluation at every admissible lambda.
 """
 
 import cmath
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -244,3 +252,96 @@ def scalar_field_tables(field):
         basis.append(s[0])
     trace = [sum(c * t for c, t in zip(digits(x), basis)) % p for x in range(q)]
     return exp, dlog, trace
+
+
+def series_every_x(field, tops, bottoms):
+    """The (n+1)F_n series at every element encoding x, a complex q-vector.
+
+    With P the product of the rows k -> (chi_{t+k} | chi_{b+k}) of
+    `Field.binom_row` for t, b in zip(tops, [0, *bottoms]), the series at
+    x != 0 is q/(q-1) times the sum over k of P[k] zeta^(k dlog x), which is
+    q * ifft(P)[dlog x]: one inverse DFT gives every x.  The entry at x = 0
+    is 0, as `series_value` gives there.
+    """
+    product = np.ones(field.m, dtype=complex)
+    for t, b in zip(tops, [0, *bottoms]):
+        product *= field.binom_row(t, b, 1)
+    values = field.q * np.fft.ifft(product)[np.array(field._dlog)]
+    values[0] = 0
+    return values
+
+
+def greene_transform_sides(field, series, a, b, c):
+    """{variant: (lhs, rhs)} for Greene's two 2F1 argument transformations,
+    each side a complex q-vector over the element encodings x.
+
+    `series[a, b, c]` is 2F1(A, B; C | x) at every x, from `series_every_x`.
+    Variant "i" rewrites the series at 1 - x with bottom A B / C, plus delta
+    terms at x = 1 and x = 0; variant "ii" rewrites it at x/(x-1) with the
+    prefactor C(-1) Abar(1-x), whose first term is 0 at x = 1, plus a delta
+    term at x = 1 (Greene 1987).
+    """
+    m, q = field.m, field.q
+    x = np.arange(q)
+    one_minus = np.array([field.sub(1, v) for v in range(q)])
+    ratio = np.array([field.div(v, field.sub(v, 1)) if v != 1 else 0 for v in range(q)])
+    abar = np.array([field.char_value(-a, v) for v in one_minus])
+    a_sign = -1.0 if a % 2 else 1.0
+    c_sign = -1.0 if c % 2 else 1.0
+    at_one = a_sign * field.binom_c(b, c - a) * (x == 1)
+    lhs = series[a, b, c]
+    rhs_i = a_sign * series[a, b, (a + b - c) % m][one_minus] + at_one
+    rhs_i -= field.binom_c(b, c) * (x == 0)
+    first_ii = np.where(x == 1, 0j, c_sign * abar * series[a, (c - b) % m, c][ratio])
+    return {"i": (lhs, rhs_i), "ii": (lhs, first_ii + at_one)}
+
+
+def affine_counts_all_lambda(field, l):
+    """The affine points on y^l = (x-1)(x^2 + lambda) at every lambda in
+    F_q, an integer q-vector over the encodings of lambda.
+
+    With g = gcd(l, q-1), the count is q plus W_s(lambda) summed over the
+    g - 1 nontrivial characters chi_s of order dividing g, where W_s(lambda)
+    is the sum over x of chi_s((x-1)(x^2+lambda)).  With c_s[u] the sum of
+    chi_s(x-1) over the x with x^2 = u, W_s(lambda) = sum over u of c_s[u]
+    chi_s(u + lambda): a correlation on the additive group (Z/p)^e, so one
+    `fftn` over the encodings reshaped to (p,)*e gives every lambda.  It
+    shares only the exp and dlog tables with `curves.curve_histogram`.
+    """
+    p, q, m = field.p, field.q, field.m
+    shape = (p,) * field.e
+    dlog = np.array(field._dlog)  # -1 at 0
+    x = np.arange(q)
+    x_minus_1 = x - x % p + (x - 1) % p  # only the low digit moves
+    x_squared = np.zeros(q, dtype=np.int64)
+    x_squared[1:] = np.array(field._exp)[2 * dlog[1:] % m]
+    g = gcd(l, m)
+    total = np.zeros(q)
+    for s in range(m // g, m, m // g):
+        chi = np.where(x == 0, 0j, field.zeta[s * dlog % m])
+        w = chi[x_minus_1]
+        c = np.bincount(x_squared, w.real, q) + 1j * np.bincount(x_squared, w.imag, q)
+        spectrum = q * np.fft.ifftn(c.reshape(shape)) * np.fft.fftn(chi.reshape(shape))
+        total += np.fft.ifftn(spectrum).real.reshape(q)
+    return q + np.rint(total).astype(np.int64)
+
+
+def ono_3f2_every_lambda(field):
+    """(lambdas, lhs, rhs) for Ono's evaluation q^2 3F2(phi, phi, phi; eps,
+    eps | (1+lambda)/lambda) = phi(-lambda)(a_q^2 - q) at every lambda with
+    lambda (lambda + 1) != 0, as arrays over those lambdas.
+
+    lhs is q^2 times `series_every_x` at (1+lambda)/lambda, a complex
+    vector; rhs is an integer vector, with a_q = q - affine from
+    `affine_counts_all_lambda` at l = 2 (one point at infinity).
+    """
+    q, m, h = field.q, field.m, field.m // 2
+    dlog = np.array(field._dlog)
+    lam = np.arange(1, q)
+    lam_plus_1 = lam - lam % field.p + (lam + 1) % field.p
+    lam, lam_plus_1 = lam[lam_plus_1 != 0], lam_plus_1[lam_plus_1 != 0]
+    arg = np.array(field._exp)[(dlog[lam_plus_1] - dlog[lam]) % m]
+    lhs = q * q * series_every_x(field, [h, h, h], [0, 0])[arg]
+    a_q = q - affine_counts_all_lambda(field, 2)[lam]
+    phi_neg_lam = np.where((dlog[lam] + h) % 2, -1, 1)  # -1 = g^h
+    return lam, lhs, phi_neg_lam * (a_q * a_q - q)

@@ -19,6 +19,7 @@ printed, and assert what the mathematics gives instead:
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hgfq import (
@@ -30,7 +31,6 @@ from hgfq import (
     g_sum_c,
     gauss_sum,
     good_reduction,
-    greene_transform_check,
     hgf_2f1,
     is_prime,
     jacobi_sum,
@@ -48,6 +48,7 @@ from hgfq import (
     verify_ono,
 )
 from hgfq.cli import main as cli_main
+from hgfq.report import RELATIVE_TOLERANCE
 
 import oracle_helpers as oracle
 
@@ -478,20 +479,18 @@ def _check_imported_identities(f, problems):
                     f"lhs={lhs.real:.6g} rhs={rhs.real:.6g}"
                 )
 
-    # the two 2F1 argument transformations
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for x in range(q):
-                    for variant in ("i", "ii"):
-                        r = greene_transform_check(
-                            Character(f, a), Character(f, b), Character(f, c), x, variant
-                        )
-                        if r.failed:
-                            problems.append(
-                                f"q={q}: transform {variant} off at "
-                                f"({a},{b},{c},{x}), |diff|={r.abs_diff:.3g}"
-                            )
+    # the two 2F1 argument transformations, both sides at every x at once,
+    # under the records' bound RELATIVE_TOLERANCE * max(1, |lhs|, |rhs|)
+    triples = [(a, b, c) for a in range(m) for b in range(m) for c in range(m)]
+    series = {t: oracle.series_every_x(f, t[:2], t[2:]) for t in triples}
+    for a, b, c in triples:
+        for variant, (lhs, rhs) in oracle.greene_transform_sides(f, series, a, b, c).items():
+            gap = np.abs(lhs - rhs)
+            bound = RELATIVE_TOLERANCE * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            for x in np.flatnonzero(gap > bound):
+                problems.append(
+                    f"q={q}: transform {variant} off at ({a},{b},{c},{x}), |diff|={gap[x]:.3g}"
+                )
 
     # F*(A, C; x/(x-1)) as a quadratic-argument sum, A != C, x outside {0, 1}
     for a in range(m):

@@ -2,6 +2,7 @@
 file merging, and json/csv record equivalence."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from hgfq import CurveSpec, brute_force_count, make_field
 from hgfq.cli import main
 from hgfq.report import report_sort_key
 
@@ -66,23 +68,25 @@ def test_explicit_zero_is_not_a_default(capsys):
 
 
 def test_count_json(capsys):
-    code, out, _ = run(
-        capsys, "count", "--p", "5", "--l", "2", "--lambda", "1", "--method", "both"
-    )
+    code, out, _ = run(capsys, "count", "--p", "5", "--l", "2", "--lambda", "1")
     assert code == 0
-    assert json.loads(out) == {
-        "q": 5,
-        "affine": 7,
-        "projective": 8,
-        "a_q": -2,
-        "method": "both",
-    }
-    # 5 does not divide 12, yet the character sum agrees with brute force
-    code, out, _ = run(
-        capsys, "count", "--p", "13", "--l", "5", "--lambda=1", "--method", "both"
-    )
+    assert json.loads(out) == {"q": 5, "affine": 7, "projective": 8, "a_q": -2}
+    # 5 does not divide 12, and the count is brute force's
+    code, out, _ = run(capsys, "count", "--p", "13", "--l", "5", "--lambda=1")
     assert code == 0
-    assert json.loads(out)["affine"] == 13
+    want = brute_force_count(make_field(13), CurveSpec(5, Fraction(1)))
+    assert json.loads(out) == {"q": 13, **dataclasses.asdict(want)}
+
+
+def test_count_has_one_method(capsys, tmp_path):
+    # the count is the character-sum count; there is no method to choose
+    argv = ("count", "--p", "13", "--l", "3", "--lambda=-1/2")
+    code, out, err = run(capsys, *argv, "--method", "both")
+    assert (code, out) == (2, "") and "unrecognized arguments: --method" in err
+    cfg = tmp_path / "method.cfg"
+    cfg.write_text("method = brute\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "") and f"{cfg}:1: unknown key 'method'" in err
 
 
 def test_count_negative_lambda_equals_form(capsys):
@@ -322,7 +326,6 @@ CONFIG_CASES = {
         "e": ("1", "2"),
         "l": ("3", "2"),
         "lambda": ("-1/2", "3"),
-        "method": ("both", "brute"),
         "q-cap": ("13", "12"),
     },
     "hgf": {
@@ -371,7 +374,7 @@ def test_config_values_are_checked_as_flags(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     for argv, line, flag in (
         (("fieldinfo",), "p = x", "--p"),
-        (("count", "--p", "7", "--l", "2", "--lambda", "1"), "method = nope", "--method"),
+        (("count", "--p", "7", "--lambda", "1"), "l = two", "--l"),
         (("verify",), "format = xml", "--format"),
         (("count",), "p = 13\nl = 2", "--lambda"),  # a required flag in neither place
     ):

@@ -1,9 +1,11 @@
-"""Point counting on y^l = (x-1)(x^2+lambda): three methods, reduction
-checks, and the quadratic-form representation used by the l=3 corollary."""
+"""Point counting on y^l = (x-1)(x^2+lambda): the character-sum count and
+its oracles, counts at every lambda at once, reduction checks, and the
+quadratic-form representation used by the l=3 corollary."""
 
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 from hgfq import (
@@ -15,7 +17,6 @@ from hgfq import (
     brute_force_count,
     character_sum_count,
     cornacchia_3,
-    count_points,
     genus,
     good_reduction,
     hasse_weil_bound,
@@ -239,15 +240,39 @@ def test_weierstrass_model_agrees():
         weierstrass_count_l3(make_field(7), CurveSpec(2, Fraction(1)))
 
 
-def test_count_points_methods():
-    f = make_field(13)
-    curve = CurveSpec(2, Fraction(2))
-    b = count_points(f, curve, "brute")
-    c = count_points(f, curve, "charsum")
-    both = count_points(f, curve, "both")
-    assert b == c == both
-    with pytest.raises(ValueError):
-        count_points(f, curve, "guess")
+def test_correlation_counts_match_the_histogram_at_every_lambda():
+    # every admissible lambda of each field, rational or not, by its encoding
+    cases = 0
+    for p, e in ((5, 1), (7, 1), (13, 1), (31, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4), (11, 2)):
+        f = make_field(p, e)
+        histograms = {lam: curve_histogram(f, lam) for lam in range(1, f.q) if f.add(lam, 1)}
+        for l in range(2, 7):
+            if l % p == 0:
+                continue
+            counts = oracle.affine_counts_all_lambda(f, l)
+            g = gcd(l, f.m)
+            for lam, (hist, zeros) in histograms.items():
+                want = zeros + g * int(hist[::g].sum())  # the rule character_sum_count reads
+                if lam < p and points_at_infinity(f, l) is not None:
+                    assert character_sum_count(f, CurveSpec(l, Fraction(lam))).affine == want
+                assert counts[lam] == want, (f.q, l, lam)
+                cases += 1
+    assert cases == 1492
+
+
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (3, 3)])
+def test_ono_3f2_at_every_lambda(p, e):
+    # q^2 3F2(phi, phi, phi; eps, eps | (1+lambda)/lambda) = phi(-lambda)(a_q^2 - q)
+    f = make_field(p, e)
+    lams, lhs, rhs = oracle.ono_3f2_every_lambda(f)
+    assert len(lams) == f.q - 2
+    assert (np.rint(lhs.real) == rhs).all()
+    assert np.abs(lhs - rhs).max() < 1e-9
+    for lam in range(1, p - 1):  # the rational lambdas, against the sweep's count
+        i = int(np.flatnonzero(lams == lam)[0])
+        a_q = character_sum_count(f, CurveSpec(2, Fraction(lam))).a_q
+        phi = -1 if f.dlog(f.neg(lam)) % 2 else 1
+        assert rhs[i] == phi * (a_q * a_q - f.q)
 
 
 def test_genus_and_hasse_weil():

@@ -14,11 +14,11 @@ from hgfq import (
     evans_F,
     evans_F_star,
     good_reduction,
-    greene_transform_check,
     hgf_2f1,
     make_field,
     series_value,
 )
+from hgfq.report import RELATIVE_TOLERANCE
 
 import oracle_helpers as oracle
 
@@ -99,8 +99,6 @@ def test_series_spec_validation():
             evans_F(a, b, x)
         with pytest.raises(ValueError):
             evans_F_star(a, b, x)
-        with pytest.raises(ValueError):
-            greene_transform_check(a, b, c, x, "i")
     # characters passed together must share a field
     g = make_field(5)
     with pytest.raises(FieldMismatchError):
@@ -109,9 +107,6 @@ def test_series_spec_validation():
         hgf_2f1(a, b, Character(g, 1), 4)
     with pytest.raises(FieldMismatchError):
         evans_F(a, Character(g, 1), 4)
-    for variant in ("i", "ii"):
-        with pytest.raises(FieldMismatchError):
-            greene_transform_check(a, b, Character(g, 1), 4, variant)
 
 
 def test_evans_f_star_shift():
@@ -129,25 +124,31 @@ def test_evans_f_star_shift():
     assert evans_F_star(A, B, 0) == evans_F(A, B, 0)
 
 
+@pytest.mark.parametrize("p, e", [(13, 1), (3, 2), (11, 1)])
+def test_series_every_x_matches_series_value(p, e):
+    f = make_field(p, e)
+    m, h = f.m, f.m // 2
+    for tops, bottoms in (([1, 2], [3]), ([h, h, h], [0, 0]), ([-3, 5], [4]), ([0, 0], [0])):
+        values = oracle.series_every_x(f, tops, bottoms)
+        for x in range(f.q):
+            assert values[x] == pytest.approx(series_value(f, tops, bottoms, x), abs=1e-12)
+
+
 def test_greene_transforms_pass_on_a_grid():
     f = make_field(3, 2)
-    for a in range(f.m):
+    m = f.m
+    series = {
+        (a, b, c): oracle.series_every_x(f, [a, b], [c])
+        for a in range(m)
+        for b in range(m)
+        for c in range(m)
+    }
+    for a in range(m):
         for b in (0, 3):
             for c in (1, 4):
-                for x in range(f.q):
-                    for variant in ("i", "ii"):
-                        r = greene_transform_check(
-                            Character(f, a), Character(f, b), Character(f, c), x, variant
-                        )
-                        assert r.status == "pass", (a, b, c, x, variant)
-                        assert r.theorem_id == f"greene_transform_{variant}"
-
-
-def test_greene_transform_rejects_unknown_variant():
-    f = make_field(5)
-    eps = Character(f, 0)
-    with pytest.raises(ValueError):
-        greene_transform_check(eps, eps, eps, 2, "iii")
+                for variant, (lhs, rhs) in oracle.greene_transform_sides(f, series, a, b, c).items():
+                    bound = RELATIVE_TOLERANCE * np.maximum(1.0, np.maximum(abs(lhs), abs(rhs)))
+                    assert (abs(lhs - rhs) <= bound).all(), (a, b, c, variant)
 
 
 @pytest.mark.parametrize("p, e", [(1009, 1), (3, 5), (7, 3)])
