@@ -5,18 +5,9 @@ sweep tying the two together."""
 from .characters import (
     Character,
     character_of_order,
-    delta_char,
     parse_character,
     quadratic_character,
-    sqrt_character,
     trivial_character,
-)
-from .charsums import (
-    CyclotomicSum,
-    g_sum,
-    g_sum_c,
-    gauss_sum,
-    jacobi_sum,
 )
 from .curves import (
     CurveSpec,
@@ -24,9 +15,7 @@ from .curves import (
     brute_force_count,
     character_sum_count,
     cornacchia_3,
-    genus,
     good_reduction,
-    hasse_weil_bound,
     reduce_lambda,
     weierstrass_count_l3,
 )
@@ -44,13 +33,8 @@ from .errors import (
     UnsupportedInfinityCountError,
 )
 from .field import DEFAULT_Q_CAP, Field, is_prime, make_field
-from .hgf import (
-    evans_F,
-    evans_F_star,
-    hgf_2f1,
-    series_value,
-)
-from .report import VerificationReport, build_report, summarize
+from .hgf import evans_F, series_value
+from .report import VerificationReport, build_report
 from .verifier import (
     SweepConfig,
     sweep,
@@ -74,7 +58,6 @@ __all__ = [
     "Character",
     "CongruenceError",
     "CurveSpec",
-    "CyclotomicSum",
     "DEFAULT_Q_CAP",
     "Field",
     "FieldMismatchError",
@@ -94,25 +77,14 @@ __all__ = [
     "character_of_order",
     "character_sum_count",
     "cornacchia_3",
-    "delta_char",
     "evans_F",
-    "evans_F_star",
-    "g_sum",
-    "g_sum_c",
-    "gauss_sum",
-    "genus",
     "good_reduction",
-    "hasse_weil_bound",
-    "hgf_2f1",
     "is_prime",
-    "jacobi_sum",
     "make_field",
     "parse_character",
     "quadratic_character",
     "reduce_lambda",
     "series_value",
-    "sqrt_character",
-    "summarize",
     "sweep",
     "trivial_character",
     "verify_2f1_specials",

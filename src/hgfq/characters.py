@@ -4,7 +4,8 @@ The character chi_k sends generator**t to zeta**(k*t) with zeta the fixed
 primitive (q-1)-th root of unity exp(2*pi*i/(q-1)), and chi_k(0) = 0 for
 every k, the trivial character included.  A character is its index alone:
 `Character.value` reads chi_k(x) off the field's table of (q-1)-th roots of
-unity, and exact sums of character values live in `charsums.CyclotomicSum`.
+unity.  Exact sums of character values, as root-of-unity counts, are the
+tests' oracle `CyclotomicSum` (`tests/oracle_helpers.py`).
 """
 
 from __future__ import annotations
@@ -73,22 +74,6 @@ def character_of_order(field: Field, n: int) -> Character:
     if n < 1 or field.m % n != 0:
         raise OrderNotDividingError(f"no character of order {n} when q = {field.q}")
     return Character(field, field.m // n)
-
-
-def sqrt_character(chi: Character) -> tuple[Character, Character] | None:
-    """The two square roots of chi when its index is even, else None."""
-    if chi.index % 2:
-        return None
-    half = chi.index // 2
-    return (
-        Character(chi.field, half),
-        Character(chi.field, half + chi.field.m // 2),
-    )
-
-
-def delta_char(chi: Character) -> int:
-    """1 on the trivial character, 0 otherwise."""
-    return 1 if chi.index == 0 else 0
 
 
 def parse_character(field: Field, text: str) -> Character:

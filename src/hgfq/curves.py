@@ -166,13 +166,3 @@ def cornacchia_3(p: int) -> tuple[int, int]:
         if 3 * y * y == rem:
             return x, y
     raise NoRepresentationError(f"no representation x^2 + 3y^2 = {p}")
-
-
-def genus(l: int) -> int:
-    """Genus of the smooth projective model; a standard superelliptic
-    formula for a squarefree cubic, external to the identities themselves."""
-    return ((l - 1) * 2 - gcd(l, 3) + 1) // 2
-
-
-def hasse_weil_bound(l: int, q: int) -> float:
-    return 2 * genus(l) * q**0.5

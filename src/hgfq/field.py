@@ -31,9 +31,10 @@ H[k] = 1/G[k] (`Field.binom_row`).  The few entries where a character in the
 quotient is trivial take their closed forms under chi(0) = 0, one solution
 set at a time: (-1)^(b+k+1)/q where chi_{t+sk} is trivial, -1/q where the
 product is, and last the single k = -b, (q-2)/q or -1/q.  The exact
-root-of-unity counts read the table Z[t] = dlog(1 - g^t), the attribute
-`Field.log_one_minus`, also built on first use, and serve only
-`charsums.jacobi_sum` and `charsums.g_sum`.
+root-of-unity counts of `Field.jacobi_counts` read the table
+Z[t] = dlog(1 - g^t), the attribute `Field.log_one_minus`, also built on
+first use.  No command reads either: they serve the exact Jacobi and
+g-sums that the tests keep as oracles (`tests/oracle_helpers.py`).
 """
 
 from __future__ import annotations
@@ -419,8 +420,8 @@ class Field:
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
         """Exact exponent counts of J(chi_a, chi_b) over (q-1)-th roots, one O(q) pass.
 
-        This is the exact path of `charsums.jacobi_sum`; `jacobi_c` reads the
-        Gauss table instead.
+        The exact path of the tests' oracle `jacobi_sum`
+        (`tests/oracle_helpers.py`); `jacobi_c` reads the Gauss table instead.
         """
         m = self.m
         t = np.arange(1, m, dtype=np.int64) * (a % m)  # x = g^t runs over F_q minus {0, 1}

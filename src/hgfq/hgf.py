@@ -1,4 +1,4 @@
-"""Gaussian hypergeometric series and the Evans-Greene F, F* sums.
+"""Gaussian hypergeometric series and the Evans-Greene F sum.
 
 The (n+1)F_n series is the normalized character-indexed sum
 
@@ -11,8 +11,9 @@ and multiplied into one running product that starts at 1, so a series holds
 about 3.5 complex (q-1)-vectors besides the field's tables, whatever its number
 of rows.  At q = 99991 a 3F2 call peaks about 13 MB above the field's own
 tables, the 3.2 MB Gauss table included (README.md).  The variant F(A, B; x)
-sums (A chi^2 | chi)(A chi | B chi) chi(x/4) instead, and F* adds the
-normalization term A B(-1) Abar(x/4) / q.
+sums (A chi^2 | chi)(A chi | B chi) chi(x/4) instead.  The wrappers that
+only the tests call, `hgf_2f1` on characters and F* = F + A B(-1) Abar(x/4) / q,
+are in `tests/oracle_helpers.py`.
 """
 
 from __future__ import annotations
@@ -44,24 +45,9 @@ def _row_series(field: Field, rows: list[tuple[int, int, int]], x: int) -> compl
     return complex(product @ field.zeta.take(k)) * field.q / m
 
 
-def hgf_2f1(a: Character, b: Character, c: Character, x: int) -> complex:
-    return series_value(same_field(a, b, c), [a.index, b.index], [c.index], x)
-
-
 def evans_F(a: Character, b: Character, x: int) -> complex:
     field = same_field(a, b)
     x4 = field.div(field.check(x), field.from_int(4))
     if x4 == 0:
         return 0j
     return _row_series(field, [(a.index, 0, 2), (a.index, b.index, 1)], x4)
-
-
-def evans_F_star(a: Character, b: Character, x: int) -> complex:
-    field = a.field
-    f = evans_F(a, b, x)
-    if x == 0:
-        return f
-    x4 = field.div(x, field.from_int(4))
-    ab_sign = -1.0 if (a.index + b.index) % 2 else 1.0
-    return f + ab_sign * field.char_value(-a.index, x4) / field.q
-

@@ -142,10 +142,3 @@ def report_to_csv_row(r: VerificationReport) -> str:
         ["" if d[k] is None else (repr(d[k]) if isinstance(d[k], float) else d[k]) for k in REPORT_FIELDS]
     )
     return buf.getvalue()
-
-
-def summarize(reports) -> dict[str, int]:
-    out = {"pass": 0, "fail": 0, "skip": 0}
-    for r in reports:
-        out[r.status] += 1
-    return out

@@ -1,28 +1,41 @@
-"""Plain-Python reference implementations used to cross-check the package.
+"""Reference implementations used to cross-check the package.
 
-Everything here is deliberately naive: dict tables, double loops, cmath.
-Prime fields only, and no imports from the package under test, except the
-oracles at the end, which take a package `Field` of any degree: the loop
+The first part is deliberately naive: dict tables, double loops, cmath,
+prime fields only, and no use of the package under test.  `weil_predict`
+reads no field at all: it predicts the traces of a curve over F_{p^e} from
+those over F_p, ..., F_{p^g}, in integers.
+
+The oracles after it take a package `Field` of any degree: the loop
 oracles sum its scalar binomials over k one at a time, `binom_row` builds
 a whole binomial row from Jacobi weights by bincount and inverse FFT, and
 `scalar_field_tables` rebuilds its exp, dlog and trace tables one power of
-the generator at a time.  `weil_predict` reads no field at all: it
-predicts the traces of a curve over F_{p^e} from those over F_p, ...,
-F_{p^g}, in integers.
+the generator at a time.  Greene's exact character sums are here too, since
+no command of the package reads them: `CyclotomicSum` holds a sum of roots
+of unity as integer counts, and `jacobi_sum`, `gauss_sum` and `g_sum` give
+one sum each in that form, independent of the field's Gauss-sum table.
+With them are the small helpers that only the tests call: `hgf_2f1`,
+`evans_F_star`, `sqrt_character`, `delta_char`, `genus`,
+`hasse_weil_bound` and `summarize`.
 
 The every-element oracles at the end take a package `Field` too and
 return one value per element encoding: `series_every_x` a series at every
 argument, `greene_transform_sides` both sides of Greene's two 2F1
-argument transformations, `affine_counts_all_lambda` the affine point
-count of the curve at every lambda, and `ono_3f2_every_lambda` both sides
-of Ono's 3F2 evaluation at every admissible lambda.
+argument transformations, `curve_char_sums_all_lambda` a curve character
+sum W_s at every lambda, `affine_counts_all_lambda` the affine point count
+of the curve at every lambda, and `ono_3f2_every_lambda` and
+`aq_square_every_lambda` both sides of Ono's 3F2 evaluation and of the
+squared-trace expansion at every admissible lambda.
 """
 
 import cmath
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
+
+from hgfq import hgf
+from hgfq.characters import Character, same_field
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +98,7 @@ def evans_F(p: int, a: int, b: int, x: int) -> complex:
     return p / m * total
 
 
-def evans_F_star(p: int, a: int, b: int, x: int) -> complex:
+def evans_F_star_naive(p: int, a: int, b: int, x: int) -> complex:
     """F(A, B; x) plus A B(-1) Abar(x/4) / p; both terms vanish at x = 0."""
     y = x * pow(4, -1, p) % p
     return evans_F(p, a, b, x) + chi(p, a + b, -1) * chi(p, -a, y) / p
@@ -254,6 +267,125 @@ def scalar_field_tables(field):
     return exp, dlog, trace
 
 
+@dataclass(frozen=True)
+class CyclotomicSum:
+    """Exact sum of counts[i] * zeta_order**exponents[i] over distinct increasing exponents."""
+
+    order: int
+    exponents: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_counts(cls, order: int, dense: np.ndarray) -> "CyclotomicSum":
+        """The sum with dense[t] copies of zeta_order**t."""
+        exponents = np.flatnonzero(dense)
+        return cls(order, exponents, dense[exponents].astype(np.int64))
+
+    def to_complex(self) -> complex:
+        phases = np.exp(2j * np.pi * self.exponents / self.order)
+        return complex(self.counts @ phases)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, CyclotomicSum)
+            and self.order == other.order
+            and np.array_equal(self.exponents, other.exponents)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+
+def jacobi_sum(a: Character, b: Character) -> CyclotomicSum:
+    """J(A, B) = sum over x of A(x) B(1-x), as exact root-of-unity counts."""
+    field = same_field(a, b)
+    return CyclotomicSum.from_counts(field.m, field.jacobi_counts(a.index, b.index))
+
+
+def gauss_sum(chi: Character) -> CyclotomicSum:
+    """G(chi) = sum over x of chi(x) zeta_p**trace(x), with x = g^t for t in [0, q-1).
+
+    Exponents are composed over roots of unity of order (q-1)*p, which is
+    lcm(q-1, p) since p never divides q-1.
+    """
+    field = chi.field
+    m, p = field.m, field.p
+    order = m * p
+    t = np.arange(m, dtype=np.int64) * (chi.index % m) % m
+    t = (p * t + m * field._trace_pow) % order
+    exponents, counts = np.unique(t, return_counts=True)
+    return CyclotomicSum(order, exponents, counts.astype(np.int64))
+
+
+def g_sum(a: Character, b: Character, x: int) -> CyclotomicSum:
+    """g(A, B; x) = sum over t of A(1-t) B(1-x*t^2).
+
+    t = 0 gives 1 and t = 1 gives 0; every other t is g^s for s in [1, q-1),
+    read off the field's table Z[s] = dlog(1 - g^s), also at s = dlog(x t^2).
+    """
+    field = same_field(a, b)
+    field.check(x)
+    m = field.m
+    z = field.log_one_minus
+    exps = a.index % m * z[1:]
+    if x != 0:
+        k = (field.dlog(x) + 2 * np.arange(1, m, dtype=np.int64)) % m  # dlog(x t^2)
+        exps = (exps + b.index % m * z[k])[k != 0]  # k = 0: 1 - x t^2 is 0
+    counts = np.bincount(exps % m, minlength=m)
+    counts[0] += 1  # t = 0
+    return CyclotomicSum.from_counts(m, counts)
+
+
+def g_sum_c(a: Character, b: Character, x: int) -> complex:
+    return g_sum(a, b, x).to_complex()
+
+
+def hgf_2f1(a: Character, b: Character, c: Character, x: int) -> complex:
+    return hgf.series_value(same_field(a, b, c), [a.index, b.index], [c.index], x)
+
+
+def evans_F_star(a: Character, b: Character, x: int) -> complex:
+    """F(A, B; x) plus A B(-1) Abar(x/4) / q; both terms vanish at x = 0."""
+    field = a.field
+    f = hgf.evans_F(a, b, x)  # not the prime-field `evans_F` above
+    if x == 0:
+        return f
+    x4 = field.div(x, field.from_int(4))
+    ab_sign = -1.0 if (a.index + b.index) % 2 else 1.0
+    return f + ab_sign * field.char_value(-a.index, x4) / field.q
+
+
+def sqrt_character(chi: Character) -> tuple[Character, Character] | None:
+    """The two square roots of chi when its index is even, else None."""
+    if chi.index % 2:
+        return None
+    half = chi.index // 2
+    return (
+        Character(chi.field, half),
+        Character(chi.field, half + chi.field.m // 2),
+    )
+
+
+def delta_char(chi: Character) -> int:
+    """1 on the trivial character, 0 otherwise."""
+    return 1 if chi.index == 0 else 0
+
+
+def genus(l: int) -> int:
+    """Genus of the smooth projective model; a standard superelliptic
+    formula for a squarefree cubic, external to the identities themselves."""
+    return ((l - 1) * 2 - gcd(l, 3) + 1) // 2
+
+
+def hasse_weil_bound(l: int, q: int) -> float:
+    return 2 * genus(l) * q**0.5
+
+
+def summarize(reports) -> dict[str, int]:
+    out = {"pass": 0, "fail": 0, "skip": 0}
+    for r in reports:
+        out[r.status] += 1
+    return out
+
+
 def series_every_x(field, tops, bottoms):
     """The (n+1)F_n series at every element encoding x, a complex q-vector.
 
@@ -296,17 +428,15 @@ def greene_transform_sides(field, series, a, b, c):
     return {"i": (lhs, rhs_i), "ii": (lhs, first_ii + at_one)}
 
 
-def affine_counts_all_lambda(field, l):
-    """The affine points on y^l = (x-1)(x^2 + lambda) at every lambda in
-    F_q, an integer q-vector over the encodings of lambda.
+def curve_char_sums_all_lambda(field, s):
+    """W_s(lambda) = sum over x of chi_s((x-1)(x^2 + lambda)) at every
+    lambda in F_q, a complex q-vector over the encodings of lambda.
 
-    With g = gcd(l, q-1), the count is q plus W_s(lambda) summed over the
-    g - 1 nontrivial characters chi_s of order dividing g, where W_s(lambda)
-    is the sum over x of chi_s((x-1)(x^2+lambda)).  With c_s[u] the sum of
-    chi_s(x-1) over the x with x^2 = u, W_s(lambda) = sum over u of c_s[u]
-    chi_s(u + lambda): a correlation on the additive group (Z/p)^e, so one
-    `fftn` over the encodings reshaped to (p,)*e gives every lambda.  It
-    shares only the exp and dlog tables with `curves.curve_histogram`.
+    With c_s[u] the sum of chi_s(x-1) over the x with x^2 = u, W_s(lambda)
+    = sum over u of c_s[u] chi_s(u + lambda): a correlation on the additive
+    group (Z/p)^e, so one `fftn` over the encodings reshaped to (p,)*e gives
+    every lambda.  It shares only the exp and dlog tables with
+    `curves.curve_histogram`.
     """
     p, q, m = field.p, field.q, field.m
     shape = (p,) * field.e
@@ -315,15 +445,35 @@ def affine_counts_all_lambda(field, l):
     x_minus_1 = x - x % p + (x - 1) % p  # only the low digit moves
     x_squared = np.zeros(q, dtype=np.int64)
     x_squared[1:] = np.array(field._exp)[2 * dlog[1:] % m]
+    chi = np.where(x == 0, 0j, field.zeta[s * dlog % m])
+    w = chi[x_minus_1]
+    c = np.bincount(x_squared, w.real, q) + 1j * np.bincount(x_squared, w.imag, q)
+    spectrum = q * np.fft.ifftn(c.reshape(shape)) * np.fft.fftn(chi.reshape(shape))
+    return np.fft.ifftn(spectrum).reshape(q)
+
+
+def affine_counts_all_lambda(field, l):
+    """The affine points on y^l = (x-1)(x^2 + lambda) at every lambda in
+    F_q, an integer q-vector over the encodings of lambda.
+
+    With g = gcd(l, q-1), the count is q plus W_s(lambda) summed over the
+    g - 1 nontrivial characters chi_s of order dividing g, each W_s from
+    `curve_char_sums_all_lambda`.
+    """
+    q, m = field.q, field.m
     g = gcd(l, m)
     total = np.zeros(q)
     for s in range(m // g, m, m // g):
-        chi = np.where(x == 0, 0j, field.zeta[s * dlog % m])
-        w = chi[x_minus_1]
-        c = np.bincount(x_squared, w.real, q) + 1j * np.bincount(x_squared, w.imag, q)
-        spectrum = q * np.fft.ifftn(c.reshape(shape)) * np.fft.fftn(chi.reshape(shape))
-        total += np.fft.ifftn(spectrum).real.reshape(q)
+        total += curve_char_sums_all_lambda(field, s).real
     return q + np.rint(total).astype(np.int64)
+
+
+def _admissible_lambdas(field):
+    """(lambda, lambda + 1) as encoding arrays over the lambdas with lambda (lambda + 1) != 0."""
+    lam = np.arange(1, field.q)
+    lam_plus_1 = lam - lam % field.p + (lam + 1) % field.p
+    keep = lam_plus_1 != 0
+    return lam[keep], lam_plus_1[keep]
 
 
 def ono_3f2_every_lambda(field):
@@ -337,11 +487,50 @@ def ono_3f2_every_lambda(field):
     """
     q, m, h = field.q, field.m, field.m // 2
     dlog = np.array(field._dlog)
-    lam = np.arange(1, q)
-    lam_plus_1 = lam - lam % field.p + (lam + 1) % field.p
-    lam, lam_plus_1 = lam[lam_plus_1 != 0], lam_plus_1[lam_plus_1 != 0]
+    lam, lam_plus_1 = _admissible_lambdas(field)
     arg = np.array(field._exp)[(dlog[lam_plus_1] - dlog[lam]) % m]
     lhs = q * q * series_every_x(field, [h, h, h], [0, 0])[arg]
     a_q = q - affine_counts_all_lambda(field, 2)[lam]
     phi_neg_lam = np.where((dlog[lam] + h) % 2, -1, 1)  # -1 = g^h
     return lam, lhs, phi_neg_lam * (a_q * a_q - q)
+
+
+def aq_square_every_lambda(field, l):
+    """(lambdas, a_q^2, rhs) for the squared-trace expansion that
+    `verifier.verify_main_square` evaluates, at every lambda with
+    lambda (lambda + 1) != 0, as arrays over those lambdas.
+
+    With S the character of index u = (q-1)/l, of order l, and
+    R_i = J(S^3i, S^-i) / J(S^i, S^i), rhs is
+    q^2 sum_i R_i Sbar^i(-4 lambda^3) 3F2(S^3i, S^i, S^2i phi; S^4i, S^2i |
+    (1+lambda)/lambda) + q phi(-lambda) sum_i R_i Sbar^i(-4 lambda (1+lambda)^2)
+    over 1 <= i < l, plus (l-1)(q-1) - (l-3) a_q for odd l; for l = 2 the
+    verifier's even-l tail is empty.  The series come from `series_every_x`,
+    each character value from the dlog of its argument, and a_q = q - affine
+    from `affine_counts_all_lambda` (one point at infinity, as for l != 3).
+    """
+    q, m, h = field.q, field.m, field.m // 2
+    if m % l or l % 2 == 0 and l != 2:
+        raise ValueError(f"need l = 2 or an odd l dividing q - 1 = {m}, not {l}")
+    u = m // l
+    dlog = np.array(field._dlog)
+    lam, lam_plus_1 = _admissible_lambdas(field)
+    log_lam, log_lam_plus_1 = dlog[lam], dlog[lam_plus_1]
+    arg = np.array(field._exp)[(log_lam_plus_1 - log_lam) % m]
+    log_minus_4 = h + field.dlog(field.from_int(4))  # -1 = g^h
+    log_c1 = log_minus_4 + 3 * log_lam  # -4 lambda^3
+    log_c2 = log_minus_4 + log_lam + 2 * log_lam_plus_1  # -4 lambda (1+lambda)^2
+    phi_neg_lam = np.where((log_lam + h) % 2, -1, 1)
+    a_q = q - affine_counts_all_lambda(field, l)[lam]
+    term1 = np.zeros(len(lam), dtype=complex)
+    term2 = np.zeros(len(lam), dtype=complex)
+    for i in range(1, l):
+        si = i * u % m
+        ratio = field.jacobi_c(3 * si, -si) / field.jacobi_c(si, si)
+        series = series_every_x(field, [3 * si, si, 2 * si + h], [4 * si, 2 * si])
+        term1 += ratio * field.zeta[-si * log_c1 % m] * series[arg]
+        term2 += phi_neg_lam * ratio * field.zeta[-si * log_c2 % m]
+    rhs = q * q * term1 + q * term2
+    if l % 2:
+        rhs += (l - 1) * m - (l - 3) * a_q
+    return lam, a_q * a_q, rhs

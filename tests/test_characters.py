@@ -5,13 +5,13 @@ from hgfq import (
     Character,
     OrderNotDividingError,
     character_of_order,
-    delta_char,
     make_field,
     parse_character,
     quadratic_character,
-    sqrt_character,
     trivial_character,
 )
+
+from oracle_helpers import delta_char, sqrt_character
 
 
 def test_index_normalization_and_equality():

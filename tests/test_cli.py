@@ -3,6 +3,7 @@ file merging, and json/csv record equivalence."""
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -15,9 +16,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import hgfq
 from hgfq import CurveSpec, brute_force_count, make_field
 from hgfq.cli import main
 from hgfq.report import report_sort_key
+
+import oracle_helpers
 
 
 def run(capsys, *argv):
@@ -419,3 +423,39 @@ def test_bench_tracer_binds_every_traced_name():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+PACKAGE_NAMES = {
+    "BadReductionError", "Character", "CongruenceError", "CurveSpec", "DEFAULT_Q_CAP", "Field",
+    "FieldMismatchError", "FieldTooLargeError", "HgfqError", "LogOfZeroError",
+    "NoRepresentationError", "NotPrimeError", "OddPrimeRequiredError", "OrderNotDividingError",
+    "PointCount", "SweepConfig", "UnsupportedInfinityCountError", "VerificationReport",
+    "brute_force_count", "build_report", "character_of_order", "character_sum_count",
+    "cornacchia_3", "evans_F", "good_reduction", "is_prime", "make_field", "parse_character",
+    "quadratic_character", "reduce_lambda", "series_value", "sweep", "trivial_character",
+    "verify_2f1_specials", "verify_2f1_trace", "verify_3f2_at_4", "verify_charsum_lemmas",
+    "verify_corollary_c3", "verify_corollary_chi4", "verify_corollary_lcm", "verify_lambda_third",
+    "verify_main_square", "verify_mccarthy", "verify_ono", "weierstrass_count_l3",
+}
+# what no command, sweep or benchmark calls, kept as oracles in tests/oracle_helpers.py
+ORACLE_NAMES = {
+    "hgfq.charsums": ("CyclotomicSum", "jacobi_sum", "gauss_sum", "g_sum", "g_sum_c"),
+    "hgfq.hgf": ("hgf_2f1", "evans_F_star"),
+    "hgfq.characters": ("sqrt_character", "delta_char"),
+    "hgfq.curves": ("genus", "hasse_weil_bound"),
+    "hgfq.report": ("summarize",),
+}
+
+
+def test_package_exports_only_what_the_program_uses():
+    assert len(hgfq.__all__) == len(PACKAGE_NAMES) and set(hgfq.__all__) == PACKAGE_NAMES
+    for name in hgfq.__all__:
+        getattr(hgfq, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("hgfq.charsums")
+    for module, names in ORACLE_NAMES.items():
+        for name in names:
+            assert callable(getattr(oracle_helpers, name)), name
+            assert not hasattr(hgfq, name), name
+            if module != "hgfq.charsums":
+                assert not hasattr(importlib.import_module(module), name), (module, name)

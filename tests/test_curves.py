@@ -17,17 +17,17 @@ from hgfq import (
     brute_force_count,
     character_sum_count,
     cornacchia_3,
-    genus,
     good_reduction,
-    hasse_weil_bound,
     is_prime,
     make_field,
     reduce_lambda,
+    verify_main_square,
     weierstrass_count_l3,
 )
 from hgfq.curves import curve_char_sum, curve_histogram, points_at_infinity
 
 import oracle_helpers as oracle
+from oracle_helpers import genus, hasse_weil_bound
 
 LAMBDAS = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-1, 2), Fraction(3, 2))
 
@@ -273,6 +273,36 @@ def test_ono_3f2_at_every_lambda(p, e):
         a_q = character_sum_count(f, CurveSpec(2, Fraction(lam))).a_q
         phi = -1 if f.dlog(f.neg(lam)) % 2 else 1
         assert rhs[i] == phi * (a_q * a_q - f.q)
+
+
+@pytest.mark.parametrize("l", [2, 5])
+@pytest.mark.parametrize("p, e", [(11, 1), (31, 1), (41, 1), (3, 4), (11, 2)])
+def test_aq_square_3f2_at_every_lambda(p, e, l):
+    # criterion 3's form at every admissible lambda: the right side of the
+    # squared-trace expansion is a_q^2 at l = 2, and at l = 5 it is
+    # sum W_i^2 + 4(q-1) - 2 a_q, with a_q = -sum W_i; each side rounded
+    f = make_field(p, e)
+    lams, aq_square, rhs = oracle.aq_square_every_lambda(f, l)
+    assert len(lams) == f.q - 2
+    w = [oracle.curve_char_sums_all_lambda(f, i * f.m // l)[lams] for i in range(1, l)]
+    a_q = -np.rint(sum(w).real).astype(np.int64)
+    assert (aq_square == a_q * a_q).all()
+    if l == 2:
+        want = aq_square
+    else:
+        want = np.rint(sum(x * x for x in w).real).astype(np.int64) + 4 * f.m - 2 * a_q
+    assert (np.rint(rhs.real) == want).all()
+    assert np.abs(rhs - want).max() < 1e-9
+    compared = 0
+    for lam in LAMBDAS:  # the rational lambdas, against the sweep's record
+        record = verify_main_square(f, l, lam)
+        if record.skipped:
+            continue
+        i = int(np.flatnonzero(lams == f.from_rational(lam))[0])
+        assert record.lhs == aq_square[i], (f.q, l, lam)
+        assert abs(record.rhs - rhs[i]) < 1e-9, (f.q, l, lam)
+        compared += 1
+    assert compared >= 2
 
 
 def test_genus_and_hasse_weil():

@@ -17,14 +17,13 @@ from hgfq import (
     LogOfZeroError,
     NotPrimeError,
     OddPrimeRequiredError,
-    gauss_sum,
     is_prime,
     make_field,
 )
 import hgfq.field
 from hgfq.field import fits_cap, prime_factors
 
-from oracle_helpers import primitive_root, scalar_field_tables, trace_frobenius
+from oracle_helpers import gauss_sum, primitive_root, scalar_field_tables, trace_frobenius
 
 
 def test_is_prime_small():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hgfq import build_report, summarize
+from hgfq import build_report
 from hgfq.report import (
     REPORT_FIELDS,
     VerificationReport,
@@ -13,6 +13,8 @@ from hgfq.report import (
     report_sort_key,
     report_to_csv_row,
 )
+
+from oracle_helpers import summarize
 
 
 def make(status_lhs, status_rhs, hyps=None, **kw):

@@ -13,7 +13,6 @@ from hgfq import (
     SweepConfig,
     character_of_order,
     make_field,
-    summarize,
     sweep,
     verify_2f1_specials,
     verify_2f1_trace,
@@ -30,6 +29,8 @@ from hgfq import (
 import hgfq.verifier
 from hgfq.report import REPORT_FIELDS, report_sort_key
 from hgfq.verifier import THEOREM_KEYS, row_blocks
+
+from oracle_helpers import summarize
 
 
 @pytest.fixture(scope="module")
