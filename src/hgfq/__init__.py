@@ -30,7 +30,6 @@ from .errors import (
     NotPrimeError,
     OddPrimeRequiredError,
     OrderNotDividingError,
-    UnsupportedInfinityCountError,
 )
 from .field import DEFAULT_Q_CAP, Field, is_prime, make_field
 from .hgf import evans_F, series_value
@@ -70,7 +69,6 @@ __all__ = [
     "OrderNotDividingError",
     "PointCount",
     "SweepConfig",
-    "UnsupportedInfinityCountError",
     "VerificationReport",
     "brute_force_count",
     "build_report",

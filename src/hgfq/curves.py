@@ -11,10 +11,10 @@ Weierstrass model) are oracles for the tests.  `good_reduction` decides
 from the residues of l and of lambda = a/b modulo the field's
 characteristic, which is prime because the field exists; `reduce_lambda`
 is lambda in the field under it.
-`points_at_infinity` is the one rule for the projective completion: one
-point at infinity for l != 3 and three when l = 3 with p = 1 mod 3; for
-l = 3 with p = 2 mod 3 the count at infinity is refused rather than
-guessed.
+`points_at_infinity` is the one rule for the projective completion, the
+nonsingular model: gcd(l, 3) places lie above x = infinity, and they are
+rational exactly when q = 1 mod 3, so there are three rational points at
+infinity when 3 | l and q = 1 mod 3, and one otherwise.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import (
-    BadReductionError,
-    CongruenceError,
-    NoRepresentationError,
-    UnsupportedInfinityCountError,
-)
+from .errors import BadReductionError, CongruenceError, NoRepresentationError
 from .field import Field
 
 
@@ -82,21 +77,19 @@ def curve_values(field: Field, lam: int) -> list[int]:
     return out
 
 
-def points_at_infinity(field: Field, l: int) -> int | None:
-    """The points at infinity of the projective completion: 1 for l != 3,
-    3 for l = 3 with p = 1 mod 3, and None (not known) for l = 3 otherwise."""
-    if l != 3:
-        return 1
-    return 3 if field.p % 3 == 1 else None
+def points_at_infinity(field: Field, l: int) -> int:
+    """The rational points at infinity of the nonsingular projective model.
+
+    Near infinity the curve looks like y**l = x**3, which has gcd(l, 3)
+    places there, one for each cube root of unity when 3 | l; they are all
+    rational exactly when F_q holds those roots, that is when q = 1 mod 3
+    (Galbraith-Paulus-Smart, "Arithmetic on superelliptic curves", 2002).
+    So 3 when 3 | l and q = 1 mod 3, and 1 otherwise."""
+    return 3 if l % 3 == 0 and field.q % 3 == 1 else 1
 
 
 def _projective(field: Field, l: int, affine: int) -> PointCount:
-    infinity = points_at_infinity(field, l)
-    if infinity is None:
-        raise UnsupportedInfinityCountError(
-            "points at infinity for l = 3 are only known when p = 1 mod 3"
-        )
-    projective = affine + infinity
+    projective = affine + points_at_infinity(field, l)
     return PointCount(affine, projective, 1 + field.q - projective)
 
 

@@ -37,9 +37,5 @@ class CongruenceError(HgfqError):
     """A required congruence on the field size does not hold."""
 
 
-class UnsupportedInfinityCountError(HgfqError):
-    """The point count at infinity is not defined for this parameter range."""
-
-
 class NoRepresentationError(HgfqError):
     """No representation of the requested shape exists."""

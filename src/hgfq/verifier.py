@@ -80,6 +80,13 @@ def _cubic_bracket(f: Field, s: int) -> complex:
     return f.binom_c(s, m3) + f.binom_c(s, 2 * m3)
 
 
+def _plus_infinity(f: Field, l: int, rhs: complex) -> complex:
+    """rhs plus (the points at infinity - 1), the constant of every -a_q
+    closed form; rhs itself when that is 0, so that no -0.0 moves."""
+    extra = points_at_infinity(f, l) - 1
+    return rhs + extra if extra else rhs
+
+
 def _third_term(f: Field, k: int) -> complex:
     """chi(27/8) ((chi_3 | chi) + (chi_3^2 | chi)) for the index-k character
     chi, the summand of the lambda = 1/3 closed forms; needs q = 1 (mod 3)."""
@@ -153,7 +160,6 @@ def verify_main_square(f: Field, l: int, lam: Fraction | int) -> VerificationRep
     hyps = _lambda_flags(f, l, lam)
     hyps["congruence"] = m % l == 0
     hyps["l_not_divisible_by_12"] = l % 3 != 0 or l % 4 != 0
-    hyps["infinity_count_known"] = points_at_infinity(f, l) is not None
     # the per-summand flags only exist once l divides q-1
     if all(hyps.values()):
         for i in range(1, l):
@@ -204,7 +210,8 @@ def verify_2f1_trace(
 
     For l coprime to 3 with (q-1)/l even the tops are square roots of
     character powers; both root branches are legal arguments and the one
-    used is recorded.  For l = 3 the sum needs no square roots.
+    used is recorded.  For l = 3 the sum needs no square roots.  The right
+    side carries the points at infinity - 1, which is 2 at l = 3.
     """
     lam = Fraction(lam)
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
@@ -214,7 +221,6 @@ def verify_2f1_trace(
     hyps["congruence"] = m % l == 0
     if l == 3:
         tid, where = "trace_2f1_cubic", {}
-        hyps["infinity_count_known"] = points_at_infinity(f, 3) is not None
     else:
         tid, where = "trace_2f1", {"sqrt_branch": sqrt_branch}
         hyps["l_coprime_to_3"] = l % 3 != 0
@@ -224,37 +230,31 @@ def verify_2f1_trace(
         aq = character_sum_count(f, CurveSpec(l, lam)).a_q
         one_plus = f.from_rational(1 + lam)
         if l == 3:
-            return -aq, 2 + q * sum(series_value(f, [h, 0], [i * u], one_plus) for i in (1, 2))
-        total = 0j
-        for i in range(1, l):
-            r, j_phi, j_root = _sqrt_jacobi(f, -i * u, sqrt_branch)
-            total += j_phi / j_root * series_value(f, [r + h, r], [2 * i * u], one_plus)
-        return -aq, q * total
+            total = sum(series_value(f, [h, 0], [i * u], one_plus) for i in (1, 2))
+        else:
+            total = 0j
+            for i in range(1, l):
+                r, j_phi, j_root = _sqrt_jacobi(f, -i * u, sqrt_branch)
+                total += j_phi / j_root * series_value(f, [r + h, r], [2 * i * u], one_plus)
+        return -aq, _plus_infinity(f, l, q * total)
 
     return _record(tid, f, hyps, sides, d=1, l=l, lam=lam, **where)
 
 
 def verify_lambda_third(f: Field, l: int) -> VerificationReport:
-    """-a_q at lambda = 1/3 against the closed binomial-bracket evaluation,
-    branching on l and on q mod 3."""
+    """-a_q at lambda = 1/3 against the closed binomial-bracket evaluation
+    q sum_i chi^i(27/8) ((chi_3 | chi^i) + (chi_3^2 | chi^i)) over the powers
+    of the order-l character chi, plus the points at infinity - 1 (2 when
+    3 | l and q = 1 mod 3, else 0); for q = 2 mod 3 the sum is 0."""
     lam = Fraction(1, 3)
-    hyps = {
-        "p_not_3": f.p != 3,
-        "congruence": f.m % l == 0,
-        "infinity_count_known": points_at_infinity(f, l) is not None,
-    }
+    hyps = {"p_not_3": f.p != 3, "congruence": f.m % l == 0}
 
     def sides():
         q, m = f.q, f.m
         aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-        if l == 3:
-            m3 = m // 3
-            return -aq, 2 + q * sum(
-                f.binom_c(m3, i * m3) + f.binom_c(2 * m3, i * m3) for i in (1, 2)
-            )
-        if q % 3 == 2:
+        if q % 3 == 2:  # one point at infinity
             return -aq, 0j
-        return -aq, q * sum(_third_term(f, i * (m // l)) for i in range(1, l))
+        return -aq, _plus_infinity(f, l, q * sum(_third_term(f, i * (m // l)) for i in range(1, l)))
 
     return _record("lambda_third", f, hyps, sides, d=1, l=l, lam=lam)
 
@@ -417,25 +417,20 @@ def verify_corollary_chi4(f: Field, lam: Fraction | int) -> VerificationReport:
 
 def verify_corollary_lcm(f: Field, l: int) -> VerificationReport:
     """-a_q at lambda = 1/3 via real parts of binomial brackets, under the
-    congruence q = 1 (mod lcm(3, l)); branches on l = 3 / odd / even."""
+    congruence q = 1 (mod lcm(3, l)); branches on odd / even l.  The right
+    side carries the points at infinity - 1, which is 2 when 3 | l."""
     lam = Fraction(1, 3)
-    hyps = {
-        "congruence_mod_lcm": f.m % lcm(3, l) == 0,
-        "p_not_3": f.p != 3,
-        "infinity_count_known": points_at_infinity(f, l) is not None,
-    }
+    hyps = {"congruence_mod_lcm": f.m % lcm(3, l) == 0, "p_not_3": f.p != 3}
 
     def sides():
         q, m, h = f.q, f.m, f.m // 2
         m3, u = m // 3, m // l
         aq = character_sum_count(f, CurveSpec(l, lam)).a_q
-        if l == 3:
-            return -aq, 2 + 2 * q * (f.binom_c(m3, m3) + f.binom_c(2 * m3, m3)).real
         # i up to (l-1)/2 for odd l and (l-2)/2 for even l
         terms = sum(_third_term(f, i * u).real for i in range(1, (l - 1) // 2 + 1))
         if l % 2:
-            return -aq, 2 * q * terms
-        return -aq, 2 * q * (_phi(f, -2) * f.binom_c(m3, h).real + terms)
+            return -aq, _plus_infinity(f, l, 2 * q * terms)
+        return -aq, _plus_infinity(f, l, 2 * q * (_phi(f, -2) * f.binom_c(m3, h).real + terms))
 
     return _record("lcm_third_trace", f, hyps, sides, d=1, l=l, lam=lam)
 

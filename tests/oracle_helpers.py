@@ -1,9 +1,9 @@
 """Reference implementations used to cross-check the package.
 
-The first part is deliberately naive: dict tables, double loops, cmath,
-prime fields only, and no use of the package under test.  `weil_predict`
-reads no field at all: it predicts the traces of a curve over F_{p^e} from
-those over F_p, ..., F_{p^g}, in integers.
+The naive prime-field oracles, which import nothing from the package, are
+in `naive_oracles`.  `weil_predict` reads no field at all: it predicts the
+traces of a curve over F_{p^e} from those over F_p, ..., F_{p^g}, in
+integers.
 
 The oracles after it take a package `Field` of any degree: the loop
 oracles sum its scalar binomials over k one at a time, `binom_row` builds
@@ -22,110 +22,19 @@ return one value per element encoding: `series_every_x` a series at every
 argument, `greene_transform_sides` both sides of Greene's two 2F1
 argument transformations, `curve_char_sums_all_lambda` a curve character
 sum W_s at every lambda, `affine_counts_all_lambda` the affine point count
-of the curve at every lambda, and `ono_3f2_every_lambda` and
-`aq_square_every_lambda` both sides of Ono's 3F2 evaluation and of the
-squared-trace expansion at every admissible lambda.
+of the curve at every lambda, and `ono_3f2_every_lambda`,
+`aq_square_every_lambda` and `trace_cubic_every_lambda` both sides of Ono's
+3F2 evaluation, of the squared-trace expansion and of the cubic trace
+identity at every admissible lambda.
 """
 
-import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from hgfq import hgf
 from hgfq.characters import Character, same_field
-
-
-@lru_cache(maxsize=None)
-def primitive_root(p: int) -> int:
-    for g in range(2, p):
-        x, seen = 1, set()
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no generator for {p}")
-
-
-@lru_cache(maxsize=None)
-def log_table(p: int):
-    g = primitive_root(p)
-    table = {}
-    x = 1
-    for k in range(p - 1):
-        table[x] = k
-        x = x * g % p
-    return table
-
-
-def chi(p: int, k: int, x: int) -> complex:
-    if x % p == 0:
-        return 0j
-    return cmath.exp(2j * cmath.pi * k * log_table(p)[x % p] / (p - 1))
-
-
-def jacobi(p: int, a: int, b: int) -> complex:
-    return sum(chi(p, a, x) * chi(p, b, 1 - x) for x in range(p))
-
-
-def binom(p: int, a: int, b: int) -> complex:
-    m = p - 1
-    return chi(p, b, -1) * jacobi(p, a, (m - b) % m) / p
-
-
-def series(p: int, tops, bottoms, x: int) -> complex:
-    m = p - 1
-    total = 0j
-    for k in range(m):
-        term = binom(p, (tops[0] + k) % m, k % m)
-        for t, b in zip(tops[1:], bottoms):
-            term *= binom(p, (t + k) % m, (b + k) % m)
-        total += term * chi(p, k, x)
-    return p / (p - 1) * total
-
-
-def evans_F(p: int, a: int, b: int, x: int) -> complex:
-    """p/(p-1) times the sum over k of (A chi_k^2 | chi_k)(A chi_k | B chi_k) chi_k(x/4)."""
-    m = p - 1
-    y = x * pow(4, -1, p) % p
-    total = 0j
-    for k in range(m):
-        term = binom(p, (a + 2 * k) % m, k) * binom(p, (a + k) % m, (b + k) % m)
-        total += term * chi(p, k, y)
-    return p / m * total
-
-
-def evans_F_star_naive(p: int, a: int, b: int, x: int) -> complex:
-    """F(A, B; x) plus A B(-1) Abar(x/4) / p; both terms vanish at x = 0."""
-    y = x * pow(4, -1, p) % p
-    return evans_F(p, a, b, x) + chi(p, a + b, -1) * chi(p, -a, y) / p
-
-
-def curve_char_sum(p: int, l: int, i: int, num: int, den: int) -> complex:
-    """W_i = sum over x of S**i((x-1)(x**2+lambda)), S a character of order l.
-
-    S is built on this module's own generator, so a single W_i may differ
-    from the package's by a permutation of i; every symmetric function of
-    W_1, ..., W_{l-1} (their sum, the sum of their squares) does not.
-    """
-    lam = num * pow(den, -1, p) % p
-    k = i * (p - 1) // l
-    return sum(chi(p, k, (x - 1) * (x * x + lam)) for x in range(p))
-
-
-def count_affine(p: int, l: int, num: int, den: int) -> int:
-    """Points on y**l = (x-1)(x**2+lambda) over F_p by raw double loop."""
-    lam = num * pow(den, -1, p) % p
-    pts = 0
-    for x in range(p):
-        rhs = (x - 1) * (x * x + lam) % p
-        for y in range(p):
-            if pow(y, l, p) == rhs:
-                pts += 1
-    return pts
+from hgfq.hgf import evans_F, series_value
 
 
 def weil_predict(traces, p: int, g: int, e_max: int) -> dict[int, int]:
@@ -339,13 +248,13 @@ def g_sum_c(a: Character, b: Character, x: int) -> complex:
 
 
 def hgf_2f1(a: Character, b: Character, c: Character, x: int) -> complex:
-    return hgf.series_value(same_field(a, b, c), [a.index, b.index], [c.index], x)
+    return series_value(same_field(a, b, c), [a.index, b.index], [c.index], x)
 
 
 def evans_F_star(a: Character, b: Character, x: int) -> complex:
     """F(A, B; x) plus A B(-1) Abar(x/4) / q; both terms vanish at x = 0."""
     field = a.field
-    f = hgf.evans_F(a, b, x)  # not the prime-field `evans_F` above
+    f = evans_F(a, b, x)
     if x == 0:
         return f
     x4 = field.div(x, field.from_int(4))
@@ -507,11 +416,12 @@ def aq_square_every_lambda(field, l):
     over 1 <= i < l, plus (l-1)(q-1) - (l-3) a_q for odd l; for l = 2 the
     verifier's even-l tail is empty.  The series come from `series_every_x`,
     each character value from the dlog of its argument, and a_q = q - affine
-    from `affine_counts_all_lambda` (one point at infinity, as for l != 3).
+    from `affine_counts_all_lambda` (one point at infinity, as 3 does not
+    divide l).
     """
     q, m, h = field.q, field.m, field.m // 2
-    if m % l or l % 2 == 0 and l != 2:
-        raise ValueError(f"need l = 2 or an odd l dividing q - 1 = {m}, not {l}")
+    if m % l or l % 3 == 0 or l % 2 == 0 and l != 2:
+        raise ValueError(f"need l = 2 or an odd l prime to 3 dividing q - 1 = {m}, not {l}")
     u = m // l
     dlog = np.array(field._dlog)
     lam, lam_plus_1 = _admissible_lambdas(field)
@@ -534,3 +444,24 @@ def aq_square_every_lambda(field, l):
     if l % 2:
         rhs += (l - 1) * m - (l - 3) * a_q
     return lam, a_q * a_q, rhs
+
+
+def trace_cubic_every_lambda(field):
+    """(lambdas, lhs, rhs) for the cubic trace identity that
+    `verifier.verify_2f1_trace` evaluates at l = 3, W_u + W_2u = q sum over
+    i = 1, 2 of 2F1(phi, eps; chi_3^i | 1+lambda), at every lambda with
+    lambda (lambda + 1) != 0, as complex arrays over those lambdas.
+
+    u = (q-1)/3 is the index of the cubic character chi_3, so q = 1 (mod 3).
+    lhs is -a_q - 2, the trace without its 3 - 1 points at infinity: each
+    W from `curve_char_sums_all_lambda`.  rhs reads `series_every_x` at
+    1 + lambda.
+    """
+    q, m, h = field.q, field.m, field.m // 2
+    if m % 3:
+        raise ValueError(f"need q = 1 (mod 3), not q = {q}")
+    u = m // 3
+    lam, lam_plus_1 = _admissible_lambdas(field)
+    lhs = sum(curve_char_sums_all_lambda(field, i * u)[lam] for i in (1, 2))
+    rhs = q * sum(series_every_x(field, [h, 0], [i * u])[lam_plus_1] for i in (1, 2))
+    return lam, lhs, rhs

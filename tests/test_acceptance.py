@@ -45,6 +45,7 @@ from hgfq import (
 from hgfq.cli import main as cli_main
 from hgfq.report import RELATIVE_TOLERANCE
 
+import naive_oracles as naive
 import oracle_helpers as oracle
 from oracle_helpers import evans_F_star, g_sum_c, gauss_sum, hgf_2f1, jacobi_sum
 
@@ -135,7 +136,7 @@ def _curve_char_sums(f, l, lam):
     enumeration: the naive oracle on prime fields, field arithmetic otherwise."""
     if f.e == 1:
         return [
-            oracle.curve_char_sum(f.p, l, i, lam.numerator, lam.denominator)
+            naive.curve_char_sum(f.p, l, i, lam.numerator, lam.denominator)
             for i in range(1, l)
         ]
     le = f.from_rational(lam)
@@ -209,7 +210,7 @@ def test_criterion_03_squared_trace_double_sum(capsys):
         print(f"  {line}")
     # l in {3, 4, 6}: one summand always has order 3 or 4, so every instance
     # is a skip.  The per-summand flags are added only once the first premise
-    # stage (lambda, congruence, l, infinity count) holds; then the flag below
+    # stage (lambda, congruence, l) holds; then the flag below
     # is the one that rules the instance out.
     ruled_out_by = {3: "summand_1_order_not_3", 4: "summand_1_order_not_4",
                     6: "summand_2_order_not_3"}
@@ -230,8 +231,8 @@ def test_criterion_03_squared_trace_double_sum(capsys):
                 else:
                     stages["first stage only"] += 1
     print(f"l in (3, 4, 6): all skips, {stages}")
-    if stages != {"summand flags": 270, "first stage only": 20}:
-        problems.append(f"l in (3, 4, 6) premise stages {stages}, expected 270 and 20")
+    if stages != {"summand flags": 279, "first stage only": 11}:
+        problems.append(f"l in (3, 4, 6) premise stages {stages}, expected 279 and 11")
     _verdict(capsys, 3, "a_q^2 expansion passes for l = 2 and evaluates to "
              "sum W_i^2 + (l-1)(q-1) - (l-3) a_q for l in (5, 7)",
              problems, covered, 60)
@@ -467,8 +468,8 @@ def _check_imported_identities(f, problems):
     # definitions; eps and phi do not depend on the choice of generator
     if f.e == 1:
         for x in range(q):
-            lhs = oracle.evans_F_star_naive(q, 0, 0, x)
-            rhs = oracle.series(q, [h, 0], [0], x) + (q - 1) / q * (x != 0)
+            lhs = naive.evans_F_star(q, 0, 0, x)
+            rhs = naive.series(q, [h, 0], [0], x) + (q - 1) / q * (x != 0)
             if not close(lhs, rhs) or not close(lhs, evans_F_star(eps, eps, x)):
                 problems.append(
                     f"q={q}: naive F*(eps, eps) branch off at x={x}: "

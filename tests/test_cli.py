@@ -429,7 +429,7 @@ PACKAGE_NAMES = {
     "BadReductionError", "Character", "CongruenceError", "CurveSpec", "DEFAULT_Q_CAP", "Field",
     "FieldMismatchError", "FieldTooLargeError", "HgfqError", "LogOfZeroError",
     "NoRepresentationError", "NotPrimeError", "OddPrimeRequiredError", "OrderNotDividingError",
-    "PointCount", "SweepConfig", "UnsupportedInfinityCountError", "VerificationReport",
+    "PointCount", "SweepConfig", "VerificationReport",
     "brute_force_count", "build_report", "character_of_order", "character_sum_count",
     "cornacchia_3", "evans_F", "good_reduction", "is_prime", "make_field", "parse_character",
     "quadratic_character", "reduce_lambda", "series_value", "sweep", "trivial_character",

@@ -3,7 +3,7 @@ its oracles, counts at every lambda at once, reduction checks, and the
 quadratic-form representation used by the l=3 corollary."""
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from hgfq import (
     CongruenceError,
     CurveSpec,
     NotPrimeError,
-    UnsupportedInfinityCountError,
     brute_force_count,
     character_sum_count,
     cornacchia_3,
@@ -21,11 +20,13 @@ from hgfq import (
     is_prime,
     make_field,
     reduce_lambda,
+    verify_2f1_trace,
     verify_main_square,
     weierstrass_count_l3,
 )
 from hgfq.curves import curve_char_sum, curve_histogram, points_at_infinity
 
+import naive_oracles as naive
 import oracle_helpers as oracle
 from oracle_helpers import genus, hasse_weil_bound
 
@@ -103,9 +104,7 @@ def test_counts_match_naive_oracle():
                 curve = CurveSpec(l, lam)
                 if not good_reduction(f, l, lam):
                     continue
-                if l == 3 and p % 3 != 1:
-                    continue
-                want = oracle.count_affine(p, l, lam.numerator, lam.denominator)
+                want = naive.count_affine(p, l, lam.numerator, lam.denominator)
                 assert brute_force_count(f, curve).affine == want
                 assert character_sum_count(f, curve).affine == want
 
@@ -138,20 +137,44 @@ def test_projective_closure_and_trace():
     assert pc3.projective == pc3.affine + 3
 
 
+# (p, e) -> the points at infinity for l = 2, ..., 9: three when 3 | l and
+# q = 1 mod 3, one otherwise; q alone decides, not p
+INFINITY_TABLE = {
+    (3, 1): (1, 1, 1, 1, 1, 1, 1, 1),
+    (3, 2): (1, 1, 1, 1, 1, 1, 1, 1),
+    (5, 1): (1, 1, 1, 1, 1, 1, 1, 1),
+    (5, 2): (1, 3, 1, 1, 3, 1, 1, 3),
+    (5, 3): (1, 1, 1, 1, 1, 1, 1, 1),
+    (7, 1): (1, 3, 1, 1, 3, 1, 1, 3),
+    (11, 2): (1, 3, 1, 1, 3, 1, 1, 3),
+    (13, 1): (1, 3, 1, 1, 3, 1, 1, 3),
+}
+
+
 def test_points_at_infinity_rule():
-    for p, e in ((3, 1), (5, 1), (7, 1), (13, 1), (5, 2), (3, 2)):
+    for (p, e), want in INFINITY_TABLE.items():
         f = make_field(p, e)
-        assert [points_at_infinity(f, l) for l in (2, 4, 5, 6)] == [1] * 4
-        assert points_at_infinity(f, 3) == (3 if p % 3 == 1 else None)
+        assert tuple(points_at_infinity(f, l) for l in range(2, 10)) == want, (p, e)
+    assert points_at_infinity(make_field(5, 2), 3) == 3  # q = 25, p = 2 mod 3
+    assert points_at_infinity(make_field(5, 3), 3) == 1  # q = 125
+    assert points_at_infinity(make_field(13), 6) == 3
+    assert points_at_infinity(make_field(5), 6) == 1
 
 
-def test_l3_needs_p_1_mod_3_for_infinity():
-    f = make_field(5)
-    with pytest.raises(UnsupportedInfinityCountError):
-        brute_force_count(f, CurveSpec(3, Fraction(1)))
-    f2 = make_field(5, 2)  # q = 25 = 1 mod 3 but p = 5 = 2 mod 3
-    with pytest.raises(UnsupportedInfinityCountError):
-        brute_force_count(f2, CurveSpec(3, Fraction(1)))
+def test_l3_counts_match_the_weierstrass_model_when_p_is_2_mod_3():
+    # a_q does not depend on the model: for p = 2 mod 3 there are three
+    # points at infinity at even e (q = 1 mod 3) and one at odd e
+    cases = 0
+    for p, e in ((5, 1), (5, 2), (5, 3), (5, 4), (11, 1), (11, 2), (17, 1), (17, 2), (23, 2)):
+        f = make_field(p, e)
+        for lam in LAMBDAS + (Fraction(-3), Fraction(1, 4)):
+            curve = CurveSpec(3, lam)
+            if not good_reduction(f, 3, lam):
+                continue
+            assert character_sum_count(f, curve).a_q == weierstrass_count_l3(f, curve).a_q, (
+                f.q, lam)
+            cases += 1
+    assert cases == 55
 
 
 def test_charsum_count_for_every_l():
@@ -161,8 +184,6 @@ def test_charsum_count_for_every_l():
     for p, e in ((5, 1), (7, 1), (11, 1), (13, 1), (19, 1), (3, 2), (5, 2), (3, 3), (7, 2)):
         f = make_field(p, e)
         for l in range(2, 11):
-            if l == 3 and p % 3 != 1:
-                continue
             g = gcd(l, f.m)
             for lam in LAMBDAS:
                 curve = CurveSpec(l, lam)
@@ -176,14 +197,15 @@ def test_charsum_count_for_every_l():
 def test_counts_obey_the_weil_relation_across_degrees():
     # The traces over F_p, ..., F_{p^g} fix the L-polynomial, and so every
     # trace over F_{p^e}: an oracle that shares no code with the count.
-    # l = 6, and l = 3 with p = 2 (mod 3), are left out: the points at
-    # infinity there do not yet follow the smooth model (ROADMAP item 6).
-    q_max = 3000
+    # l = 6 has genus 4 and bad reduction at 3, so its predictions are at
+    # q = 5^5 and 5^6; the even degree has three points at infinity, and a
+    # count with one there fails.  The primes stop at 53.
+    q_max = 5**6
     checked = set()
-    for l in (2, 3, 4, 5):
+    for l in (2, 3, 4, 5, 6):
         g = genus(l)
-        for p in range(3, isqrt(q_max) + 1, 2):
-            if not is_prime(p) or p ** (g + 1) > q_max or (l == 3 and p % 3 != 1):
+        for p in range(3, 54, 2):
+            if not is_prime(p) or p ** (g + 1) > q_max:
                 continue
             fields = [make_field(p, e, q_max) for e in range(1, q_max.bit_length()) if p**e <= q_max]
             for lam in LAMBDAS + (Fraction(-3),):
@@ -194,8 +216,9 @@ def test_counts_obey_the_weil_relation_across_degrees():
                 predicted = oracle.weil_predict(traces[:g], p, g, len(traces))
                 assert predicted == dict(enumerate(traces[g:], g + 1)), (l, p, lam)
                 checked.add((l, p))
-    assert {l for l, p in checked} == {2, 3, 4, 5}
+    assert {l for l, p in checked} == {2, 3, 4, 5, 6}
     assert (5, 3) in checked and (4, 7) in checked and (2, 53) in checked
+    assert (3, 5) in checked and (6, 5) in checked
 
 
 def test_curve_char_sum_matches_per_x_sums():
@@ -207,7 +230,7 @@ def test_curve_char_sum_matches_per_x_sums():
                 continue
             le = f.from_rational(lam)
             for s in range(f.m):
-                want = oracle.curve_char_sum(p, f.m, s, lam.numerator, lam.denominator)
+                want = naive.curve_char_sum(p, f.m, s, lam.numerator, lam.denominator)
                 assert abs(curve_char_sum(f, s, le) - want) < 1e-9, (p, lam, s)
     # and against scalar char_value sums on extension fields, every s, with
     # lambdas where x**2 + lambda has roots (z = 3) and where it has none
@@ -253,7 +276,7 @@ def test_correlation_counts_match_the_histogram_at_every_lambda():
             g = gcd(l, f.m)
             for lam, (hist, zeros) in histograms.items():
                 want = zeros + g * int(hist[::g].sum())  # the rule character_sum_count reads
-                if lam < p and points_at_infinity(f, l) is not None:
+                if lam < p:
                     assert character_sum_count(f, CurveSpec(l, Fraction(lam))).affine == want
                 assert counts[lam] == want, (f.q, l, lam)
                 cases += 1
@@ -305,6 +328,27 @@ def test_aq_square_3f2_at_every_lambda(p, e, l):
     assert compared >= 2
 
 
+@pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (31, 1), (7, 2), (11, 2)])
+def test_trace_cubic_at_every_lambda(p, e):
+    # W_u + W_2u = q sum_i 2F1(phi, eps; chi_3^i | 1+lambda), each side rounded
+    f = make_field(p, e)
+    lams, lhs, rhs = oracle.trace_cubic_every_lambda(f)
+    assert len(lams) == f.q - 2
+    assert (np.rint(lhs.real) == np.rint(rhs.real)).all()
+    assert np.abs(lhs - rhs).max() < 1e-9
+    compared = 0
+    for lam in LAMBDAS:  # the rational lambdas, against the sweep's record
+        record = verify_2f1_trace(f, 3, lam)
+        if record.skipped:
+            continue
+        i = int(np.flatnonzero(lams == f.from_rational(lam))[0])
+        # -a_q is the sum of the W plus the 3 - 1 points at infinity
+        assert record.lhs == np.rint(lhs[i].real) + 2, (f.q, lam)
+        assert abs(record.rhs - (rhs[i] + 2)) < 1e-9, (f.q, lam)
+        compared += 1
+    assert compared >= 2
+
+
 def test_genus_and_hasse_weil():
     assert genus(2) == 1
     assert genus(3) == 1
@@ -315,7 +359,7 @@ def test_genus_and_hasse_weil():
     for p in (5, 7, 11, 13, 17):
         f = make_field(p)
         for l in (2, 3):
-            if (p - 1) % l or (l == 3 and p % 3 != 1):
+            if (p - 1) % l:
                 continue
             for lam in LAMBDAS:
                 curve = CurveSpec(l, lam)
@@ -323,6 +367,11 @@ def test_genus_and_hasse_weil():
                     continue
                 aq = brute_force_count(f, curve).a_q
                 assert abs(aq) <= hasse_weil_bound(l, f.q)
+    # q = 11^4 = 1 mod 3 gives l = 6 three points at infinity; with one,
+    # a_q would be 970, above the bound 968
+    f = make_field(11, 4)
+    aq = character_sum_count(f, CurveSpec(6, Fraction(1, 3))).a_q
+    assert aq == 968 and abs(aq) <= hasse_weil_bound(6, f.q)
 
 
 def test_cornacchia_values():

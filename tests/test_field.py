@@ -23,7 +23,8 @@ from hgfq import (
 import hgfq.field
 from hgfq.field import fits_cap, prime_factors
 
-from oracle_helpers import gauss_sum, primitive_root, scalar_field_tables, trace_frobenius
+from naive_oracles import primitive_root
+from oracle_helpers import gauss_sum, scalar_field_tables, trace_frobenius
 
 
 def test_is_prime_small():

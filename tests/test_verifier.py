@@ -76,15 +76,15 @@ DEFAULT_CENSUS = {
     "charsum_sqrt_2f1": (114, 0, 106),
     "charsum_square_3f2": (48, 0, 62),
     "chi4_square": (28, 0, 12),
-    "lambda_third": (20, 0, 12),
-    "lcm_third_trace": (16, 0, 16),
+    "lambda_third": (22, 0, 10),
+    "lcm_third_trace": (18, 0, 14),
     "mccarthy_binomial": (6, 0, 2),
     "mccarthy_gauss": (6, 0, 2),
     "ono_3f2": (38, 0, 2),
     "trace_2f1": (114, 0, 126),
-    "trace_2f1_cubic": (20, 0, 20),
+    "trace_2f1_cubic": (29, 0, 11),
 }
-DEFAULT_DIGEST = "a9c16fd00999e54af5d25d23fff53fbce112d3830d53b6add9fae4e255dbb9b1"
+DEFAULT_DIGEST = "e86e9a244dac312c0a7799fe6630299254acbefbc1741bafd68bad828ce76150"
 
 
 def test_default_sweep_golden(default_reports):
@@ -164,21 +164,19 @@ def test_exact_check_decides_inside_the_tolerance(monkeypatch):
     assert r.abs_diff == pytest.approx(1 / 1009**2)
 
 
-def test_every_infinity_flag_reads_the_curves_rule(monkeypatch):
-    f = make_field(13)
-
-    def records():
-        return [
-            verify_main_square(f, 2, 1),
-            verify_2f1_trace(f, 3, 2),
-            verify_lambda_third(f, 3),
-            verify_corollary_lcm(f, 3),
-        ]
-
-    assert all(r.hypotheses["infinity_count_known"] and r.passed for r in records())
-    monkeypatch.setattr(hgfq.verifier, "points_at_infinity", lambda field, l: None)
-    for r in records():
-        assert r.skipped and r.hypotheses["infinity_count_known"] is False, r.theorem_id
+def test_lambda_third_closed_forms_at_l3_follow_q_mod_3():
+    # at l = 3 the two lambda = 1/3 closed forms need only q = 1 mod 3, so
+    # they pass at q = 25 and 121 (p = 2 mod 3) as at q = 13, and skip on
+    # their congruence flag alone at q = 5 and 11
+    for p, e in ((13, 1), (5, 2), (11, 2), (5, 1), (11, 1)):
+        f = make_field(p, e)
+        third, lcm3 = verify_lambda_third(f, 3), verify_corollary_lcm(f, 3)
+        if f.q % 3 == 1:
+            assert third.passed and lcm3.passed, f.q
+        else:
+            assert third.skipped and third.hypotheses == {"p_not_3": True, "congruence": False}
+            assert lcm3.skipped
+            assert lcm3.hypotheses == {"congruence_mod_lcm": False, "p_not_3": True}
 
 
 def test_passing_trace_l2_implies_chi4(default_reports):
@@ -387,10 +385,13 @@ def test_trace_branch_and_parity():
 
 
 def test_trace_cubic():
-    r = verify_2f1_trace(make_field(13), 3, Fraction(2))
-    assert r.passed
-    bad = verify_2f1_trace(make_field(5, 2), 3, Fraction(2))
-    assert bad.skipped and bad.hypotheses["infinity_count_known"] is False
+    # q = 1 mod 3 is the one condition at l = 3, whatever p is mod 3
+    for p, e in ((13, 1), (5, 2), (11, 2)):
+        assert verify_2f1_trace(make_field(p, e), 3, Fraction(2)).passed, (p, e)
+    for p in (5, 11):
+        r = verify_2f1_trace(make_field(p), 3, Fraction(2))
+        assert r.skipped, p
+        assert r.hypotheses == {"lambda_admissible": True, "good_reduction": True, "congruence": False}
 
 
 def test_lambda_third_vanishing_branch():
