@@ -5,12 +5,15 @@ lambda): `curve_histogram` buckets the nonzero values of the curve
 polynomial by discrete log and counts its roots.  `character_sum_count`
 reads the exact affine count off it for any l, and `curve_char_sum` the
 sum W(S) of a character over the curve polynomial; these are what the
-verification sweep and `hgfq count` use.  `brute_force_count` (enumeration
-of affine pairs) and, for l = 3, `weierstrass_count_l3` (the short
-Weierstrass model) are oracles for the tests.  `good_reduction` decides
-from the residues of l and of lambda = a/b modulo the field's
-characteristic, which is prime because the field exists; `reduce_lambda`
-is lambda in the field under it.
+verification sweep and `hgfq count` use.  The values themselves come from
+`curve_values`, in integer arithmetic mod p on a prime field and by a
+loop of field ops on F_{p^e} with e > 1; the tests compare it with that
+loop for every e, `oracle_helpers.curve_values_by_field_ops`.
+`brute_force_count` (enumeration of affine pairs) and, for l = 3,
+`weierstrass_count_l3` (the short Weierstrass model) are oracles for the
+tests.  `good_reduction` decides from the residues of l and of lambda =
+a/b modulo the field's characteristic, which is prime because the field
+exists; `reduce_lambda` is lambda in the field under it.
 `points_at_infinity` is the one rule for the projective completion, the
 nonsingular model: gcd(l, 3) places lie above x = infinity, and they are
 rational exactly when q = 1 mod 3, so there are three rational points at
@@ -70,7 +73,15 @@ def reduce_lambda(field: Field, curve: CurveSpec) -> int:
 
 
 def curve_values(field: Field, lam: int) -> list[int]:
-    """(x-1)(x**2 + lambda) for every x in the field, by encoding."""
+    """(x-1)(x**2 + lambda) for every x in the field, by encoding.
+
+    On a prime field the encodings are the residues, so this is integer
+    arithmetic mod p; on F_{p^e} with e > 1 it is a loop of field ops.
+    `oracle_helpers.curve_values_by_field_ops` is the field-ops loop for
+    every e, the oracle the tests compare this with."""
+    if field.e == 1:
+        p = field.p
+        return [(x - 1) * (x * x + lam) % p for x in range(p)]
     out = []
     for x in range(field.q):
         out.append(field.mul(field.sub(x, 1), field.add(field.mul(x, x), lam)))

@@ -387,7 +387,8 @@ def verify_corollary_c3(f: Field) -> list[VerificationReport]:
         lhs2 = p * (
             series_value(f, [h, 0], [m3], half) + series_value(f, [h, 0], [2 * m3], half)
         )
-        rhs2 = phi2 * (-1.0 if (x + y) % 2 else 1.0) * sym * 2 * x - 2
+        infinity = points_at_infinity(f, 3)  # 3, as p = 1 (mod 3)
+        rhs2 = phi2 * (-1.0 if (x + y) % 2 else 1.0) * sym * 2 * x - (infinity - 1)
         return (aq, predicted), (lhs2, rhs2)
 
     return [

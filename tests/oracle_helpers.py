@@ -6,13 +6,15 @@ traces of a curve over F_{p^e} from those over F_p, ..., F_{p^g}, in
 integers.
 
 The oracles after it take a package `Field` of any degree: the loop
-oracles sum its scalar binomials over k one at a time, `binom_row` builds
-a whole binomial row from Jacobi weights by bincount and inverse FFT, and
-`scalar_field_tables` rebuilds its exp, dlog and trace tables one power of
-the generator at a time.  Greene's exact character sums are here too, since
-no command of the package reads them: `CyclotomicSum` holds a sum of roots
-of unity as integer counts, and `jacobi_sum`, `gauss_sum` and `g_sum` give
-one sum each in that form, independent of the field's Gauss-sum table.
+oracles sum its scalar binomials over k one at a time,
+`curve_values_by_field_ops` evaluates the curve polynomial at every x by
+scalar field ops, `binom_row` builds a whole binomial row from Jacobi
+weights by bincount and inverse FFT, and `scalar_field_tables` rebuilds
+its exp, dlog and trace tables one power of the generator at a time.
+Greene's exact character sums are here too, since no command of the
+package reads them: `CyclotomicSum` holds a sum of roots of unity as
+integer counts, and `jacobi_sum`, `gauss_sum` and `g_sum` give one sum
+each in that form, independent of the field's Gauss-sum table.
 With them are the small helpers that only the tests call: `hgf_2f1`,
 `evans_F_star`, `sqrt_character`, `delta_char`, `genus`,
 `hasse_weil_bound` and `summarize`.
@@ -102,6 +104,17 @@ def trace_frobenius(field) -> list[int]:
         for i in range(field.e):
             s = field.add(s, field.pow(x, field.p**i))
         out.append(s)
+    return out
+
+
+def curve_values_by_field_ops(field, lam: int) -> list[int]:
+    """(x-1)(x**2 + lambda) for every encoding x, by scalar field ops.
+
+    The oracle for `curves.curve_values`, which reads residues mod p on a
+    prime field and runs this same loop only when e > 1."""
+    out = []
+    for x in range(field.q):
+        out.append(field.mul(field.sub(x, 1), field.add(field.mul(x, x), lam)))
     return out
 
 

@@ -24,7 +24,7 @@ from hgfq import (
     verify_main_square,
     weierstrass_count_l3,
 )
-from hgfq.curves import curve_char_sum, curve_histogram, points_at_infinity
+from hgfq.curves import curve_char_sum, curve_histogram, curve_values, points_at_infinity
 
 import naive_oracles as naive
 import oracle_helpers as oracle
@@ -92,6 +92,26 @@ def test_reduce_lambda():
     assert reduce_lambda(f, CurveSpec(2, Fraction(1, 3))) == f.div(1, 3)
     with pytest.raises(BadReductionError):
         reduce_lambda(make_field(3), CurveSpec(2, Fraction(1, 3)))
+
+
+def test_curve_values_match_the_field_ops_oracle_on_prime_fields():
+    # brute_force_count reads curve_values as well, so the two counts agreeing
+    # does not check it; the field-ops loop does, at three lambdas on every
+    # odd prime up to 2000 and at every lambda up to p = 61
+    primes = [p for p in range(3, 2001, 2) if is_prime(p)]
+    for p in primes:
+        f = make_field(p)
+        for lam in range(p) if p <= 61 else (1, (p + 1) // 2, p - 2):
+            assert curve_values(f, lam) == oracle.curve_values_by_field_ops(f, lam), (p, lam)
+    assert len(primes) == 302
+
+
+@pytest.mark.parametrize("p, e", [(99991, 1), (313, 2), (3, 10), (5, 7), (11, 4)])
+def test_curve_values_match_the_field_ops_oracle_at_the_cap(p, e):
+    # src runs the oracle's own loop when e > 1, so one lambda off F_p does there
+    f = make_field(p, e)
+    for lam in (1, f.q // 2, f.q - 2) if e == 1 else (f.q - 2,):
+        assert curve_values(f, lam) == oracle.curve_values_by_field_ops(f, lam), lam
 
 
 def test_counts_match_naive_oracle():
@@ -241,7 +261,7 @@ def test_curve_char_sum_matches_per_x_sums():
             if not good_reduction(f, 2, lam):
                 continue
             le = f.from_rational(lam)
-            values = [f.mul(f.sub(x, 1), f.add(f.mul(x, x), le)) for x in range(f.q)]
+            values = oracle.curve_values_by_field_ops(f, le)
             hist, z = curve_histogram(f, le)
             assert z == values.count(0) and hist.sum() == f.q - z
             zeros.add(z)
@@ -266,7 +286,9 @@ def test_weierstrass_model_agrees():
 def test_correlation_counts_match_the_histogram_at_every_lambda():
     # every admissible lambda of each field, rational or not, by its encoding
     cases = 0
-    for p, e in ((5, 1), (7, 1), (13, 1), (31, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4), (11, 2)):
+    fields = ((5, 1), (7, 1), (13, 1), (31, 1), (101, 1), (211, 1), (1009, 1))
+    fields += ((3, 2), (5, 2), (7, 2), (3, 3), (3, 4), (11, 2))
+    for p, e in fields:
         f = make_field(p, e)
         histograms = {lam: curve_histogram(f, lam) for lam in range(1, f.q) if f.add(lam, 1)}
         for l in range(2, 7):
@@ -280,7 +302,7 @@ def test_correlation_counts_match_the_histogram_at_every_lambda():
                     assert character_sum_count(f, CurveSpec(l, Fraction(lam))).affine == want
                 assert counts[lam] == want, (f.q, l, lam)
                 cases += 1
-    assert cases == 1492
+    assert cases == 8067
 
 
 @pytest.mark.parametrize("p, e", [(13, 1), (5, 2), (3, 3)])
