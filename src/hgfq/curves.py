@@ -2,13 +2,15 @@
 
 Every curve character sum comes from one integer histogram per (field,
 lambda): `curve_histogram` buckets the nonzero values of the curve
-polynomial by discrete log and counts its roots.  `character_sum_count`
-reads the exact affine count off it for any l, and `curve_char_sum` the
-sum W(S) of a character over the curve polynomial; these are what the
-verification sweep and `hgfq count` use.  The values themselves come from
-`curve_values`, in integer arithmetic mod p on a prime field and by a
-loop of field ops on F_{p^e} with e > 1; the tests compare it with that
-loop for every e, `oracle_helpers.curve_values_by_field_ops`.
+polynomial by discrete log and counts its roots, one numpy kernel: a
+gather of the field's int64 dlog array and a `bincount`.
+`character_sum_count` reads the exact affine count off it for any l, and
+`curve_char_sum` the sum W(S) of a character over the curve polynomial;
+these are what the verification sweep and `hgfq count` use.  The values
+themselves come from `curve_values` as an int64 array, in int64 arithmetic
+mod p on a prime field (exact for p < 3.03e9) and by a loop of field ops
+on F_{p^e} with e > 1; the tests compare it with that loop for every e,
+`oracle_helpers.curve_values_by_field_ops`.
 `brute_force_count` (enumeration of affine pairs) and, for l = 3,
 `weierstrass_count_l3` (the short Weierstrass model) are oracles for the
 tests.  `good_reduction` decides from the residues of l and of lambda =
@@ -72,20 +74,28 @@ def reduce_lambda(field: Field, curve: CurveSpec) -> int:
     return field.from_rational(curve.lam)
 
 
-def curve_values(field: Field, lam: int) -> list[int]:
-    """(x-1)(x**2 + lambda) for every x in the field, by encoding.
+def curve_values(field: Field, lam: int) -> np.ndarray:
+    """(x-1)(x**2 + lambda) for every x in the field, by encoding: an int64 q-vector.
 
-    On a prime field the encodings are the residues, so this is integer
-    arithmetic mod p; on F_{p^e} with e > 1 it is a loop of field ops.
+    On a prime field the encodings are the residues, so this is int64
+    arithmetic mod p over the whole field at once.  Every intermediate is
+    below p**2 in absolute value (x**2 + lambda <= p (p-1)), so it is exact
+    while p < 3.03e9, where x**2 < 2**63; the cap is far below.  On F_{p^e}
+    with e > 1 it is a loop of field ops, packed into int64.
     `oracle_helpers.curve_values_by_field_ops` is the field-ops loop for
     every e, the oracle the tests compare this with."""
     if field.e == 1:
         p = field.p
-        return [(x - 1) * (x * x + lam) % p for x in range(p)]
-    out = []
-    for x in range(field.q):
-        out.append(field.mul(field.sub(x, 1), field.add(field.mul(x, x), lam)))
-    return out
+        x = np.arange(p, dtype=np.int64)
+        v = (x * x + lam) % p
+        v *= x - 1
+        v %= p
+        return v
+    return np.fromiter(
+        (field.mul(field.sub(x, 1), field.add(field.mul(x, x), lam)) for x in range(field.q)),
+        dtype=np.int64,
+        count=field.q,
+    )
 
 
 def points_at_infinity(field: Field, l: int) -> int:
@@ -107,15 +117,15 @@ def _projective(field: Field, l: int, affine: int) -> PointCount:
 def brute_force_count(field: Field, curve: CurveSpec) -> PointCount:
     lam = reduce_lambda(field, curve)
     power_counts = Counter(field.pow(y, curve.l) for y in range(field.q))
-    affine = sum(power_counts[f] for f in curve_values(field, lam))
+    affine = sum(power_counts[f] for f in curve_values(field, lam).tolist())
     return _projective(field, curve.l, affine)
 
 
 def curve_histogram(field: Field, lam: int) -> tuple[np.ndarray, int]:
     """(H, z) for f(x) = (x-1)(x**2 + lambda): H[t] counts the x with f(x) != 0
     and dlog f(x) = t, and z counts the roots of f."""
-    dlog = field._dlog
-    logs = [dlog[v] for v in curve_values(field, lam) if v]
+    values = curve_values(field, lam)
+    logs = field._dlog_array[values[values != 0]]
     return np.bincount(logs, minlength=field.m), field.q - len(logs)
 
 

@@ -12,9 +12,10 @@ are reproducible across runs.
 The powers of the generator g are built in numpy by block doubling, as
 base-p digit vectors for every e: g^w, ..., g^(2w-1) are the first w powers
 times the e x e matrix of multiplication by g^w.  The exp and dlog tables
-are kept as Python int lists, which the scalar arithmetic indexes, and the
-trace along the powers, Tr(g^t), as an int64 array.  The scalar loop they
-replace is the oracle in the tests.
+are kept as Python int lists, which the scalar arithmetic indexes; the dlog
+table also as the int64 array it is built as (-1 at 0), which the point
+counts and Z[t] below index; and the trace along the powers, Tr(g^t), as an
+int64 array.  The scalar loop they replace is the oracle in the tests.
 
 Encodings are the only element type.  `Field.check` raises `ValueError`
 for an encoding outside [0, q); the public functions that take an element
@@ -203,7 +204,9 @@ class Field:
 
     # Slots hold what is built up front: on CPython 3.11 cached_property's read
     # of __dict__ slows later reads from it ~70%, and add and mul read per call.
-    __slots__ = ("p", "e", "q", "m", "_tail", "generator", "_exp", "_dlog", "_trace_pow", "__dict__")
+    __slots__ = (
+        "p", "e", "q", "m", "_tail", "generator", "_exp", "_dlog", "_dlog_array", "_trace_pow", "__dict__"
+    )
 
     def __init__(self, p: int, e: int = 1, q_cap: int = DEFAULT_Q_CAP):
         if e < 1:
@@ -273,7 +276,9 @@ class Field:
         (for e = 1, g^w).  Entries and digits are below p, so a product stays
         below e p^2.  dlog is one scatter of the exponents into encoding
         order; a generator of order below q - 1 leaves more than the one
-        entry at 0 unset.  The oracle is `oracle_helpers.scalar_field_tables`.
+        entry at 0 unset, and is kept both as that int64 array, which the
+        vectorized reads index, and as a list for the scalar arithmetic.  The
+        oracle is `oracle_helpers.scalar_field_tables`.
         """
         p, e, m = self.p, self.e, self.m
         digits = np.zeros((m, e), dtype=np.int64)
@@ -304,6 +309,7 @@ class Field:
         del digits
         self._exp = exp.tolist()
         del exp
+        self._dlog_array = dlog
         self._dlog = dlog.tolist()
 
     # ------------------------------------------------------------------
@@ -415,7 +421,7 @@ class Field:
         places = self.p ** np.arange(self.e, dtype=np.int64)
         digits = np.array(self._exp, dtype=np.int64)[:, None] // places % self.p
         digits[:, 0] -= 1  # 1 - g^t, digit by digit
-        return np.array(self._dlog, dtype=np.int64)[(-digits % self.p) @ places]
+        return self._dlog_array[(-digits % self.p) @ places]
 
     def jacobi_counts(self, a: int, b: int) -> np.ndarray:
         """Exact exponent counts of J(chi_a, chi_b) over (q-1)-th roots, one O(q) pass.

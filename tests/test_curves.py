@@ -2,6 +2,7 @@
 its oracles, counts at every lambda at once, reduction checks, and the
 quadratic-form representation used by the l=3 corollary."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -94,6 +95,12 @@ def test_reduce_lambda():
         reduce_lambda(make_field(3), CurveSpec(2, Fraction(1, 3)))
 
 
+def _assert_curve_values_match_oracle(f, lam):
+    values = curve_values(f, lam)
+    assert values.dtype == np.int64 and values.shape == (f.q,), (f, lam)
+    assert values.tolist() == oracle.curve_values_by_field_ops(f, lam), (f, lam)
+
+
 def test_curve_values_match_the_field_ops_oracle_on_prime_fields():
     # brute_force_count reads curve_values as well, so the two counts agreeing
     # does not check it; the field-ops loop does, at three lambdas on every
@@ -102,16 +109,31 @@ def test_curve_values_match_the_field_ops_oracle_on_prime_fields():
     for p in primes:
         f = make_field(p)
         for lam in range(p) if p <= 61 else (1, (p + 1) // 2, p - 2):
-            assert curve_values(f, lam) == oracle.curve_values_by_field_ops(f, lam), (p, lam)
+            _assert_curve_values_match_oracle(f, lam)
     assert len(primes) == 302
 
 
 @pytest.mark.parametrize("p, e", [(99991, 1), (313, 2), (3, 10), (5, 7), (11, 4)])
 def test_curve_values_match_the_field_ops_oracle_at_the_cap(p, e):
-    # src runs the oracle's own loop when e > 1, so one lambda off F_p does there
+    # src runs the oracle's own loop when e > 1, so one lambda off F_p does
+    # there; at q = 99991 the int64 products pass 2**31, near p**2
     f = make_field(p, e)
     for lam in (1, f.q // 2, f.q - 2) if e == 1 else (f.q - 2,):
-        assert curve_values(f, lam) == oracle.curve_values_by_field_ops(f, lam), lam
+        _assert_curve_values_match_oracle(f, lam)
+
+
+@pytest.mark.parametrize("p, e", [(99991, 1), (313, 2), (3, 10)])
+def test_curve_histogram_matches_a_python_bincount_at_the_cap(p, e):
+    # lambda = q - 2, and lambda = -g**2, where x**2 + lambda has the roots
+    # +-g besides x = 1, so z = 3
+    f = make_field(p, e)
+    for lam in (f.q - 2, f.neg(f.mul(f.generator, f.generator))):
+        values = oracle.curve_values_by_field_ops(f, lam)
+        counts = Counter(f._dlog[v] for v in values if v)
+        hist, z = curve_histogram(f, lam)
+        assert hist.tolist() == [counts[t] for t in range(f.m)], lam
+        assert z == values.count(0), lam
+    assert z == 3
 
 
 def test_counts_match_naive_oracle():

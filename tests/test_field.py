@@ -199,6 +199,7 @@ def test_linear_tables_match_scalar_oracles(p, e):
 def _assert_tables_match_scalar_oracle(f):
     exp, dlog, trace = scalar_field_tables(f)
     assert f._exp == exp and f._dlog == dlog, f
+    assert f._dlog_array.dtype == np.int64 and f._dlog_array.tolist() == dlog, f
     traces = [f.trace(x) for x in range(f.q)]
     assert traces == trace, f
     # the trace is kept along the powers: Tr(g^t) at t
