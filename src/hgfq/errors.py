@@ -14,7 +14,7 @@ class OddPrimeRequiredError(HgfqError):
 
 
 class FieldTooLargeError(HgfqError):
-    """The requested field size exceeds the configured cap."""
+    """The requested field size exceeds the cap of 100000."""
 
 
 class FieldMismatchError(HgfqError):

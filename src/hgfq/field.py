@@ -7,7 +7,8 @@ degree e.  The modulus is the first irreducible polynomial in
 lexicographic coefficient order, the generator is the smallest encoding
 with multiplicative order q - 1, and a full discrete-log table is built up
 front, so element encodings, character indices, and every downstream sum
-are reproducible across runs.
+are reproducible across runs.  q is at most DEFAULT_Q_CAP = 100000, the one
+cap, checked before any table is built, so that it bounds every table.
 
 The powers of the generator g are built in numpy by block doubling, as
 base-p digit vectors for every e: g^w, ..., g^(2w-1) are the first w powers
@@ -200,7 +201,7 @@ def _is_irreducible(tail: tuple[int, ...], p: int) -> bool:
 
 
 class Field:
-    """Fully tabulated F_q for odd q = p**e up to a configurable cap."""
+    """Fully tabulated F_q for odd q = p**e up to the cap DEFAULT_Q_CAP."""
 
     # Slots hold what is built up front: on CPython 3.11 cached_property's read
     # of __dict__ slows later reads from it ~70%, and add and mul read per call.
@@ -208,12 +209,12 @@ class Field:
         "p", "e", "q", "m", "_tail", "generator", "_exp", "_dlog", "_dlog_array", "_trace_pow", "__dict__"
     )
 
-    def __init__(self, p: int, e: int = 1, q_cap: int = DEFAULT_Q_CAP):
+    def __init__(self, p: int, e: int = 1):
         if e < 1:
             raise ValueError("extension degree must be at least 1")
         # The cap first, so that an oversized p is refused as too large.
-        if p >= 2 and not fits_cap(p, e, q_cap):
-            raise FieldTooLargeError(f"q = {p}^{e} exceeds the cap {q_cap}")
+        if p >= 2 and not fits_cap(p, e, DEFAULT_Q_CAP):
+            raise FieldTooLargeError(f"q = {p}^{e} exceeds the cap {DEFAULT_Q_CAP}")
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if p == 2:
@@ -525,6 +526,6 @@ class Field:
         return f"Field(p={self.p}, e={self.e})"
 
 
-def make_field(p: int, e: int = 1, q_cap: int = DEFAULT_Q_CAP) -> Field:
-    """Construct the tabulated field F_{p**e}."""
-    return Field(p, e, q_cap)
+def make_field(p: int, e: int = 1) -> Field:
+    """Construct the tabulated field F_{p**e}, q = p**e <= DEFAULT_Q_CAP."""
+    return Field(p, e)

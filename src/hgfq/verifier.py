@@ -39,7 +39,8 @@ from .characters import Character, character_of_order
 from .curves import (
     CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction, points_at_infinity
 )
-from .field import Field, fits_cap, is_prime, make_field
+from .errors import FieldMismatchError
+from .field import DEFAULT_Q_CAP, Field, fits_cap, is_prime, make_field
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
 
@@ -55,6 +56,13 @@ def _phi(f: Field, r: Fraction | int) -> float:
 
 def _lambda_flags(f: Field, l: int, lam: Fraction) -> dict[str, bool]:
     return {"lambda_admissible": lam not in (0, -1), "good_reduction": good_reduction(f, l, lam)}
+
+
+def _index_on(f: Field, chi: Character) -> int:
+    """The index of chi, a character of f; one of another field is an error."""
+    if chi.field != f:
+        raise FieldMismatchError(f"a character of F_{chi.field.q} given for F_{f.q}")
+    return chi.index
 
 
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
@@ -295,7 +303,7 @@ def verify_3f2_at_4(f: Field, chi: Character) -> VerificationReport:
     boundary orders produce recorded data; the order restriction only
     drives the skip status.
     """
-    s = chi.index
+    s = _index_on(f, chi)
     hyps = {"order_admissible": chi.order not in (1, 3, 4), "p_not_3": f.p != 3}
 
     def sides():
@@ -325,7 +333,7 @@ def verify_2f1_specials(
     """
     _check_choice(part, SPECIAL_PARTS, "special-value part")
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
-    s = chi.index
+    s = _index_on(f, chi)
     hyps = {
         "is_square": s % 2 == 0,
         "order_not_1": s != 0,
@@ -454,7 +462,7 @@ def verify_charsum_lemmas(
     """
     _check_choice(part, LEMMA_PARTS, "lemma part")
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
-    s = chi.index
+    s = _index_on(f, chi)
     q, h = f.q, f.m // 2
     lam = Fraction(1, 3) if part == "one_third" else Fraction(lam)
     where = {"lam": lam, "char_index": s}
@@ -558,6 +566,8 @@ THEOREM_KEYS = tuple(CATALOG)
 
 @dataclass
 class SweepConfig:
+    """A sweep's grid; its q_cap, from 3 to DEFAULT_Q_CAP, can only lower that cap."""
+
     prime_min: int = 5
     prime_max: int = 13
     degrees: tuple[int, ...] = (1, 2)
@@ -575,8 +585,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.prime_min > self.prime_max:
             raise ValueError("prime_min must not exceed prime_max")
-        if self.q_cap < 3:
-            raise ValueError(f"q_cap must be at least 3, got {self.q_cap}")
+        if not 3 <= self.q_cap <= DEFAULT_Q_CAP:
+            raise ValueError(f"q_cap must be from 3 to {DEFAULT_Q_CAP}, got {self.q_cap}")
         if not self.theorems:
             raise ValueError("no theorem key given")
         for name in self.theorems:
@@ -607,9 +617,9 @@ def row_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
 
     The grid is checked by the call itself, before any field is built: a
     prime range with no odd prime gives no fields; one whose fields all
-    exceed q_cap is an error.  Primes above q_cap have no field under it,
-    so the scan stops there.  Each field is built only when its first list
-    is asked for, and each row runs only when its list is."""
+    exceed q_cap is an error.  Primes above q_cap have no field under it, so
+    the scan stops there.  Each field (q <= q_cap <= DEFAULT_Q_CAP) is built
+    only when its first list is asked for, each row only when its list is."""
     keys = [k for k in THEOREM_KEYS if "all" in config.theorems or k in config.theorems]
     lo, hi, cap = config.prime_min, config.prime_max, config.q_cap
     primes = _odd_primes(lo, min(hi, cap))
@@ -617,7 +627,7 @@ def row_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
     # any() stops at the first odd prime at or above lo; prime gaps are small.
     if not grid and any(_odd_primes(lo, hi)):
         raise ValueError(f"no field of the grid has q = p^e <= q_cap = {config.q_cap}")
-    fields = (make_field(p, e, q_cap=config.q_cap) for _, p, e in grid)
+    fields = (make_field(p, e) for _, p, e in grid)
     return (
         sorted(CATALOG[key](f, config), key=report_sort_key) for f in fields for key in keys
     )

@@ -57,17 +57,23 @@ def test_fieldinfo_refuses_an_oversized_field_at_once(capsys, argv):
 
 
 def test_explicit_zero_is_not_a_default(capsys):
-    # --e 0 and --q-cap 0 reach the field, which rejects them
+    # --e 0 reaches the field, which rejects it; --q-cap is verify's alone
     commands = (
         ("fieldinfo", "--p", "7"),
         ("count", "--p", "7", "--l", "2", "--lambda", "1"),
         ("hgf", "--p", "7", "--top", "phi", "--bottom", "eps", "--x", "2"),
     )
     for argv in commands:
-        for flag in ("--e", "--q-cap"):
-            code, out, err = run(capsys, *argv, flag, "0")
-            assert code == 2 and out == "" and err.startswith("error:"), (argv[0], flag)
+        code, out, err = run(capsys, *argv, "--e", "0")
+        assert code == 2 and out == "" and err.startswith("error:"), argv[0]
+        code, out, err = run(capsys, *argv, "--q-cap", "0")
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv[0]
     code, out, err = run(capsys, "verify", "--q-cap", "0")
+    assert code == 2 and out == "" and "q_cap" in err
+
+
+def test_verify_refuses_a_cap_above_the_field_cap(capsys):
+    code, out, err = run(capsys, "verify", "--q-cap", "100001")
     assert code == 2 and out == "" and "q_cap" in err
 
 
@@ -314,7 +320,7 @@ def test_config_file_errors(capsys, tmp_path):
     assert run(capsys, "verify", "--config", str(tmp_path / "gone.cfg"))[0] == 2
     # a misspelt key is an error, not a silently ignored line
     typo = tmp_path / "typo.cfg"
-    typo.write_text("# grid\nq-cap = 2000\nlamda = 5\n")
+    typo.write_text("# grid\nl = 2\nlamda = 5\n")
     for argv in (("verify",), ("count", "--p", "7", "--l", "2")):
         code, out, err = run(capsys, *argv, "--config", str(typo))
         assert (code, out) == (2, "")
@@ -324,13 +330,12 @@ def test_config_file_errors(capsys, tmp_path):
 # Every long option of each subcommand, with values whose runs differ from
 # one another, so a file value that was dropped shows as a stdout mismatch.
 CONFIG_CASES = {
-    "fieldinfo": {"p": ("3", "5"), "e": ("2", "1"), "q-cap": ("9", "8")},
+    "fieldinfo": {"p": ("3", "5"), "e": ("2", "1")},
     "count": {
         "p": ("13", "7"),
         "e": ("1", "2"),
         "l": ("3", "2"),
         "lambda": ("-1/2", "3"),
-        "q-cap": ("13", "12"),
     },
     "hgf": {
         "p": ("1009", "17"),
@@ -338,7 +343,6 @@ CONFIG_CASES = {
         "top": ("ord8,ord8^7,phi", "phi,phi,phi"),
         "bottom": ("eps,eps", "phi,eps"),
         "x": ("5", "2"),
-        "q-cap": ("2000", "1000"),
     },
     "verify": {
         "theorem": ("ono,trace", "ono"),

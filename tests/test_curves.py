@@ -249,7 +249,7 @@ def test_counts_obey_the_weil_relation_across_degrees():
         for p in range(3, 54, 2):
             if not is_prime(p) or p ** (g + 1) > q_max:
                 continue
-            fields = [make_field(p, e, q_max) for e in range(1, q_max.bit_length()) if p**e <= q_max]
+            fields = [make_field(p, e) for e in range(1, q_max.bit_length()) if p**e <= q_max]
             for lam in LAMBDAS + (Fraction(-3),):
                 curve = CurveSpec(l, lam)
                 if not good_reduction(fields[0], l, lam):

@@ -67,7 +67,7 @@ def test_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(5, 0)
     with pytest.raises(FieldTooLargeError):
-        make_field(5, 2, q_cap=20)
+        make_field(317, 2)  # q = 100489
 
 
 def test_fits_cap_is_exact_at_the_bit_length():

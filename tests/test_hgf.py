@@ -243,7 +243,7 @@ def test_ono_3f2_follows_the_prime_field_trace_across_degrees():
                 continue
             a_p = character_sum_count(fp, curve).a_q
             for e, aq in {1: a_p, **oracle.weil_predict([a_p], p, 1, e_max)}.items():
-                f = make_field(p, e, q_max)
+                f = make_field(p, e)
                 q, h = f.q, f.m // 2
                 le = f.from_rational(lam)
                 lhs = q * q * series_value(f, [h, h, h], [0, 0], f.div(f.add(1, le), le))

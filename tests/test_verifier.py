@@ -10,6 +10,7 @@ import pytest
 
 from hgfq import (
     Character,
+    FieldMismatchError,
     SweepConfig,
     character_of_order,
     make_field,
@@ -335,7 +336,7 @@ def test_sweep_config_validation():
         SweepConfig(theorems=("ono", "nope"))
     with pytest.raises(ValueError):
         SweepConfig(theorems=())
-    for cap in (0, 2):
+    for cap in (0, 2, 100_001):
         with pytest.raises(ValueError):
             SweepConfig(q_cap=cap)
     for l_values in ((1,), (0,), (2, -3), (2, 3, 2)):
@@ -463,6 +464,22 @@ def test_charsum_lemma_parts():
     assert triv.skipped and triv.hypotheses["order_not_1"] is False
     with pytest.raises(ValueError):
         verify_charsum_lemmas(f, Character(f, 2), 1, "bogus")
+
+
+def test_character_verifiers_refuse_a_character_of_another_field():
+    # index 2 has order 3 on F_7 but order 6, an admissible one, on F_13
+    f, chi = make_field(13), character_of_order(make_field(7), 3)
+    calls = [lambda: verify_3f2_at_4(f, chi)]
+    calls += [lambda part=part: verify_2f1_specials(f, chi, part) for part in ("i", "ii", "iii", "iv")]
+    calls += [
+        lambda part=part: verify_charsum_lemmas(f, chi, 2, part)
+        for part in ("square_3f2", "one_third", "sqrt_2f1", "order3_2f1")
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatchError):
+            call()
+    # a character of an equal field, built apart, is one of f
+    assert verify_3f2_at_4(f, character_of_order(make_field(13), 6)).passed
 
 
 def test_ono_bad_lambda_skips():
