@@ -419,8 +419,10 @@ class Field:
     @functools.cached_property
     def log_one_minus(self) -> np.ndarray:
         """Z[t] = dlog(1 - g^t) along the powers, built on first use; Z[0] = -1 for dlog 0."""
+        exp = np.empty(self.m, dtype=np.int64)
+        exp[self._dlog_array[1:]] = np.arange(1, self.q, dtype=np.int64)
         places = self.p ** np.arange(self.e, dtype=np.int64)
-        digits = np.array(self._exp, dtype=np.int64)[:, None] // places % self.p
+        digits = exp[:, None] // places % self.p
         digits[:, 0] -= 1  # 1 - g^t, digit by digit
         return self._dlog_array[(-digits % self.p) @ places]
 

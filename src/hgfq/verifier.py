@@ -12,6 +12,11 @@ met flags a "fail" is a gap |lhs - rhs| above report.RELATIVE_TOLERANCE
 times max(1, |lhs|, |rhs|), one fixed bound for every identity, or, where
 d is declared, round(d * lhs) != round(d * rhs).
 
+verify_3f2_at_4, verify_2f1_specials and verify_charsum_lemmas take their
+character chi alone, on F_q = chi.field.  An argument that an identity
+does not read is a ValueError, not dropped: a lambda other than 1/3 for
+charsum_one_third, a square-root branch other than "first" where it has none.
+
 CATALOG maps each theorem key to the records it yields on one field; its
 keys follow the sorted order of the theorem ids they yield.  row_blocks()
 runs the selected rows over a configured grid of prime powers, one field
@@ -39,7 +44,6 @@ from .characters import Character, character_of_order
 from .curves import (
     CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction, points_at_infinity
 )
-from .errors import FieldMismatchError
 from .field import DEFAULT_Q_CAP, Field, fits_cap, is_prime, make_field
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
@@ -58,16 +62,15 @@ def _lambda_flags(f: Field, l: int, lam: Fraction) -> dict[str, bool]:
     return {"lambda_admissible": lam not in (0, -1), "good_reduction": good_reduction(f, l, lam)}
 
 
-def _index_on(f: Field, chi: Character) -> int:
-    """The index of chi, a character of f; one of another field is an error."""
-    if chi.field != f:
-        raise FieldMismatchError(f"a character of F_{chi.field.q} given for F_{f.q}")
-    return chi.index
-
-
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
     if value not in allowed:
         raise ValueError(f"unknown {what} {value!r}")
+
+
+def _no_branch(tid: str, sqrt_branch: str) -> None:
+    """Refuse a square-root branch other than "first" for an identity with none."""
+    if sqrt_branch != "first":
+        raise ValueError(f"{tid} has no square-root branch, got {sqrt_branch!r}")
 
 
 def _sqrt_jacobi(f: Field, s: int, sqrt_branch: str) -> tuple[int, complex, complex]:
@@ -218,8 +221,9 @@ def verify_2f1_trace(
 
     For l coprime to 3 with (q-1)/l even the tops are square roots of
     character powers; both root branches are legal arguments and the one
-    used is recorded.  For l = 3 the sum needs no square roots.  The right
-    side carries the points at infinity - 1, which is 2 at l = 3.
+    used is recorded.  For l = 3 the sum needs no square roots, and a branch
+    other than "first" is a ValueError.  The right side carries the points
+    at infinity - 1, which is 2 at l = 3.
     """
     lam = Fraction(lam)
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
@@ -228,6 +232,7 @@ def verify_2f1_trace(
     hyps = _lambda_flags(f, l, lam)
     hyps["congruence"] = m % l == 0
     if l == 3:
+        _no_branch("trace_2f1_cubic", sqrt_branch)
         tid, where = "trace_2f1_cubic", {}
     else:
         tid, where = "trace_2f1", {"sqrt_branch": sqrt_branch}
@@ -296,14 +301,14 @@ def verify_mccarthy(f: Field) -> list[VerificationReport]:
 # special series values
 
 
-def verify_3f2_at_4(f: Field, chi: Character) -> VerificationReport:
+def verify_3f2_at_4(chi: Character) -> VerificationReport:
     """3F2 at argument 4 for a character avoiding orders 1, 3, 4.
 
     Sides are evaluated for every character when computable so that
     boundary orders produce recorded data; the order restriction only
     drives the skip status.
     """
-    s = _index_on(f, chi)
+    f, s = chi.field, chi.index
     hyps = {"order_admissible": chi.order not in (1, 3, 4), "p_not_3": f.p != 3}
 
     def sides():
@@ -320,7 +325,7 @@ def verify_3f2_at_4(f: Field, chi: Character) -> VerificationReport:
 
 
 def verify_2f1_specials(
-    f: Field, chi: Character, part: str, sqrt_branch: str = "first"
+    chi: Character, part: str, sqrt_branch: str = "first"
 ) -> VerificationReport:
     """The four 2F1 special values at arguments 4/3, -1/3, 4 and 1/4 for a
     square character.
@@ -333,7 +338,7 @@ def verify_2f1_specials(
     """
     _check_choice(part, SPECIAL_PARTS, "special-value part")
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
-    s = _index_on(f, chi)
+    f, s = chi.field, chi.index
     hyps = {
         "is_square": s % 2 == 0,
         "order_not_1": s != 0,
@@ -449,22 +454,28 @@ def verify_corollary_lcm(f: Field, l: int) -> VerificationReport:
 
 
 def verify_charsum_lemmas(
-    f: Field, chi: Character, lam: Fraction | int, part: str, sqrt_branch: str = "first"
+    chi: Character, lam: Fraction | int, part: str, sqrt_branch: str = "first"
 ) -> VerificationReport:
-    """The four evaluations of W(S) = sum of S((x-1)(x**2+lambda)).
+    """The four evaluations of W(S) = sum of S((x-1)(x**2+lambda)), S = chi.
 
     Parts: "square_3f2" expresses a 3F2((1+lambda)/lambda) through W**2;
     "one_third" closes W at lambda = 1/3 (any nontrivial S); "sqrt_2f1"
     rewrites W as a 2F1(1+lambda) for square S away from order 3; and
     "order3_2f1" does the same for order-3 S with trivial-top series.
     The candidate argument 1+lambda is used for "order3_2f1" whose source
-    leaves the argument implicit.
+    leaves the argument implicit.  Only "sqrt_2f1" has a square-root
+    branch, and "one_third" holds at lambda = 1/3 alone: another branch or
+    lambda there is a ValueError, not dropped.
     """
     _check_choice(part, LEMMA_PARTS, "lemma part")
     _check_choice(sqrt_branch, SQRT_BRANCHES, "square-root branch")
-    s = _index_on(f, chi)
+    if part != "sqrt_2f1":
+        _no_branch(f"charsum_{part}", sqrt_branch)
+    lam = Fraction(lam)
+    if part == "one_third" and lam != Fraction(1, 3):
+        raise ValueError(f"charsum_one_third holds at lambda = 1/3 only, got {lam}")
+    f, s = chi.field, chi.index
     q, h = f.q, f.m // 2
-    lam = Fraction(1, 3) if part == "one_third" else Fraction(lam)
     where = {"lam": lam, "char_index": s}
     if part == "one_third":
         hyps = {"nontrivial_character": s != 0, "p_not_3": f.p != 3}
@@ -527,18 +538,18 @@ def _characters(f: Field, c: SweepConfig) -> list[Character]:
 # the field's records sorted by report_sort_key: row_blocks relies on it.
 CATALOG = {
     "specials": lambda f, c: [
-        verify_2f1_specials(f, chi, part, branch)
+        verify_2f1_specials(chi, part, branch)
         for chi in _characters(f, c)
         for part in SPECIAL_PARTS
         for branch in SQRT_BRANCHES
     ],
-    "3f2at4": lambda f, c: [verify_3f2_at_4(f, chi) for chi in _characters(f, c)],
+    "3f2at4": lambda f, c: [verify_3f2_at_4(chi) for chi in _characters(f, c)],
     "main": lambda f, c: [
         verify_main_square(f, l, lam) for l in c.l_values for lam in c.lambdas
     ],
     "c3": lambda f, c: verify_corollary_c3(f) if f.e == 1 else [],
     "charsum_lemmas": lambda f, c: [
-        verify_charsum_lemmas(f, chi, lam, part, branch)
+        verify_charsum_lemmas(chi, lam, part, branch)
         for chi in _characters(f, c)
         for part, lams, branches in (
             ("square_3f2", c.lambdas, SQRT_BRANCHES[:1]),

@@ -25,9 +25,10 @@ argument, `greene_transform_sides` both sides of Greene's two 2F1
 argument transformations, `curve_char_sums_all_lambda` a curve character
 sum W_s at every lambda, `affine_counts_all_lambda` the affine point count
 of the curve at every lambda, and `ono_3f2_every_lambda`,
-`aq_square_every_lambda` and `trace_cubic_every_lambda` both sides of Ono's
-3F2 evaluation, of the squared-trace expansion and of the cubic trace
-identity at every admissible lambda.
+`aq_square_every_lambda`, `trace_cubic_every_lambda` and
+`trace_2f1_every_lambda` both sides of Ono's 3F2 evaluation, of the
+squared-trace expansion and of the cubic and square-root trace identities
+at every admissible lambda.
 """
 
 from dataclasses import dataclass
@@ -478,3 +479,31 @@ def trace_cubic_every_lambda(field):
     lhs = sum(curve_char_sums_all_lambda(field, i * u)[lam] for i in (1, 2))
     rhs = q * sum(series_every_x(field, [h, 0], [i * u])[lam_plus_1] for i in (1, 2))
     return lam, lhs, rhs
+
+
+def trace_2f1_every_lambda(field, l, sqrt_branch):
+    """(lambdas, lhs, rhs) for the trace identity that
+    `verifier.verify_2f1_trace` evaluates for l prime to 3, at every lambda
+    with lambda (lambda + 1) != 0, as complex arrays over those lambdas.
+
+    u = (q-1)/l must be even.  For 1 <= i < l, S_i = chi_{-iu} and R_i =
+    chi_{r_i} is a square root of S_i^-3 = chi_{3iu}: r_i = 3iu mod (q-1),
+    halved, on the "first" branch, and r_i + (q-1)/2 (R_i times phi) on the
+    "second".  rhs is q sum over i of J(phi, S_i) / J(S_i^-2 R_i^-1, phi
+    R_i^-1) 2F1(R_i phi, R_i; S_i^-2 | 1+lambda), the series read from
+    `series_every_x` at 1 + lambda.  lhs is -a_q = W_u + ... + W_(l-1)u,
+    each W from `curve_char_sums_all_lambda`; there is one point at
+    infinity, so the right side carries no constant.
+    """
+    q, m, h = field.q, field.m, field.m // 2
+    if m % l or l % 3 == 0 or (m // l) % 2:
+        raise ValueError(f"need l prime to 3 with (q-1)/l even, not l = {l} at q = {q}")
+    u = m // l
+    lam, lam_plus_1 = _admissible_lambdas(field)
+    lhs = sum(curve_char_sums_all_lambda(field, i * u)[lam] for i in range(1, l))
+    rhs = np.zeros(len(lam), dtype=complex)
+    for i in range(1, l):
+        r = 3 * i * u % m // 2 + {"first": 0, "second": h}[sqrt_branch]
+        ratio = field.jacobi_c(h, -i * u) / field.jacobi_c(2 * i * u - r, h - r)
+        rhs += ratio * series_every_x(field, [r + h, r], [2 * i * u])[lam_plus_1]
+    return lam, lhs, q * rhs

@@ -333,7 +333,7 @@ def test_criterion_07_argument_4_and_special_values(capsys):
         for s in range(f.m):
             chi = Character(f, s)
             if chi.order not in (1, 3, 4):
-                r = verify_3f2_at_4(f, chi)
+                r = verify_3f2_at_4(chi)
                 if r.failed:
                     problems.append(f"3f2(4) q={f.q} s={s}: |diff|={r.abs_diff:.3g}")
                 elif r.passed:
@@ -341,7 +341,7 @@ def test_criterion_07_argument_4_and_special_values(capsys):
             if s % 2 == 0 and chi.order not in (1, 3):
                 for part in ("i", "ii", "iii", "iv"):
                     rs = [
-                        verify_2f1_specials(f, chi, part, br)
+                        verify_2f1_specials(chi, part, br)
                         for br in ("first", "second")
                     ]
                     if any(r.passed for r in rs):

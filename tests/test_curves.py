@@ -393,6 +393,42 @@ def test_trace_cubic_at_every_lambda(p, e):
     assert compared >= 2
 
 
+# Every field q <= 150 and l in {2, 4, 5, 7, 8} with l | q-1 and (q-1)/l
+# even: the trace_2f1 instances of the sweep's exponents.
+TRACE_2F1_GRID = [
+    (p, e, l)
+    for p in range(3, 151)
+    if is_prime(p)
+    for e in range(1, 5)
+    if p**e <= 150
+    for l in (2, 4, 5, 7, 8)
+    if (p**e - 1) % (2 * l) == 0
+]
+
+
+@pytest.mark.parametrize("p, e, l", TRACE_2F1_GRID)
+def test_trace_2f1_at_every_lambda(p, e, l):
+    # -a_q = q sum_i J(phi, S_i) / J(S_i^-2 R_i^-1, phi R_i^-1)
+    # 2F1(R_i phi, R_i; S_i^-2 | 1+lambda) in both square-root branches,
+    # each side rounded
+    f = make_field(p, e)
+    for branch in ("first", "second"):
+        lams, lhs, rhs = oracle.trace_2f1_every_lambda(f, l, branch)
+        assert len(lams) == f.q - 2
+        assert (np.rint(lhs.real) == np.rint(rhs.real)).all(), (f.q, l, branch)
+        assert np.abs(lhs - rhs).max() < 1e-9, (f.q, l, branch)
+        compared = 0
+        for lam in LAMBDAS:  # the rational lambdas, against the sweep's record
+            record = verify_2f1_trace(f, l, lam, branch)
+            if record.skipped:
+                continue
+            i = int(np.flatnonzero(lams == f.from_rational(lam))[0])
+            assert record.lhs == np.rint(lhs[i].real), (f.q, l, lam, branch)
+            assert abs(record.rhs - rhs[i]) < 1e-9, (f.q, l, lam, branch)
+            compared += 1
+        assert compared >= 2, (f.q, l, branch)
+
+
 def test_genus_and_hasse_weil():
     assert genus(2) == 1
     assert genus(3) == 1

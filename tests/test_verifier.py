@@ -10,7 +10,6 @@ import pytest
 
 from hgfq import (
     Character,
-    FieldMismatchError,
     SweepConfig,
     character_of_order,
     make_field,
@@ -435,11 +434,11 @@ def test_lcm_congruence():
 
 def test_3f2_at_4_boundary_orders_recorded_not_failed():
     f = make_field(13)
-    r = verify_3f2_at_4(f, character_of_order(f, 3))
+    r = verify_3f2_at_4(character_of_order(f, 3))
     assert r.skipped and r.hypotheses["order_admissible"] is False
     # both sides were still evaluated and genuinely disagree at order 3
     assert r.abs_diff > 0.1
-    assert verify_3f2_at_4(f, character_of_order(f, 6)).passed
+    assert verify_3f2_at_4(character_of_order(f, 6)).passed
 
 
 def test_specials_all_parts_both_branches():
@@ -447,39 +446,44 @@ def test_specials_all_parts_both_branches():
     chi = Character(f, 2)
     for part in ("i", "ii", "iii", "iv"):
         for branch in ("first", "second"):
-            assert verify_2f1_specials(f, chi, part, branch).passed, (part, branch)
+            assert verify_2f1_specials(chi, part, branch).passed, (part, branch)
     with pytest.raises(ValueError):
-        verify_2f1_specials(f, chi, "v")
-    triv = verify_2f1_specials(f, Character(f, 0), "i")
+        verify_2f1_specials(chi, "v")
+    triv = verify_2f1_specials(Character(f, 0), "i")
     assert triv.skipped and triv.hypotheses["order_not_1"] is False
 
 
 def test_charsum_lemma_parts():
     f = make_field(13)
-    assert verify_charsum_lemmas(f, Character(f, 2), 1, "square_3f2").passed
-    assert verify_charsum_lemmas(f, Character(f, 5), 0, "one_third").passed
-    assert verify_charsum_lemmas(f, Character(f, 2), 2, "sqrt_2f1", "second").passed
-    assert verify_charsum_lemmas(f, Character(f, 4), 2, "order3_2f1").passed
-    triv = verify_charsum_lemmas(f, Character(f, 0), 1, "sqrt_2f1")
+    assert verify_charsum_lemmas(Character(f, 2), 1, "square_3f2").passed
+    assert verify_charsum_lemmas(Character(f, 5), Fraction(1, 3), "one_third").passed
+    assert verify_charsum_lemmas(Character(f, 2), 2, "sqrt_2f1", "second").passed
+    assert verify_charsum_lemmas(Character(f, 4), 2, "order3_2f1").passed
+    triv = verify_charsum_lemmas(Character(f, 0), 1, "sqrt_2f1")
     assert triv.skipped and triv.hypotheses["order_not_1"] is False
     with pytest.raises(ValueError):
-        verify_charsum_lemmas(f, Character(f, 2), 1, "bogus")
+        verify_charsum_lemmas(Character(f, 2), 1, "bogus")
 
 
-def test_character_verifiers_refuse_a_character_of_another_field():
-    # index 2 has order 3 on F_7 but order 6, an admissible one, on F_13
-    f, chi = make_field(13), character_of_order(make_field(7), 3)
-    calls = [lambda: verify_3f2_at_4(f, chi)]
-    calls += [lambda part=part: verify_2f1_specials(f, chi, part) for part in ("i", "ii", "iii", "iv")]
-    calls += [
-        lambda part=part: verify_charsum_lemmas(f, chi, 2, part)
-        for part in ("square_3f2", "one_third", "sqrt_2f1", "order3_2f1")
-    ]
-    for call in calls:
-        with pytest.raises(FieldMismatchError):
-            call()
-    # a character of an equal field, built apart, is one of f
-    assert verify_3f2_at_4(f, character_of_order(make_field(13), 6)).passed
+def test_arguments_an_identity_does_not_read_are_refused():
+    # one_third holds at lambda = 1/3 alone, and only sqrt_2f1 and the
+    # trace for l prime to 3 have a square-root branch: any other value is
+    # an error, not a record that silently drops it
+    f = make_field(13)
+    chi = Character(f, 2)
+    with pytest.raises(ValueError, match="lambda = 1/3"):
+        verify_charsum_lemmas(chi, 5, "one_third")
+    for part, lam in (("square_3f2", 2), ("one_third", Fraction(1, 3)), ("order3_2f1", 2)):
+        with pytest.raises(ValueError, match="no square-root branch"):
+            verify_charsum_lemmas(chi, lam, part, "second")
+    with pytest.raises(ValueError, match="no square-root branch"):
+        verify_2f1_trace(f, 3, 2, "second")
+    # the values the sweep passes still give their records
+    record = verify_charsum_lemmas(chi, Fraction(1, 3), "one_third", "first")
+    assert record.lam == Fraction(1, 3) and record.sqrt_branch is None
+    record = verify_2f1_trace(f, 3, 2, "first")
+    assert record.theorem_id == "trace_2f1_cubic" and record.sqrt_branch is None
+    assert verify_charsum_lemmas(chi, 2, "sqrt_2f1", "second").sqrt_branch == "second"
 
 
 def test_ono_bad_lambda_skips():
