@@ -2,13 +2,7 @@
 point counts on the curves y^l = (x-1)(x^2+lambda) and a verification
 sweep tying the two together."""
 
-from .characters import (
-    Character,
-    character_of_order,
-    parse_character,
-    quadratic_character,
-    trivial_character,
-)
+from .characters import Character, character_of_order, parse_character
 from .curves import (
     CurveSpec,
     PointCount,
@@ -80,11 +74,9 @@ __all__ = [
     "is_prime",
     "make_field",
     "parse_character",
-    "quadratic_character",
     "reduce_lambda",
     "series_value",
     "sweep",
-    "trivial_character",
     "verify_2f1_specials",
     "verify_2f1_trace",
     "verify_3f2_at_4",

@@ -3,9 +3,10 @@
 The character chi_k sends generator**t to zeta**(k*t) with zeta the fixed
 primitive (q-1)-th root of unity exp(2*pi*i/(q-1)), and chi_k(0) = 0 for
 every k, the trivial character included.  A character is its index alone:
-`Character.value` reads chi_k(x) off the field's table of (q-1)-th roots of
-unity.  Exact sums of character values, as root-of-unity counts, are the
-tests' oracle `CyclotomicSum` (`tests/oracle_helpers.py`).
+`Field.char_value(k, x)` reads chi_k(x) off the field's table of (q-1)-th
+roots of unity, and eps and phi are `character_of_order(field, 1)` and
+`(field, 2)`.  Exact sums of character values, as root-of-unity counts,
+are the tests' oracle `CyclotomicSum` (`tests/oracle_helpers.py`).
 """
 
 from __future__ import annotations
@@ -31,22 +32,8 @@ class Character:
     def order(self) -> int:
         return self.field.m // gcd(self.index, self.field.m)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.index == 0
-
-    def __mul__(self, other: "Character") -> "Character":
-        return Character(same_field(self, other), self.index + other.index)
-
     def __pow__(self, n: int) -> "Character":
         return Character(self.field, (self.index * n) % self.field.m)
-
-    @property
-    def inverse(self) -> "Character":
-        return Character(self.field, -self.index)
-
-    def value(self, x: int) -> complex:
-        return self.field.char_value(self.index, self.field.check(x))
 
     def __repr__(self) -> str:
         return f"Character(index={self.index}, q={self.field.q})"
@@ -58,15 +45,6 @@ def same_field(*chars: Character) -> Field:
     if any(c.field != field for c in chars[1:]):
         raise FieldMismatchError("characters live on different fields")
     return field
-
-
-def trivial_character(field: Field) -> Character:
-    return Character(field, 0)
-
-
-def quadratic_character(field: Field) -> Character:
-    # q odd, so q - 1 is even and the half-index character exists.
-    return Character(field, field.m // 2)
 
 
 def character_of_order(field: Field, n: int) -> Character:
@@ -85,9 +63,9 @@ def parse_character(field: Field, text: str) -> Character:
         power = int(ptext)
     spec = spec.strip()
     if spec == "eps":
-        base = trivial_character(field)
+        base = character_of_order(field, 1)
     elif spec == "phi":
-        base = quadratic_character(field)
+        base = character_of_order(field, 2)
     elif spec.startswith("chi:"):
         base = Character(field, int(spec[4:]))
     elif spec.startswith("ord"):

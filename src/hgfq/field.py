@@ -234,11 +234,6 @@ class Field:
         heads = (itertools.product((c,), *[range(p)] * (e - 1)) for c in range(p))
         return next(t for t in itertools.chain.from_iterable(heads) if _is_irreducible(t, p))
 
-    @property
-    def modulus_poly(self) -> list[int]:
-        """Monic modulus as a low-to-high coefficient list."""
-        return list(self._tail) + [1]
-
     def modulus_str(self) -> str:
         parts = []
         for d in range(self.e, -1, -1):
@@ -342,9 +337,6 @@ class Field:
             shift *= p
         return out
 
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -372,9 +364,6 @@ class Field:
             raise LogOfZeroError("the discrete logarithm of zero is undefined")
         return self._dlog[self.check(x)]
 
-    def exp(self, k: int) -> int:
-        return self._exp[k % self.m]
-
     def trace(self, x: int) -> int:
         """Tr(x), read along the powers as Tr(g^dlog x); Tr(0) = 0."""
         if self.check(x) == 0:
@@ -386,10 +375,6 @@ class Field:
         if not 0 <= x < self.q:
             raise ValueError(f"element encoding {x} outside [0, {self.q})")
         return x
-
-    def from_int(self, c: int) -> int:
-        """Embed an integer through Z -> F_p -> F_q."""
-        return c % self.p
 
     def from_rational(self, r: Fraction | int) -> int:
         fr = Fraction(r)

@@ -47,7 +47,7 @@ def _row_series(field: Field, rows: list[tuple[int, int, int]], x: int) -> compl
 
 def evans_F(a: Character, b: Character, x: int) -> complex:
     field = same_field(a, b)
-    x4 = field.div(field.check(x), field.from_int(4))
+    x4 = field.div(field.check(x), field.from_rational(4))
     if x4 == 0:
         return 0j
     return _row_series(field, [(a.index, 0, 2), (a.index, b.index, 1)], x4)

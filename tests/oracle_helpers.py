@@ -25,10 +25,12 @@ argument, `greene_transform_sides` both sides of Greene's two 2F1
 argument transformations, `curve_char_sums_all_lambda` a curve character
 sum W_s at every lambda, `affine_counts_all_lambda` the affine point count
 of the curve at every lambda, and `ono_3f2_every_lambda`,
-`aq_square_every_lambda`, `trace_cubic_every_lambda` and
-`trace_2f1_every_lambda` both sides of Ono's 3F2 evaluation, of the
-squared-trace expansion and of the cubic and square-root trace identities
-at every admissible lambda.
+`aq_square_every_lambda`, `trace_cubic_every_lambda`,
+`trace_2f1_every_lambda`, `chi4_square_every_lambda` and
+`charsum_every_lambda` both sides of Ono's 3F2 evaluation, of the
+squared-trace expansion, of the cubic and square-root trace identities,
+of the chi_4 corollary and of the three lambda-valued character-sum
+lemmas at every admissible lambda.
 """
 
 from dataclasses import dataclass
@@ -85,7 +87,7 @@ def series_loop(field, tops, bottoms, x: int) -> complex:
 
 def evans_F_loop(field, a: int, b: int, x: int) -> complex:
     """F(A, B; x) as a Python loop over k of scalar `field.binom_c` products."""
-    x4 = field.div(x, field.from_int(4))
+    x4 = field.div(x, field.from_rational(4))
     if x4 == 0:
         return 0j
     m = field.m
@@ -271,7 +273,7 @@ def evans_F_star(a: Character, b: Character, x: int) -> complex:
     f = evans_F(a, b, x)
     if x == 0:
         return f
-    x4 = field.div(x, field.from_int(4))
+    x4 = field.div(x, field.from_rational(4))
     ab_sign = -1.0 if (a.index + b.index) % 2 else 1.0
     return f + ab_sign * field.char_value(-a.index, x4) / field.q
 
@@ -441,7 +443,7 @@ def aq_square_every_lambda(field, l):
     lam, lam_plus_1 = _admissible_lambdas(field)
     log_lam, log_lam_plus_1 = dlog[lam], dlog[lam_plus_1]
     arg = np.array(field._exp)[(log_lam_plus_1 - log_lam) % m]
-    log_minus_4 = h + field.dlog(field.from_int(4))  # -1 = g^h
+    log_minus_4 = h + field.dlog(field.from_rational(4))  # -1 = g^h
     log_c1 = log_minus_4 + 3 * log_lam  # -4 lambda^3
     log_c2 = log_minus_4 + log_lam + 2 * log_lam_plus_1  # -4 lambda (1+lambda)^2
     phi_neg_lam = np.where((log_lam + h) % 2, -1, 1)
@@ -507,3 +509,76 @@ def trace_2f1_every_lambda(field, l, sqrt_branch):
         ratio = field.jacobi_c(h, -i * u) / field.jacobi_c(2 * i * u - r, h - r)
         rhs += ratio * series_every_x(field, [r + h, r], [2 * i * u])[lam_plus_1]
     return lam, lhs, q * rhs
+
+
+def chi4_square_every_lambda(field):
+    """(lambdas, lhs, rhs) for the identity that `verifier.verify_corollary_chi4`
+    evaluates, 3F2(phi, phi, phi; eps, eps | (1+lambda)/lambda) =
+    phi(lambda) 2F1(chi_4bar, chi_4; eps | 1+lambda)^2 - phi(lambda)/q, at
+    every lambda with lambda (lambda + 1) != 0, as complex arrays over those
+    lambdas.
+
+    chi_4 = chi_u with u = (q-1)/4, so q = 1 (mod 4).  Both series are read
+    from `series_every_x`, phi(lambda) from the parity of dlog lambda.
+    """
+    q, m, h = field.q, field.m, field.m // 2
+    if m % 4:
+        raise ValueError(f"need q = 1 (mod 4), not q = {q}")
+    u = m // 4
+    dlog = np.array(field._dlog)
+    lam, lam_plus_1 = _admissible_lambdas(field)
+    arg = np.array(field._exp)[(dlog[lam_plus_1] - dlog[lam]) % m]
+    lhs = series_every_x(field, [h, h, h], [0, 0])[arg]
+    inner = series_every_x(field, [-u, u], [0])[lam_plus_1]
+    phi_lam = np.where(dlog[lam] % 2, -1.0, 1.0)
+    return lam, lhs, phi_lam * inner * inner - phi_lam / q
+
+
+def charsum_every_lambda(field, s, part, sqrt_branch):
+    """(lambdas, lhs, rhs) for a lambda-valued part of
+    `verifier.verify_charsum_lemmas` on S = chi_s, at every lambda with
+    lambda (lambda + 1) != 0, as complex arrays over those lambdas.
+
+    W = W_s(lambda) comes from `curve_char_sums_all_lambda`, every series
+    from `series_every_x`, and each character value from the dlog of its
+    argument.  The parts, each refused with a ValueError outside its
+    premises on S:
+    - "square_3f2", S of order other than 1, 3 and 4: lhs is
+      3F2(S^-3, S^-1, S^-2 phi; S^-4, S^-2 | (1+lambda)/lambda), and rhs is
+      J(S^-1, S^-1) / (q^2 S(-4 lambda^3) J(S^-3, S)) W^2
+      - S^2((1+lambda)/lambda) phi(-lambda) / q;
+    - "sqrt_2f1", S a square of order other than 1 and 3: lhs is W, and rhs
+      is q J(phi, S) / J(S^-2 R^-1, phi R^-1) 2F1(R phi, R; S^-2 | 1+lambda)
+      for R = chi_r a square root of S^-3: r = -3s mod (q-1), halved, on
+      the "first" branch, and r + (q-1)/2 (R times phi) on the "second";
+    - "order3_2f1", S of order 3: lhs is W, and rhs is
+      q 2F1(phi, eps; S | 1+lambda).
+    Only "sqrt_2f1" reads sqrt_branch.
+    """
+    q, m, h = field.q, field.m, field.m // 2
+    s %= m
+    order = m // gcd(s, m)
+    premises = {
+        "square_3f2": order not in (1, 3, 4),
+        "sqrt_2f1": s % 2 == 0 and order not in (1, 3),
+        "order3_2f1": order == 3,
+    }
+    if not premises[part]:
+        raise ValueError(f"charsum_{part} does not hold for chi_{s} at q = {q}")
+    lam, lam_plus_1 = _admissible_lambdas(field)
+    w = curve_char_sums_all_lambda(field, s)[lam]
+    if part == "square_3f2":
+        dlog = np.array(field._dlog)
+        log_arg = (dlog[lam_plus_1] - dlog[lam]) % m
+        arg = np.array(field._exp)[log_arg]
+        lhs = series_every_x(field, [-3 * s, -s, h - 2 * s], [-4 * s, -2 * s])[arg]
+        log_c1 = h + field.dlog(field.from_rational(4)) + 3 * dlog[lam]  # -4 lambda^3, -1 = g^h
+        coeff = field.jacobi_c(-s, -s) / (q * q * field.jacobi_c(-3 * s, s))
+        coeff = coeff * field.zeta[-s * log_c1 % m]  # 1 / S(-4 lambda^3)
+        phi_neg_lam = np.where((dlog[lam] + h) % 2, -1.0, 1.0)
+        return lam, lhs, coeff * w * w - field.zeta[2 * s * log_arg % m] * phi_neg_lam / q
+    if part == "sqrt_2f1":
+        r = -3 * s % m // 2 + {"first": 0, "second": h}[sqrt_branch]
+        ratio = field.jacobi_c(h, s) / field.jacobi_c(-2 * s - r, h - r)
+        return lam, w, q * ratio * series_every_x(field, [r + h, r], [-2 * s])[lam_plus_1]
+    return lam, w, q * series_every_x(field, [h, 0], [s])[lam_plus_1]

@@ -499,7 +499,7 @@ def _check_imported_identities(f, problems):
                 arg = f.div(x, f.sub(x, 1))
                 lhs = evans_F_star(A, C, arg)
                 rhs = (
-                    f.char_value(a, f.from_int(2))
+                    f.char_value(a, f.from_rational(2))
                     * f.char_value(a - c, f.sub(1, x))
                     / q
                     * g_sum_c(Character(f, a - 2 * c), Character(f, c - a), f.sub(1, x))
@@ -523,7 +523,7 @@ def _check_imported_identities(f, problems):
                 rhs = (
                     -f.char_value(-c, x) * (-1.0 if f.dlog(one_minus) % 2 else 1.0) / q
                     + (-1.0 if c % 2 else 1.0)
-                    * f.char_value(a - c, f.from_int(4))
+                    * f.char_value(a - c, f.from_rational(4))
                     * f.char_value(a - 2 * c, one_minus)
                     * jratio
                     * g
@@ -539,7 +539,7 @@ def _check_imported_identities(f, problems):
             if s == 0 or s == c or s == 2 * c % m:
                 continue
             coeff = (
-                f.char_value(r_ix, f.from_int(4))
+                f.char_value(r_ix, f.from_rational(4))
                 * f.jacobi_c(h, c - s)
                 / f.jacobi_c(c - r_ix, h - r_ix)
             )

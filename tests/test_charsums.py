@@ -325,8 +325,8 @@ def test_curve_sum_scales_to_g():
                     continue
                 lhs = w_sum(f, s, le)
                 chi = Character(f, s)
-                rhs = f.char_value(s, f.neg(le)) * g_sum_c(
-                    chi, chi, f.div(f.neg(1), le)
+                rhs = f.char_value(s, f.sub(0, le)) * g_sum_c(
+                    chi, chi, f.div(f.sub(0, 1), le)
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -345,7 +345,7 @@ def test_curve_sum_equals_f_star_for_square_characters():
                 lhs = w_sum(f, s, le)
                 rhs = (
                     f.q
-                    * f.char_value(3 * s, f.from_int(2))
+                    * f.char_value(3 * s, f.from_rational(2))
                     * evans_F_star(
                         Character(f, -3 * s), Character(f, -2 * s), f.add(1, le)
                     )

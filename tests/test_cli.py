@@ -436,7 +436,7 @@ PACKAGE_NAMES = {
     "PointCount", "SweepConfig", "VerificationReport",
     "brute_force_count", "build_report", "character_of_order", "character_sum_count",
     "cornacchia_3", "evans_F", "good_reduction", "is_prime", "make_field", "parse_character",
-    "quadratic_character", "reduce_lambda", "series_value", "sweep", "trivial_character",
+    "reduce_lambda", "series_value", "sweep",
     "verify_2f1_specials", "verify_2f1_trace", "verify_3f2_at_4", "verify_charsum_lemmas",
     "verify_corollary_c3", "verify_corollary_chi4", "verify_corollary_lcm", "verify_lambda_third",
     "verify_main_square", "verify_mccarthy", "verify_ono", "weierstrass_count_l3",
@@ -448,6 +448,14 @@ ORACLE_NAMES = {
     "hgfq.characters": ("sqrt_character", "delta_char"),
     "hgfq.curves": ("genus", "hasse_weil_bound"),
     "hgfq.report": ("summarize",),
+}
+# second names of an element or character operation, each reached through its one name:
+# sub(0, a), pow(generator, k), from_rational(c), list(_tail) + [1], char_value(chi.index, x),
+# chi ** -1, chi.index == 0, Character(f, a.index + b.index), character_of_order(f, 1) and (f, 2)
+ALIASES = {
+    hgfq.Field: ("neg", "exp", "from_int", "modulus_poly"),
+    hgfq.Character: ("value", "inverse", "is_trivial", "__mul__"),
+    hgfq.characters: ("trivial_character", "quadratic_character"),
 }
 
 
@@ -463,3 +471,6 @@ def test_package_exports_only_what_the_program_uses():
             assert not hasattr(hgfq, name), name
             if module != "hgfq.charsums":
                 assert not hasattr(importlib.import_module(module), name), (module, name)
+    for owner, names in ALIASES.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)

@@ -21,7 +21,10 @@ from hgfq import (
     is_prime,
     make_field,
     reduce_lambda,
+    character_of_order,
     verify_2f1_trace,
+    verify_charsum_lemmas,
+    verify_corollary_chi4,
     verify_main_square,
     weierstrass_count_l3,
 )
@@ -127,7 +130,7 @@ def test_curve_histogram_matches_a_python_bincount_at_the_cap(p, e):
     # lambda = q - 2, and lambda = -g**2, where x**2 + lambda has the roots
     # +-g besides x = 1, so z = 3
     f = make_field(p, e)
-    for lam in (f.q - 2, f.neg(f.mul(f.generator, f.generator))):
+    for lam in (f.q - 2, f.sub(0, f.mul(f.generator, f.generator))):
         values = oracle.curve_values_by_field_ops(f, lam)
         counts = Counter(f._dlog[v] for v in values if v)
         hist, z = curve_histogram(f, lam)
@@ -338,7 +341,7 @@ def test_ono_3f2_at_every_lambda(p, e):
     for lam in range(1, p - 1):  # the rational lambdas, against the sweep's count
         i = int(np.flatnonzero(lams == lam)[0])
         a_q = character_sum_count(f, CurveSpec(2, Fraction(lam))).a_q
-        phi = -1 if f.dlog(f.neg(lam)) % 2 else 1
+        phi = -1 if f.dlog(f.sub(0, lam)) % 2 else 1
         assert rhs[i] == phi * (a_q * a_q - f.q)
 
 
@@ -427,6 +430,64 @@ def test_trace_2f1_at_every_lambda(p, e, l):
             assert abs(record.rhs - rhs[i]) < 1e-9, (f.q, l, lam, branch)
             compared += 1
         assert compared >= 2, (f.q, l, branch)
+
+
+# Every field q = p^e <= 150 with e <= 3, and its characters of the sweep's
+# orders 2, 3, 4 and 5 that divide q - 1.
+EVERY_LAMBDA_FIELDS = [(p, e) for p in range(3, 151) if is_prime(p) for e in (1, 2, 3) if p**e <= 150]
+LAMBDA_FLAGS = ("lambda_admissible", "good_reduction")
+
+
+def _assert_agree_at_every_lambda(f, lams, lhs, rhs, record_at):
+    """Both sides agree within 1e-9 of their scale at every admissible lambda,
+    and equal the record of `record_at(lambda)` at the rational LAMBDAS."""
+    assert len(lams) == f.q - 2
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    assert (np.abs(lhs - rhs) <= 1e-9 * scale).all()
+    compared = 0
+    for lam in LAMBDAS:
+        record = record_at(lam)
+        if record.skipped:
+            continue
+        i = int(np.flatnonzero(lams == f.from_rational(lam))[0])
+        assert abs(record.lhs - lhs[i]) <= 1e-9 * scale[i], lam
+        assert abs(record.rhs - rhs[i]) <= 1e-9 * scale[i], lam
+        compared += 1
+    assert compared >= 2
+
+
+@pytest.mark.parametrize("p, e", EVERY_LAMBDA_FIELDS)
+def test_chi4_square_at_every_lambda(p, e):
+    # 3F2(phi, phi, phi; eps, eps | (1+lambda)/lambda)
+    # = phi(lambda) 2F1(chi_4bar, chi_4; eps | 1+lambda)^2 - phi(lambda)/q
+    f = make_field(p, e)
+    if f.m % 4:
+        with pytest.raises(ValueError):
+            oracle.chi4_square_every_lambda(f)
+        return
+    lams, lhs, rhs = oracle.chi4_square_every_lambda(f)
+    _assert_agree_at_every_lambda(f, lams, lhs, rhs, lambda lam: verify_corollary_chi4(f, lam))
+
+
+@pytest.mark.parametrize("p, e", EVERY_LAMBDA_FIELDS)
+def test_charsum_parts_at_every_lambda(p, e):
+    # square_3f2, sqrt_2f1 in both branches and order3_2f1, wherever the
+    # verifier's character flags hold; the oracle refuses the rest
+    f = make_field(p, e)
+    instances = [("square_3f2", "first"), ("sqrt_2f1", "first"), ("sqrt_2f1", "second")]
+    instances.append(("order3_2f1", "first"))
+    for chi in [character_of_order(f, l) for l in (2, 3, 4, 5) if f.m % l == 0]:
+        for part, branch in instances:
+            def record_at(lam):
+                return verify_charsum_lemmas(chi, lam, part, branch)
+
+            flags = record_at(Fraction(1)).hypotheses
+            if not all(v for k, v in flags.items() if k not in LAMBDA_FLAGS):
+                with pytest.raises(ValueError):
+                    oracle.charsum_every_lambda(f, chi.index, part, branch)
+                continue
+            lams, lhs, rhs = oracle.charsum_every_lambda(f, chi.index, part, branch)
+            _assert_agree_at_every_lambda(f, lams, lhs, rhs, record_at)
 
 
 def test_genus_and_hasse_weil():
