@@ -61,18 +61,6 @@ class VerificationReport:
     hypotheses: dict[str, bool]
     status: str
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "fail"
-
-    @property
-    def skipped(self) -> bool:
-        return self.status == "skip"
-
     def to_dict(self) -> dict:
         """`lam` is the column "lambda", each side splits into its `_re` and
         `_im` columns, and the hypotheses are copied."""

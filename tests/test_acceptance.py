@@ -123,9 +123,9 @@ def test_criterion_02_quadratic_3f2_identity(capsys):
         f = field(p, e)
         for lam in LAMBDAS:
             r = verify_ono(f, lam)
-            if r.failed:
+            if r.status == "fail":
                 problems.append(f"q={r.q} lambda={lam}: |diff|={r.abs_diff:.3g}")
-            elif r.passed:
+            elif r.status == "pass":
                 passes += 1
     _verdict(capsys, 2, "3F2((1+lambda)/lambda) matches the squared quadratic trace",
              problems, passes, 110)
@@ -161,11 +161,11 @@ def test_criterion_03_squared_trace_double_sum(capsys):
         f = field(p, e)
         for lam in LAMBDAS:
             r = verify_main_square(f, 2, lam)
-            if r.failed:
+            if r.status == "fail":
                 problems.append(
                     f"l=2 q={q} lambda={lam}: a_q^2={r.lhs.real:.0f} rhs={r.rhs.real:.6g}"
                 )
-            elif r.passed:
+            elif r.status == "pass":
                 passes += 1
     if passes < 150:
         problems.append(f"only {passes} l=2 instances passed, expected >= 150")
@@ -182,7 +182,7 @@ def test_criterion_03_squared_trace_double_sum(capsys):
             f = field(p, e)
             for lam in LAMBDAS:
                 r = verify_main_square(f, l, lam)
-                if r.skipped:
+                if r.status == "skip":
                     continue
                 covered += 1
                 where = f"l={l} q={q} lambda={lam}"
@@ -197,11 +197,11 @@ def test_criterion_03_squared_trace_double_sum(capsys):
                         f"{where}: rhs {r.rhs.real:.6g} != sum W_i^2 + (l-1)(q-1) "
                         f"- (l-3) a_q = {expected}"
                     )
-                if r.failed != (aq * aq != expected):
+                if (r.status == "fail") != (aq * aq != expected):
                     problems.append(
                         f"{where}: status {r.status} with a_q^2={aq * aq} rhs={expected}"
                     )
-                if r.failed:
+                if r.status == "fail":
                     counterexamples.append(
                         f"{where}: a_q^2={aq * aq} rhs={expected} sum W_i^2={squares}"
                     )
@@ -222,7 +222,7 @@ def test_criterion_03_squared_trace_double_sum(capsys):
             for lam in LAMBDAS:
                 r = verify_main_square(field(p, e), l, lam)
                 where = f"l={l} q={q} lambda={lam}"
-                if not r.skipped:
+                if r.status != "skip":
                     problems.append(f"{where}: status {r.status}, expected skip")
                 if any(k.startswith("summand_") for k in r.hypotheses):
                     stages["summand flags"] += 1
@@ -248,9 +248,9 @@ def test_criterion_04_trace_2f1(capsys):
             f = field(p, e)
             for lam in LAMBDAS:
                 rs = [verify_2f1_trace(f, l, lam, br) for br in ("first", "second")]
-                if all(r.skipped for r in rs):
+                if all(r.status == "skip" for r in rs):
                     continue
-                if any(r.passed for r in rs):
+                if any(r.status == "pass" for r in rs):
                     passes += 1
                 else:
                     problems.append(
@@ -264,9 +264,9 @@ def test_criterion_04_trace_2f1(capsys):
         f = field(p, e)
         for lam in LAMBDAS:
             r = verify_2f1_trace(f, 3, lam)
-            if r.failed:
+            if r.status == "fail":
                 problems.append(f"l=3 q={q} lambda={lam}: |diff|={r.abs_diff:.3g}")
-            elif r.passed:
+            elif r.status == "pass":
                 cubic += 1
     if cubic < 60:
         problems.append(f"only {cubic} cubic instances passed, expected >= 60")
@@ -282,9 +282,9 @@ def test_criterion_05_lambda_one_third(capsys):
             if (q - 1) % l:
                 continue
             r = verify_lambda_third(field(p, e), l)
-            if r.failed:
+            if r.status == "fail":
                 problems.append(f"l={l} q={q}: |diff|={r.abs_diff:.3g}")
-            elif r.passed:
+            elif r.status == "pass":
                 if l == 3:
                     branches["cubic"] += 1
                 elif q % 3 == 1:
@@ -311,9 +311,9 @@ def test_criterion_06_one_third_quadratic_closed_forms(capsys):
         if q % 3 != 1:
             continue
         for r in verify_mccarthy(field(p, e)):
-            if r.failed:
+            if r.status == "fail":
                 problems.append(f"{r.theorem_id} q={q}: |diff|={r.abs_diff:.3g}")
-            elif r.passed:
+            elif r.status == "pass":
                 passes += 1
                 seen.add(q)
     for q in (25, 49):
@@ -334,9 +334,9 @@ def test_criterion_07_argument_4_and_special_values(capsys):
             chi = Character(f, s)
             if chi.order not in (1, 3, 4):
                 r = verify_3f2_at_4(chi)
-                if r.failed:
+                if r.status == "fail":
                     problems.append(f"3f2(4) q={f.q} s={s}: |diff|={r.abs_diff:.3g}")
-                elif r.passed:
+                elif r.status == "pass":
                     passes += 1
             if s % 2 == 0 and chi.order not in (1, 3):
                 for part in ("i", "ii", "iii", "iv"):
@@ -344,7 +344,7 @@ def test_criterion_07_argument_4_and_special_values(capsys):
                         verify_2f1_specials(chi, part, br)
                         for br in ("first", "second")
                     ]
-                    if any(r.passed for r in rs):
+                    if any(r.status == "pass" for r in rs):
                         passes += 1
                     else:
                         problems.append(
@@ -364,18 +364,18 @@ def test_criterion_08_corollaries(capsys):
         if not is_prime(p) or p % 3 != 1:
             continue
         for r in verify_corollary_c3(field(p)):
-            if r.failed:
+            if r.status == "fail":
                 problems.append(f"{r.theorem_id} p={p}: |diff|={r.abs_diff:.3g}")
-            elif r.passed:
+            elif r.status == "pass":
                 passes += 1
     for p, e, q in odd_prime_powers(150):
         if q % 4 != 1:
             continue
         for lam in LAMBDAS:
             r = verify_corollary_chi4(field(p, e), lam)
-            if r.failed:
+            if r.status == "fail":
                 problems.append(f"chi4 q={q} lambda={lam}: |diff|={r.abs_diff:.3g}")
-            elif r.passed:
+            elif r.status == "pass":
                 passes += 1
     lcm_qs = {2: set(), 3: set(), 5: set()}
     for l in (2, 3, 5):
@@ -384,9 +384,9 @@ def test_criterion_08_corollaries(capsys):
             if (q - 1) % d:
                 continue
             r = verify_corollary_lcm(field(p, e), l)
-            if r.failed:
+            if r.status == "fail":
                 problems.append(f"lcm l={l} q={q}: |diff|={r.abs_diff:.3g}")
-            elif r.passed:
+            elif r.status == "pass":
                 passes += 1
                 lcm_qs[l].add(q)
     if lcm_qs[5] != {31, 61, 121}:

@@ -46,7 +46,7 @@ def test_exact_ok_gate():
         theorem_id="t", p=5, e=1, q=5, lhs=0, rhs=0,
         hypotheses={"ok": True}, exact_ok=False,
     )
-    assert r.failed and r.abs_diff == 0.0
+    assert r.status == "fail" and r.abs_diff == 0.0
 
 
 def test_dict_matches_field_contract():

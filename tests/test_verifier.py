@@ -40,7 +40,7 @@ def default_reports():
 
 def test_failed_reports_have_all_hypotheses_met(default_reports):
     for r in default_reports:
-        if r.failed:
+        if r.status == "fail":
             assert all(r.hypotheses.values()), r.theorem_id
 
 
@@ -51,7 +51,7 @@ def test_every_record_carries_the_fixed_relative_bound(default_reports):
 
 
 def test_default_sweep_failure_census(default_reports):
-    failed = [r for r in default_reports if r.failed]
+    failed = [r for r in default_reports if r.status == "fail"]
     counts = summarize(default_reports)
     assert counts["fail"] == len(failed) == 10
     assert counts["pass"] + counts["fail"] + counts["skip"] == len(default_reports)
@@ -129,8 +129,8 @@ def test_main_square_l2_consistent_with_ono(default_reports):
         if r.theorem_id != "aq_square_3f2" or r.l != 2:
             continue
         mate = ono[(r.q, r.lam)]
-        assert r.skipped == mate.skipped
-        if not r.skipped:
+        assert (r.status == "skip") == (mate.status == "skip")
+        if r.status != "skip":
             assert r.status == mate.status == "pass"
             checked += 1
     assert checked > 30
@@ -141,7 +141,7 @@ def test_skip_sides_are_zero_except_at_excluded_orders(default_reports):
     character orders their identities exclude; every other skip records 0."""
     evaluated = {}
     for r in default_reports:
-        if r.skipped and (r.lhs != 0 or r.rhs != 0):
+        if r.status == "skip" and (r.lhs != 0 or r.rhs != 0):
             evaluated[r.theorem_id] = evaluated.get(r.theorem_id, 0) + 1
             assert r.lhs != 0 and r.rhs != 0, r.theorem_id
     specials = {f"2f1_special_{part}": 12 for part in ("i", "ii", "iii", "iv")}
@@ -152,14 +152,14 @@ def test_exact_check_decides_inside_the_tolerance(monkeypatch):
     # 1/q^2 is inside the 1e-6 tolerance at q = 1009, but q^2 * lhs moves
     # to the next integer, so only the exact check can fail the record
     f = make_field(1009)
-    assert verify_ono(f, 1).passed
+    assert verify_ono(f, 1).status == "pass"
     series = hgfq.verifier.series_value
     monkeypatch.setattr(
         hgfq.verifier, "series_value", lambda *args: series(*args) + 1 / f.q**2
     )
     r = verify_ono(f, 1)
     assert all(r.hypotheses.values())
-    assert r.failed
+    assert r.status == "fail"
     assert r.abs_diff <= r.tolerance
     assert r.abs_diff == pytest.approx(1 / 1009**2)
 
@@ -172,19 +172,19 @@ def test_lambda_third_closed_forms_at_l3_follow_q_mod_3():
         f = make_field(p, e)
         third, lcm3 = verify_lambda_third(f, 3), verify_corollary_lcm(f, 3)
         if f.q % 3 == 1:
-            assert third.passed and lcm3.passed, f.q
+            assert third.status == "pass" and lcm3.status == "pass", f.q
         else:
-            assert third.skipped and third.hypotheses == {"p_not_3": True, "congruence": False}
-            assert lcm3.skipped
+            assert third.status == "skip" and third.hypotheses == {"p_not_3": True, "congruence": False}
+            assert lcm3.status == "skip"
             assert lcm3.hypotheses == {"congruence_mod_lcm": False, "p_not_3": True}
 
 
 def test_passing_trace_l2_implies_chi4(default_reports):
     checked = 0
     for r in default_reports:
-        if r.theorem_id == "trace_2f1" and r.l == 2 and r.passed:
+        if r.theorem_id == "trace_2f1" and r.l == 2 and r.status == "pass":
             f = make_field(r.p, r.e)
-            assert verify_corollary_chi4(f, r.lam).passed
+            assert verify_corollary_chi4(f, r.lam).status == "pass"
             checked += 1
     assert checked > 10
 
@@ -323,7 +323,7 @@ def test_small_sweep_covers_core_families():
     reports = sweep(cfg)
     assert len(reports) >= 6
     assert {r.theorem_id for r in reports} == {"ono_3f2", "aq_square_3f2", "trace_2f1"}
-    assert not any(r.failed for r in reports)
+    assert not any(r.status == "fail" for r in reports)
 
 
 def test_sweep_config_validation():
@@ -352,7 +352,7 @@ def test_sweep_config_validation():
 def test_main_square_counterexample_is_failed_not_skipped():
     f = make_field(11)
     r = verify_main_square(f, 5, 1)
-    assert r.failed
+    assert r.status == "fail"
     assert all(r.hypotheses.values())
     assert r.lhs == 25 + 0j
     assert round(r.rhs.real) == 15
@@ -362,12 +362,12 @@ def test_main_square_counterexample_is_failed_not_skipped():
 def test_main_square_orders_3_and_4_are_flagged_out():
     f = make_field(13)
     r3 = verify_main_square(f, 3, 1)
-    assert r3.skipped and r3.hypotheses["summand_1_order_not_3"] is False
+    assert r3.status == "skip" and r3.hypotheses["summand_1_order_not_3"] is False
     r4 = verify_main_square(f, 4, 1)
-    assert r4.skipped and r4.hypotheses["summand_1_order_not_4"] is False
+    assert r4.status == "skip" and r4.hypotheses["summand_1_order_not_4"] is False
     f37 = make_field(37)
     r6 = verify_main_square(f37, 6, 1)
-    assert r6.skipped
+    assert r6.status == "skip"
     assert r6.hypotheses["summand_2_order_not_3"] is False
     assert r6.hypotheses["tail_1_order_not_3"] is False
 
@@ -376,28 +376,28 @@ def test_trace_branch_and_parity():
     f = make_field(13)
     for branch in ("first", "second"):
         r = verify_2f1_trace(f, 2, Fraction(1), branch)
-        assert r.passed and r.sqrt_branch == branch
+        assert r.status == "pass" and r.sqrt_branch == branch
     with pytest.raises(ValueError):
         verify_2f1_trace(f, 2, Fraction(1), "third")
     # q = 7: (q-1)/2 is odd, no square root of phi**3 exists
     r = verify_2f1_trace(make_field(7), 2, Fraction(1))
-    assert r.skipped and r.hypotheses["even_ratio"] is False
+    assert r.status == "skip" and r.hypotheses["even_ratio"] is False
 
 
 def test_trace_cubic():
     # q = 1 mod 3 is the one condition at l = 3, whatever p is mod 3
     for p, e in ((13, 1), (5, 2), (11, 2)):
-        assert verify_2f1_trace(make_field(p, e), 3, Fraction(2)).passed, (p, e)
+        assert verify_2f1_trace(make_field(p, e), 3, Fraction(2)).status == "pass", (p, e)
     for p in (5, 11):
         r = verify_2f1_trace(make_field(p), 3, Fraction(2))
-        assert r.skipped, p
+        assert r.status == "skip", p
         assert r.hypotheses == {"lambda_admissible": True, "good_reduction": True, "congruence": False}
 
 
 def test_lambda_third_vanishing_branch():
     # q = 2 (mod 3), l != 3: the closed form is exactly zero, so a_q = 0
     r = verify_lambda_third(make_field(5), 2)
-    assert r.passed
+    assert r.status == "pass"
     assert r.rhs == 0j and r.lhs == 0j
 
 
@@ -405,40 +405,40 @@ def test_mccarthy_pair():
     for p, e in ((7, 1), (13, 1), (5, 2), (7, 2)):
         pair = verify_mccarthy(make_field(p, e))
         assert len(pair) == 2
-        assert all(r.passed for r in pair), (p, e)
+        assert all(r.status == "pass" for r in pair), (p, e)
     for r in verify_mccarthy(make_field(5)):
-        assert r.skipped and r.hypotheses["congruence"] is False
+        assert r.status == "skip" and r.hypotheses["congruence"] is False
 
 
 def test_c3_pair():
     for p in (7, 13, 19, 31):
-        assert all(r.passed for r in verify_corollary_c3(make_field(p)))
+        assert all(r.status == "pass" for r in verify_corollary_c3(make_field(p)))
     for r in verify_corollary_c3(make_field(11)):
-        assert r.skipped
+        assert r.status == "skip"
     with pytest.raises(ValueError):
         verify_corollary_c3(make_field(7, 2))
 
 
 def test_chi4_congruence():
-    assert verify_corollary_chi4(make_field(13), Fraction(2)).passed
+    assert verify_corollary_chi4(make_field(13), Fraction(2)).status == "pass"
     r = verify_corollary_chi4(make_field(7), Fraction(2))
-    assert r.skipped and r.hypotheses["congruence_mod_4"] is False
+    assert r.status == "skip" and r.hypotheses["congruence_mod_4"] is False
 
 
 def test_lcm_congruence():
-    assert verify_corollary_lcm(make_field(31), 5).passed
-    assert verify_corollary_lcm(make_field(13), 3).passed
+    assert verify_corollary_lcm(make_field(31), 5).status == "pass"
+    assert verify_corollary_lcm(make_field(13), 3).status == "pass"
     r = verify_corollary_lcm(make_field(7), 5)
-    assert r.skipped and r.hypotheses["congruence_mod_lcm"] is False
+    assert r.status == "skip" and r.hypotheses["congruence_mod_lcm"] is False
 
 
 def test_3f2_at_4_boundary_orders_recorded_not_failed():
     f = make_field(13)
     r = verify_3f2_at_4(character_of_order(f, 3))
-    assert r.skipped and r.hypotheses["order_admissible"] is False
+    assert r.status == "skip" and r.hypotheses["order_admissible"] is False
     # both sides were still evaluated and genuinely disagree at order 3
     assert r.abs_diff > 0.1
-    assert verify_3f2_at_4(character_of_order(f, 6)).passed
+    assert verify_3f2_at_4(character_of_order(f, 6)).status == "pass"
 
 
 def test_specials_all_parts_both_branches():
@@ -446,21 +446,21 @@ def test_specials_all_parts_both_branches():
     chi = Character(f, 2)
     for part in ("i", "ii", "iii", "iv"):
         for branch in ("first", "second"):
-            assert verify_2f1_specials(chi, part, branch).passed, (part, branch)
+            assert verify_2f1_specials(chi, part, branch).status == "pass", (part, branch)
     with pytest.raises(ValueError):
         verify_2f1_specials(chi, "v")
     triv = verify_2f1_specials(Character(f, 0), "i")
-    assert triv.skipped and triv.hypotheses["order_not_1"] is False
+    assert triv.status == "skip" and triv.hypotheses["order_not_1"] is False
 
 
 def test_charsum_lemma_parts():
     f = make_field(13)
-    assert verify_charsum_lemmas(Character(f, 2), 1, "square_3f2").passed
-    assert verify_charsum_lemmas(Character(f, 5), Fraction(1, 3), "one_third").passed
-    assert verify_charsum_lemmas(Character(f, 2), 2, "sqrt_2f1", "second").passed
-    assert verify_charsum_lemmas(Character(f, 4), 2, "order3_2f1").passed
+    assert verify_charsum_lemmas(Character(f, 2), 1, "square_3f2").status == "pass"
+    assert verify_charsum_lemmas(Character(f, 5), Fraction(1, 3), "one_third").status == "pass"
+    assert verify_charsum_lemmas(Character(f, 2), 2, "sqrt_2f1", "second").status == "pass"
+    assert verify_charsum_lemmas(Character(f, 4), 2, "order3_2f1").status == "pass"
     triv = verify_charsum_lemmas(Character(f, 0), 1, "sqrt_2f1")
-    assert triv.skipped and triv.hypotheses["order_not_1"] is False
+    assert triv.status == "skip" and triv.hypotheses["order_not_1"] is False
     with pytest.raises(ValueError):
         verify_charsum_lemmas(Character(f, 2), 1, "bogus")
 
@@ -488,4 +488,4 @@ def test_arguments_an_identity_does_not_read_are_refused():
 
 def test_ono_bad_lambda_skips():
     r = verify_ono(make_field(7), Fraction(-1))
-    assert r.skipped and r.hypotheses["lambda_admissible"] is False
+    assert r.status == "skip" and r.hypotheses["lambda_admissible"] is False
