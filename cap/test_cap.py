@@ -2,7 +2,7 @@
 memory bounds at fields up to the cap q = 100000, too slow for tier-1,
 which does not collect this directory.  From the repository root:
 
-    PYTHONPATH=src:tests python -m pytest -q cap --durations=0
+    python -m pytest -q cap --durations=0
 
 The refusals of fields and grids above the cap are tier-1 tests in
 `tests/test_cli.py`, and are not repeated here.

@@ -7,19 +7,14 @@ gather of the field's int64 dlog array and a `bincount`.
 `character_sum_count` reads the exact affine count off it for any l, and
 `curve_char_sum` the sum W(S) of a character over the curve polynomial;
 these are what the verification sweep and `hgfq count` use.  The values
-themselves come from `curve_values` as an int64 array, in int64 arithmetic
-mod p on a prime field (exact for p < 3.03e9) and by a loop of field ops
-on F_{p^e} with e > 1; the tests compare it with that loop for every e,
-`oracle_helpers.curve_values_by_field_ops`.
+themselves come from `curve_values`, an int64 array.
 `brute_force_count` (enumeration of affine pairs) and, for l = 3,
 `weierstrass_count_l3` (the short Weierstrass model) are oracles for the
 tests.  `good_reduction` decides from the residues of l and of lambda =
 a/b modulo the field's characteristic, which is prime because the field
-exists; `reduce_lambda` is lambda in the field under it.
-`points_at_infinity` is the one rule for the projective completion, the
-nonsingular model: gcd(l, 3) places lie above x = infinity, and they are
-rational exactly when q = 1 mod 3, so there are three rational points at
-infinity when 3 | l and q = 1 mod 3, and one otherwise.
+exists; `reduce_lambda` is lambda in the field under it, and the one
+refusal of bad reduction, for every count.  `points_at_infinity` is the
+one rule for the projective completion, the nonsingular model.
 """
 
 from __future__ import annotations
@@ -156,10 +151,7 @@ def weierstrass_count_l3(field: Field, curve: CurveSpec) -> PointCount:
         raise ValueError("the Weierstrass model applies to l = 3 only")
     if field.p == 3:
         raise BadReductionError("the Weierstrass model needs p different from 2 and 3")
-    if not good_reduction(field, curve.l, curve.lam):
-        raise BadReductionError(
-            f"curve (l=3, lambda={curve.lam}) has bad reduction at p={field.p}"
-        )
+    reduce_lambda(field, curve)  # the one bad-reduction refusal
     c = field.from_rational(-curve.lam / (1 + curve.lam) ** 4)
     square_counts = Counter(field.mul(y, y) for y in range(field.q))
     affine = 0

@@ -150,14 +150,7 @@ def _poly_mul_mod(a: list[int], b: list[int], tail: tuple[int, ...], p: int) -> 
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(2 * e - 2, e - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j, tj in enumerate(tail):
-                if tj:
-                    prod[k - e + j] = (prod[k - e + j] - c * tj) % p
-    return prod[:e]
+    return _poly_rem(prod, [*tail, 1], p)
 
 
 def _poly_pow_mod(base: list[int], n: int, tail: tuple[int, ...], p: int) -> list[int]:
@@ -173,7 +166,7 @@ def _poly_pow_mod(base: list[int], n: int, tail: tuple[int, ...], p: int) -> lis
 
 
 def _poly_rem(poly: list[int], div: list[int], p: int) -> list[int]:
-    # div must be monic.
+    # div must be monic; its zero coefficients are skipped, as sparse moduli have many.
     rem = list(poly)
     dd = len(div) - 1
     for k in range(len(rem) - 1, dd - 1, -1):
@@ -181,7 +174,8 @@ def _poly_rem(poly: list[int], div: list[int], p: int) -> list[int]:
         if c:
             rem[k] = 0
             for j in range(dd):
-                rem[k - dd + j] = (rem[k - dd + j] - c * div[j]) % p
+                if div[j]:
+                    rem[k - dd + j] = (rem[k - dd + j] - c * div[j]) % p
     return rem[:dd]
 
 
@@ -312,8 +306,6 @@ class Field:
     # integer-encoding arithmetic
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         p = self.p
         out = 0
         shift = 1
@@ -325,8 +317,6 @@ class Field:
         return out
 
     def sub(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a - b) % self.p
         p = self.p
         out = 0
         shift = 1

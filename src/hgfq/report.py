@@ -2,9 +2,7 @@
 
 One record captures a single identity instance: the two evaluated sides,
 their difference, the bound applied to it, named hypothesis flags, and the
-resulting status.  The bound is relative and fixed: RELATIVE_TOLERANCE
-times max(1, |lhs|, |rhs|).  A record whose hypotheses are not all met is
-a skip, never a failure.
+resulting status, which `build_report` alone decides.
 
 REPORT_FIELDS is the one column order, of the JSON objects and of the CSV
 rows alike.  `build_report` takes theorem_id, p, e and q, and the instance
@@ -79,20 +77,26 @@ def build_report(
     lhs: complex = 0j,
     rhs: complex = 0j,
     hypotheses: dict[str, bool],
-    exact_ok: bool = True,
+    d: int | None = None,
     **instance,
 ) -> VerificationReport:
-    """Assemble a record, deciding status from hypotheses and the scaled
-    bound |lhs - rhs| <= RELATIVE_TOLERANCE * max(1, |lhs|, |rhs|).  `instance`
-    holds theorem_id, p, e, q and the optional instance fields l, lam,
-    char_index and sqrt_branch, and goes to VerificationReport as it is."""
+    """Assemble a record and decide its status, the one place of that rule.
+
+    A record whose hypotheses are not all met is a "skip", never a "fail".
+    Otherwise it is a "pass" when |lhs - rhs| is within the bound
+    RELATIVE_TOLERANCE * max(1, |lhs|, |rhs|), one fixed bound for every
+    identity, and, where the denominator d of both sides is given (both
+    are rationals with denominator d), round(d * lhs) == round(d * rhs) on
+    the real parts; else a "fail".  `instance` holds theorem_id, p, e, q
+    and the optional instance fields l, lam, char_index and sqrt_branch,
+    and goes to VerificationReport as it is."""
     lhs = complex(lhs)
     rhs = complex(rhs)
     diff = abs(lhs - rhs)
     tol_eff = RELATIVE_TOLERANCE * max(1.0, abs(lhs), abs(rhs))
     if not all(hypotheses.values()):
         status = "skip"
-    elif diff <= tol_eff and exact_ok:
+    elif diff <= tol_eff and (d is None or round(d * lhs.real) == round(d * rhs.real)):
         status = "pass"
     else:
         status = "fail"

@@ -4,13 +4,10 @@ Every verify_* operation states one identity instance for concrete (q, l,
 lambda, character) data: its named premise flags, its two sides as a
 deferred computation, and the denominator d of both sides where they are
 rationals (q**2 for ono_3f2, q for mccarthy_binomial, 1 for the a_q-valued
-ids).  _record is the one path from there to a VerificationReport.  It
-runs the sides only when the flags hold (3f2_at_4 and 2f1_special_* gate
-on fewer, so that the orders their identities exclude still leave data)
-and records 0 for both otherwise.  An unmet flag makes a "skip", never an exception and never a failure.  Under
-met flags a "fail" is a gap |lhs - rhs| above report.RELATIVE_TOLERANCE
-times max(1, |lhs|, |rhs|), one fixed bound for every identity, or, where
-d is declared, round(d * lhs) != round(d * rhs).
+ids).  _record runs the sides only when the flags hold (3f2_at_4 and
+2f1_special_* gate on fewer, so that the orders their identities exclude
+still leave data) and records 0 for both otherwise; report.build_report
+decides the status from the flags, the sides and d.
 
 verify_3f2_at_4, verify_2f1_specials and verify_charsum_lemmas take their
 character chi alone, on F_q = chi.field.  An argument that an identity
@@ -111,24 +108,20 @@ def _record(
     f: Field,
     hyps: dict[str, bool],
     sides: Callable[[], tuple[complex, complex]],
-    d: int | None = None,
     gate: tuple[str, ...] | None = None,
     **where,
 ) -> VerificationReport:
     """The one record of an identity instance on f.
 
     `sides()` gives (lhs, rhs).  It runs only when the flags named in `gate`
-    hold, every flag by default, and both sides are 0 otherwise.  A declared
-    d says that both sides are rationals with denominator d, so a pass also
-    needs round(d * lhs) == round(d * rhs) on the real parts.  `where` holds
-    the instance fields l, lam, char_index and sqrt_branch that apply."""
-    lhs, rhs, exact = 0j, 0j, True
+    hold, every flag by default, and both sides are 0 otherwise.  `where`
+    holds the denominator d and the instance fields l, lam, char_index and
+    sqrt_branch that apply, and goes to build_report as it is."""
+    lhs = rhs = 0j
     if all(hyps[k] for k in (hyps if gate is None else gate)):
-        lhs, rhs = (complex(side) for side in sides())
-        exact = d is None or round(d * lhs.real) == round(d * rhs.real)
+        lhs, rhs = sides()
     return build_report(
-        theorem_id=tid, p=f.p, e=f.e, q=f.q, lhs=lhs, rhs=rhs,
-        hypotheses=hyps, exact_ok=exact, **where
+        theorem_id=tid, p=f.p, e=f.e, q=f.q, lhs=lhs, rhs=rhs, hypotheses=hyps, **where
     )
 
 
@@ -161,9 +154,11 @@ def verify_main_square(f: Field, l: int, lam: Fraction | int) -> VerificationRep
     the i-th summand (its q^2 and q parts together) equals W_{l-i}^2.  For
     odd l the right side is therefore sum W_i^2 + (l-1)(q-1) - (l-3) a_q,
     and equals a_q^2 only if the cross terms W_i W_j (i != j) sum to
-    (l-1)(q-1) - (l-3) a_q.  At l = 5 and 7 they differ on every good
-    instance with q <= 150, and those instances are reported as fail.  For
-    l = 2 the expansion is the classical single-series identity and holds.
+    (l-1)(q-1) - (l-3) a_q.  For even l the i-th tail term is W_{l-2i} / q,
+    so the right side is sum W_i^2 + (l-2)(q-1) - (l-2) a_q - 2 sum W_{2i}.
+    At l = 5, 7 and 10 they differ on every good instance with q <= 150,
+    and those instances are reported as fail.  For l = 2 the expansion is
+    the classical single-series identity and holds.
     """
     lam = Fraction(lam)
     m, q, h = f.m, f.q, f.m // 2

@@ -429,15 +429,17 @@ def aq_square_every_lambda(field, l):
     R_i = J(S^3i, S^-i) / J(S^i, S^i), rhs is
     q^2 sum_i R_i Sbar^i(-4 lambda^3) 3F2(S^3i, S^i, S^2i phi; S^4i, S^2i |
     (1+lambda)/lambda) + q phi(-lambda) sum_i R_i Sbar^i(-4 lambda (1+lambda)^2)
-    over 1 <= i < l, plus (l-1)(q-1) - (l-3) a_q for odd l; for l = 2 the
-    verifier's even-l tail is empty.  The series come from `series_every_x`,
-    each character value from the dlog of its argument, and a_q = q - affine
-    from `affine_counts_all_lambda` (one point at infinity, as 3 does not
-    divide l).
+    over 1 <= i < l, plus (l-1)(q-1) - (l-3) a_q for odd l and, for even l,
+    (l-2)(q-1) - (l-2) a_q - 2q times the tail
+    sum_i J(phi, S^-2i) / J(S^i phi, S^-3i) 2F1(S^3i, S^3i phi; S^4i | 1+lambda)
+    over 1 <= i < l/2, which is empty for l = 2.  The series come from
+    `series_every_x`, each character value from the dlog of its argument,
+    and a_q = q - affine from `affine_counts_all_lambda` (one point at
+    infinity, as 3 does not divide l).
     """
     q, m, h = field.q, field.m, field.m // 2
-    if m % l or l % 3 == 0 or l % 2 == 0 and l != 2:
-        raise ValueError(f"need l = 2 or an odd l prime to 3 dividing q - 1 = {m}, not {l}")
+    if m % l or l % 3 == 0 or l % 4 == 0:
+        raise ValueError(f"need an l prime to 3 and 4 dividing q - 1 = {m}, not {l}")
     u = m // l
     dlog = np.array(field._dlog)
     lam, lam_plus_1 = _admissible_lambdas(field)
@@ -459,6 +461,13 @@ def aq_square_every_lambda(field, l):
     rhs = q * q * term1 + q * term2
     if l % 2:
         rhs += (l - 1) * m - (l - 3) * a_q
+    else:
+        tail = np.zeros(len(lam), dtype=complex)
+        for i in range(1, l // 2):
+            si = i * u % m
+            ratio = field.jacobi_c(h, -2 * si) / field.jacobi_c(si + h, -3 * si)
+            tail += ratio * series_every_x(field, [3 * si, 3 * si + h], [4 * si])[lam_plus_1]
+        rhs += (l - 2) * m - (l - 2) * a_q - 2 * q * tail
     return lam, a_q * a_q, rhs
 
 

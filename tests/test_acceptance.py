@@ -7,7 +7,8 @@ printed, and assert what the mathematics gives instead:
 - Criterion 3: the squared-trace double sum holds for l = 2 and must pass
   there.  For l in {5, 7} its right side evaluates to
   sum W_i^2 + (l-1)(q-1) - (l-3) a_q, with W_i the character sums of the
-  curve: the last two terms stand where a_q^2 has the cross terms
+  curve, and for l = 10 to sum W_i^2 + 8(q-1) - 8 a_q - 2 sum_(j even) W_j:
+  the terms after sum W_i^2 stand where a_q^2 has the cross terms
   W_i W_j (i != j), and never equal them.  The test computes the W_i by
   direct enumeration and asserts that the verifier's right side equals that
   value and that it reports fail exactly where a_q^2 differs from it.
@@ -169,13 +170,15 @@ def test_criterion_03_squared_trace_double_sum(capsys):
                 passes += 1
     if passes < 150:
         problems.append(f"only {passes} l=2 instances passed, expected >= 150")
-    # l in {5, 7}: the right side is sum W_i^2 + (l-1)(q-1) - (l-3) a_q (see
+    # l in {5, 7}: the right side is sum W_i^2 + (l-1)(q-1) - (l-3) a_q, and
+    # at l = 10 it is sum W_i^2 + 8(q-1) - 8 a_q - 2 sum_(j even) W_j (see
     # verify_main_square), which misses a_q^2 on every instance of this grid
-    # (first q = 11, l = 5, lambda = 1: a_q^2 = 25, rhs = 15); the verifier
-    # must report fail exactly where the two differ.
+    # (first q = 11, l = 5, lambda = 1: a_q^2 = 25, rhs = 15; at l = 10,
+    # a_q^2 = 100, rhs = 20); the verifier must report fail exactly where
+    # the two differ.
     covered = 0
     counterexamples = []
-    for l in (5, 7):
+    for l in (5, 7, 10):
         for p, e, q in odd_prime_powers(150):
             if (q - 1) % l:
                 continue
@@ -189,14 +192,15 @@ def test_criterion_03_squared_trace_double_sum(capsys):
                 w = _curve_char_sums(f, l, lam)
                 aq = -_exact_int(sum(w), f"{where}: sum W_i", problems)
                 squares = _exact_int(sum(x * x for x in w), f"{where}: sum W_i^2", problems)
-                expected = squares + (l - 1) * (q - 1) - (l - 3) * aq
+                if l % 2:
+                    expected = squares + (l - 1) * (q - 1) - (l - 3) * aq
+                else:
+                    even = _exact_int(sum(w[1::2]), f"{where}: sum W_(2i)", problems)
+                    expected = squares + (l - 2) * (q - 1) - (l - 2) * aq - 2 * even
                 if r.lhs != aq * aq:
                     problems.append(f"{where}: lhs {r.lhs.real:.6g} != a_q^2 = {aq * aq}")
                 if abs(r.rhs - expected) > r.tolerance:
-                    problems.append(
-                        f"{where}: rhs {r.rhs.real:.6g} != sum W_i^2 + (l-1)(q-1) "
-                        f"- (l-3) a_q = {expected}"
-                    )
+                    problems.append(f"{where}: rhs {r.rhs.real:.6g} != the W_i form {expected}")
                 if (r.status == "fail") != (aq * aq != expected):
                     problems.append(
                         f"{where}: status {r.status} with a_q^2={aq * aq} rhs={expected}"
@@ -205,7 +209,7 @@ def test_criterion_03_squared_trace_double_sum(capsys):
                     counterexamples.append(
                         f"{where}: a_q^2={aq * aq} rhs={expected} sum W_i^2={squares}"
                     )
-    print(f"l in (5, 7): {len(counterexamples)} of {covered} instances fail as stated")
+    print(f"l in (5, 7, 10): {len(counterexamples)} of {covered} instances fail as stated")
     for line in counterexamples:
         print(f"  {line}")
     # l in {3, 4, 6}: one summand always has order 3 or 4, so every instance
@@ -234,8 +238,9 @@ def test_criterion_03_squared_trace_double_sum(capsys):
     if stages != {"summand flags": 279, "first stage only": 11}:
         problems.append(f"l in (3, 4, 6) premise stages {stages}, expected 279 and 11")
     _verdict(capsys, 3, "a_q^2 expansion passes for l = 2 and evaluates to "
-             "sum W_i^2 + (l-1)(q-1) - (l-3) a_q for l in (5, 7)",
-             problems, covered, 60)
+             "sum W_i^2 + (l-1)(q-1) - (l-3) a_q for l in (5, 7) and "
+             "sum W_i^2 + 8(q-1) - 8 a_q - 2 sum_(j even) W_j for l = 10",
+             problems, covered, 100)
 
 
 def test_criterion_04_trace_2f1(capsys):

@@ -345,22 +345,30 @@ def test_ono_3f2_at_every_lambda(p, e):
         assert rhs[i] == phi * (a_q * a_q - f.q)
 
 
-@pytest.mark.parametrize("l", [2, 5])
+@pytest.mark.parametrize("l", [2, 5, 10])
 @pytest.mark.parametrize("p, e", [(11, 1), (31, 1), (41, 1), (3, 4), (11, 2)])
 def test_aq_square_3f2_at_every_lambda(p, e, l):
     # criterion 3's form at every admissible lambda: the right side of the
-    # squared-trace expansion is a_q^2 at l = 2, and at l = 5 it is
-    # sum W_i^2 + 4(q-1) - 2 a_q, with a_q = -sum W_i; each side rounded
+    # squared-trace expansion is a_q^2 at l = 2, at l = 5 it is
+    # sum W_i^2 + 4(q-1) - 2 a_q, with a_q = -sum W_i, and at l = 10, where
+    # 2q times the even-l tail is 2 sum W_j over even j (the square-root
+    # lemma at S^-2i), it is sum W_i^2 + 8(q-1) - 8 a_q - 2 sum_(j even) W_j,
+    # which misses a_q^2 at every lambda of these fields; each side rounded
     f = make_field(p, e)
     lams, aq_square, rhs = oracle.aq_square_every_lambda(f, l)
     assert len(lams) == f.q - 2
     w = [oracle.curve_char_sums_all_lambda(f, i * f.m // l)[lams] for i in range(1, l)]
     a_q = -np.rint(sum(w).real).astype(np.int64)
     assert (aq_square == a_q * a_q).all()
+    squares = np.rint(sum(x * x for x in w).real).astype(np.int64)
     if l == 2:
         want = aq_square
+    elif l == 5:
+        want = squares + 4 * f.m - 2 * a_q
     else:
-        want = np.rint(sum(x * x for x in w).real).astype(np.int64) + 4 * f.m - 2 * a_q
+        even = np.rint(sum(w[j - 1] for j in range(2, l, 2)).real).astype(np.int64)
+        want = squares + 8 * f.m - 8 * a_q - 2 * even
+        assert (aq_square != want).all()
     assert (np.rint(rhs.real) == want).all()
     assert np.abs(rhs - want).max() < 1e-9
     compared = 0

@@ -41,12 +41,15 @@ def test_status_rules():
     assert big.tolerance == 1e-6 * (1e6 + 1e-9)
 
 
-def test_exact_ok_gate():
-    r = build_report(
-        theorem_id="t", p=5, e=1, q=5, lhs=0, rhs=0,
-        hypotheses={"ok": True}, exact_ok=False,
-    )
-    assert r.status == "fail" and r.abs_diff == 0.0
+def test_denominator_gate():
+    # the sides as rationals with denominator d: a gap inside the tolerance
+    # fails where round(d * lhs) != round(d * rhs), and unmet flags skip
+    for d in (None, 1, 5, 25):
+        scale = d or 1
+        r = make((3.5 - 1e-8) / scale, (3.5 + 1e-8) / scale, d=d)
+        assert r.status == ("pass" if d is None else "fail") and 0 < r.abs_diff <= r.tolerance
+        assert make(3 / scale, (3 + 1e-8) / scale, d=d).status == "pass"
+        assert make(0.5 / scale, 10.0, hyps={"ok": False}, d=d).status == "skip"
 
 
 def test_dict_matches_field_contract():

@@ -28,7 +28,7 @@ from hgfq import (
 )
 import hgfq.verifier
 from hgfq.report import REPORT_FIELDS, report_sort_key
-from hgfq.verifier import THEOREM_KEYS, row_blocks
+from hgfq.verifier import SPECIAL_PARTS, SQRT_BRANCHES, THEOREM_KEYS, row_blocks
 
 from oracle_helpers import summarize
 
@@ -439,6 +439,25 @@ def test_3f2_at_4_boundary_orders_recorded_not_failed():
     # both sides were still evaluated and genuinely disagree at order 3
     assert r.abs_diff > 0.1
     assert verify_3f2_at_4(character_of_order(f, 6)).status == "pass"
+
+
+@pytest.mark.parametrize("p, e", [(7, 1), (13, 1), (5, 2)])
+def test_2f1_specials_boundary_orders_recorded_not_failed(p, e):
+    # the excluded orders still leave data, held to a 1e-9 relative gap: at
+    # order 1 every part holds on both branches, with q |side| = 2; at order
+    # 3 every part holds on the "first" branch and fails on the "second",
+    # with sides well away from 0 (q |lhs| >= 2.6); every record is a skip
+    f = make_field(p, e)
+    for s in (0, f.m // 3, 2 * f.m // 3):
+        for part in SPECIAL_PARTS:
+            first, second = (verify_2f1_specials(Character(f, s), part, b) for b in SQRT_BRANCHES)
+            assert first.status == second.status == "skip", (f.q, s, part)
+            gaps = [r.abs_diff / max(1, abs(r.lhs), abs(r.rhs)) for r in (first, second)]
+            assert gaps[0] < 1e-9 and (gaps[1] < 1e-9) == (s == 0), (f.q, s, part, gaps)
+            if s == 0:
+                assert f.q * abs(first.lhs) == pytest.approx(2)
+            else:
+                assert f.q * abs(first.lhs) > 2.6 and f.q * abs(second.rhs) > 0.5
 
 
 def test_specials_all_parts_both_branches():
