@@ -28,11 +28,11 @@ Every complex character sum is read off one table per field, the q-1
 Gauss sums G[k] = G(chi_k), built by one inverse FFT on first use of the
 attribute `Field.gauss_sums`.  A Jacobi sum is G[a] G[b] / G[a+b], a
 binomial coefficient is a Jacobi sum up to a sign and 1/q, and one binomial
-row k -> (chi_{t+sk} | chi_{b+k}) is a product of rolled copies of G and of
-H[k] = 1/G[k] (`Field.binom_row`).  The few entries where a character in the
-quotient is trivial take their closed forms under chi(0) = 0, one solution
-set at a time: (-1)^(b+k+1)/q where chi_{t+sk} is trivial, -1/q where the
-product is, and last the single k = -b, (q-2)/q or -1/q.  The exact
+row k -> (chi_{t+k} | chi_{b+k}) is a product of rolled copies of G and of
+H[k] = 1/G[k] (`Field.binom_row(t, b)`).  Where a character in the quotient is
+trivial, the closed forms under chi(0) = 0 are in `Field.binom_c` alone,
+through `Field.jacobi_c`: a row reads its entries at k = -t and k = -b from
+`binom_c`, and is -1/q everywhere else when t = b.  The exact
 root-of-unity counts of `Field.jacobi_counts` read the table
 Z[t] = dlog(1 - g^t), the attribute `Field.log_one_minus`, also built on
 first use.  No command reads either: they serve the exact Jacobi and
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -110,36 +109,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _solve_mod(s: int, r: int, m: int) -> np.ndarray:
-    """Every k in [0, m) with s k = r (mod m), in increasing order."""
-    d = math.gcd(s, m)
-    if r % d:
-        return np.empty(0, dtype=np.int64)
-    n = m // d
-    return np.arange((r // d) * pow(s // d, -1, n) % n, m, n, dtype=np.int64)
-
-
-def _times_progression(row: np.ndarray, table: np.ndarray, start: int, step: int) -> None:
-    """row[k] *= table[(start + step k) mod m] for every k, with m = len(table).
-
-    Step 0 is a scalar.  A step that divides m runs m / step times through
-    the residues = start (mod step), so it is step rolled copies of
-    table[start % step :: step], without an index array.  Any other step
-    raises `ValueError`: a gather costs 4 to 10 times a roll per row.
-    """
-    m = len(table)
-    start, step = start % m, step % m
-    if step == 0:
-        row *= table[start]
-        return
-    if m % step:
-        raise ValueError(f"step {step} does not divide q - 1 = {m}")
-    sub, n, r = table[start % step :: step], m // step, start // step
-    for j in range(0, m, n):
-        row[j : j + n - r] *= sub[r:]
-        row[j + n - r : j + n] *= sub[:r]
 
 
 def _poly_mul_mod(a: list[int], b: list[int], tail: tuple[int, ...], p: int) -> list[int]:
@@ -453,32 +422,30 @@ class Field:
         sign = -1.0 if b % 2 else 1.0
         return sign * self.jacobi_c(a, -b) / self.q
 
-    def binom_row(self, t: int, b: int, s: int) -> np.ndarray:
-        """The row k -> (chi_{t+sk} | chi_{b+k}), a complex (q-1)-vector.
+    def binom_row(self, t: int, b: int) -> np.ndarray:
+        """The row k -> (chi_{t+k} | chi_{b+k}), a complex (q-1)-vector.
 
-        Its entry at k is (-1)^(b+k)/q * J(chi_{t+sk}, chi_{-(b+k)}), which is
-        G[t+sk] H[b+k] H[t+(s-1)k-b] wherever none of the three indices is
-        trivial: for s = 1 a rolled copy of G times a rolled copy of H times
-        the scalar H[t-b] = 1/G[t-b].  No bincount and no FFT.  Each of s and
-        s - 1 must be 0 or divide q - 1, as s = 1 and s = 2 do; any other step
-        raises `ValueError`.  The few k where an index is trivial solve linear
-        congruences mod q-1 and take the closed form of J, one set at a time:
-        (-1)^(b+k+1)/q where chi_{t+sk} is trivial, -1/q where the product
-        chi_{t+(s-1)k-b} is (for s = 1 and t = b that is every k), and last
-        k = -b, where chi_{b+k} is: (q-2)/q when t = s b (mod q-1), else -1/q.
-        Written last, k = -b keeps its value when it lies in another set too.
+        Its entry at k is (-1)^(b+k)/q * J(chi_{t+k}, chi_{-(b+k)}), which is
+        G[t+k] H[b+k] H[t-b] wherever none of the three characters is
+        trivial: a rolled copy of G times a rolled copy of H times the scalar
+        H[t-b] = 1/G[t-b].  No bincount and no FFT.  Where one is trivial the
+        entry is the closed form, and the closed forms live in `binom_c`
+        alone: the entries at k = -t and k = -b are read from it, and when
+        t = b, where chi_{t-b} is trivial at every k, every other entry is
+        -1/q.
         """
         m = self.m
         g, h = self.gauss_sums
-        t, b, s = int(t) % m, int(b) % m, int(s) % m
-        row = np.ones(m, dtype=complex)
-        _times_progression(row, g, t, s)
-        _times_progression(row, h, b, 1)
-        _times_progression(row, h, t - b, s - 1)
-        k = _solve_mod(s, -t, m)
-        row[k] = np.where((b + k) % 2, 1.0, -1.0) / self.q
-        row[_solve_mod(s - 1, b - t, m)] = -1.0 / self.q
-        row[-b] = (self.q - 2.0 if (t - s * b) % m == 0 else -1.0) / self.q
+        t, b = int(t) % m, int(b) % m
+        if t == b:
+            row = np.full(m, -1.0 / self.q, dtype=complex)
+        else:
+            row = np.concatenate((g[t:], g[:t]))  # G rolled by t
+            row[: m - b] *= h[b:]  # times H rolled by b, in place
+            row[m - b :] *= h[:b]
+            row *= h[t - b]
+        for k in {-t % m, -b % m}:
+            row[k] = self.binom_c(t + k, b + k).real
         return row
 
     def gauss_c(self, k: int) -> complex:

@@ -127,8 +127,9 @@ def binom_row(field, t, b, s):
     With v = 1/(x-1), (chi_{t+sk} | chi_{b+k}) = 1/q * sum over x of
     zeta^(t dlog x + b dlog v + k (s dlog x + dlog v)): one inverse DFT
     of the weights bucketed by s dlog x + dlog v.  The oracle for
-    `Field.binom_row`: it shares nothing with the field's Gauss-sum table
-    but the dlog and zeta tables.
+    `Field.binom_row(t, b)` at s = 1 and for `hgf.evans_row(a)` at
+    (a, 0, 2): it shares nothing with the field's Gauss-sum table but the
+    dlog and zeta tables.
     """
     m = field.m
     t, b, s = int(t) % m, int(b) % m, int(s) % m
@@ -322,7 +323,7 @@ def series_every_x(field, tops, bottoms):
     """
     product = np.ones(field.m, dtype=complex)
     for t, b in zip(tops, [0, *bottoms]):
-        product *= field.binom_row(t, b, 1)
+        product *= field.binom_row(t, b)
     values = field.q * np.fft.ifft(product)[np.array(field._dlog)]
     values[0] = 0
     return values

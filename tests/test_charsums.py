@@ -13,6 +13,7 @@ from hgfq import (
     Character,
     make_field,
 )
+from hgfq.hgf import evans_row
 
 import naive_oracles as naive
 import oracle_helpers as oracle
@@ -181,55 +182,62 @@ def test_table_reads_make_no_pass_over_the_field(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", refuse)
     monkeypatch.setattr(np.fft, "fft", refuse)
     monkeypatch.setattr(f, "jacobi_counts", refuse)
-    for row in ((3, 1, 1), (5, 5, 1), (0, 7, 2)):
-        f.binom_row(*row)
+    for t, b in ((3, 1), (5, 5), (0, 7)):
+        f.binom_row(t, b)
+    evans_row(f, 0)
     f.jacobi_c(3, 7)
     f.jacobi_c(0, 0)
     f.binom_c(3, 7)
     f.gauss_c(11)
 
 
+def _closed_form_entries(f, rows, tops, bottoms, s):
+    """Where A = chi_{t+sk}, B = chi_{-(b+k)} or AB is trivial, the entry of the
+    row k -> (chi_{t+sk} | chi_{b+k}) is chi_{b+k}(-1)/q times the closed form of
+    J(A, B), exactly."""
+    m = f.m
+    for row, t, b in zip(rows, tops, bottoms):
+        for k in range(m):
+            a, c = (t + s * k) % m, (-b - k) % m
+            if a and c and (a + c) % m:
+                continue
+            j = f.q - 2 if a == c == 0 else -1 if a == 0 or c == 0 else -((-1) ** a)
+            assert row[k] == (-1) ** c * j / f.q, (t, b, s, k)
+
+
 @pytest.mark.parametrize("p, e", [(13, 1), (3, 4), (31, 2), (1009, 1), (3, 5)])
 def test_binom_rows_match_bincount_oracle(p, e):
     # Rows read off the Gauss table against the bincount/inverse-FFT builder,
-    # with t = b (every k special), t = 0 and b = 0 among the cases.  Step 3
-    # is a strided roll of G where 3 divides q - 1 and raises elsewhere.
+    # with t = b (every k special), t = 0 and b = 0 among the cases.  The
+    # Evans-Greene row k -> (chi_{a+2k} | chi_k) is the oracle's step-2 row.
     f = make_field(p, e)
     m = f.m
     rng = np.random.default_rng(p * e)
     tops = [*rng.integers(-m, 2 * m, 8).tolist(), 0, 0, 5, 5 + m, m // 2, 0]
     bottoms = [*rng.integers(-m, 2 * m, 8).tolist(), 3, 0, 5, 5, 0, m // 2]
-    if m % 3:
-        for t, b in zip(tops, bottoms):
-            with pytest.raises(ValueError, match="does not divide"):
-                f.binom_row(t, b, 3)
-    for s in (1, 2, 3) if m % 3 == 0 else (1, 2):
-        got = np.array([f.binom_row(t, b, s) for t, b in zip(tops, bottoms)])
-        want = np.array([oracle.binom_row(f, t, b, s) for t, b in zip(tops, bottoms)])
-        assert np.abs(got - want).max() < 1e-12, s
-        # Where A = chi_{t+sk}, B = chi_{-(b+k)} or AB is trivial, the entry is
-        # chi_{b+k}(-1)/q times the closed form of J(A, B), exactly.
-        for row, t, b in zip(got, tops, bottoms):
-            for k in range(m):
-                a, c = (t + s * k) % m, (-b - k) % m
-                if a and c and (a + c) % m:
-                    continue
-                j = f.q - 2 if a == c == 0 else -1 if a == 0 or c == 0 else -((-1) ** a)
-                assert row[k] == (-1) ** c * j / f.q, (t, b, s, k)
+    got = np.array([f.binom_row(t, b) for t, b in zip(tops, bottoms)])
+    want = np.array([oracle.binom_row(f, t, b, 1) for t, b in zip(tops, bottoms)])
+    assert np.abs(got - want).max() < 1e-12
+    _closed_form_entries(f, got, tops, bottoms, 1)
+    got = np.array([evans_row(f, a) for a in tops])
+    want = np.array([oracle.binom_row(f, a, 0, 2) for a in tops])
+    assert np.abs(got - want).max() < 1e-12
+    _closed_form_entries(f, got, tops, [0] * len(tops), 2)
 
 
 def test_binom_rows_match_scalar_binomials():
-    # Row (t, b, s) is k -> (chi_{t+s*k} | chi_{b+k}), for every t, b and s in {1, 2}.
+    # Row (t, b) is k -> (chi_{t+k} | chi_{b+k}) for every t and b, and the
+    # Evans-Greene row of a is k -> (chi_{a+2k} | chi_k) for every a.
     for p, e in ((13, 1), (3, 2), (5, 2)):
         f = make_field(p, e)
         m = f.m
         table = np.array([[f.binom_c(a, b) for b in range(m)] for a in range(m)])
-        grid = np.meshgrid(range(m), range(m), (1, 2), indexing="ij")
-        t, b, s = (v.ravel()[:, None] for v in grid)
+        t, b = (v.ravel()[:, None] for v in np.meshgrid(range(m), range(m), indexing="ij"))
         k = np.arange(m)
-        want = table[(t + s * k) % m, (b + k) % m]
-        got = np.array([f.binom_row(*row) for row in zip(t.ravel(), b.ravel(), s.ravel())])
-        assert np.abs(got - want).max() < 1e-12
+        got = np.array([f.binom_row(*row) for row in zip(t.ravel(), b.ravel())])
+        assert np.abs(got - table[(t + k) % m, (b + k) % m]).max() < 1e-12
+        got = np.array([evans_row(f, a) for a in range(m)])
+        assert np.abs(got - table[(np.arange(m)[:, None] + 2 * k) % m, k]).max() < 1e-12
 
 
 def test_binomial_reduction_at_trivial_bottom():

@@ -429,6 +429,32 @@ def test_bench_tracer_binds_every_traced_name():
     assert proc.returncode == 0, proc.stderr
 
 
+TRACED_VERIFY = """
+import json
+import hgfq.cli
+from tracer import PER_LAYER, Tracer
+tracer = Tracer()
+tracer.install()
+code = hgfq.cli.main(["verify", "--primes", "5:13"])
+print(json.dumps([code, [name for name, _ in PER_LAYER], tracer.layer_metrics()]))
+"""
+
+
+def test_bench_tracer_traces_a_verify_run():
+    # Binding alone calls no wrapper, so a changed call shape, such as a curve
+    # argument without the .l and .lam that the count spans read, fails only here
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_VERIFY], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, per_layer, metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 1  # the grid holds the l = 5 squared-trace records that fail as printed
+    assert metrics and set(metrics) <= set(per_layer), set(metrics) - set(per_layer)
+    assert all(isinstance(v, (int, float)) and v >= 0 for v in metrics.values()), metrics
+    assert metrics["curves.count_calls"] > 0
+    assert metrics["hgf.series_calls"] > 0 and metrics["field.builds"] > 0
+
+
 PACKAGE_NAMES = {
     "BadReductionError", "Character", "CongruenceError", "CurveSpec", "DEFAULT_Q_CAP", "Field",
     "FieldMismatchError", "FieldTooLargeError", "HgfqError", "LogOfZeroError",

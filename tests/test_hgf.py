@@ -16,6 +16,7 @@ from hgfq import (
     make_field,
     series_value,
 )
+from hgfq.hgf import evans_row
 from hgfq.report import RELATIVE_TOLERANCE
 
 import naive_oracles as naive
@@ -166,9 +167,9 @@ def test_series_rows_match_loop_oracle(p, e):
             assert got == pytest.approx(oracle.evans_F_loop(f, a, b, x), abs=1e-9)
 
 
-def _one_product_series(f, tops, bottoms, steps, x):
-    """The series as one `prod(axis=0)` over the stack of all of its `binom_row` rows."""
-    product = np.array([f.binom_row(*row) for row in zip(tops, bottoms, steps)]).prod(axis=0)
+def _one_product_series(f, rows, x):
+    """The series as one `prod(axis=0)` over the stack of all of its rows."""
+    product = np.array(rows).prod(axis=0)
     k = np.arange(f.m, dtype=np.int64) * f.dlog(x) % f.m
     return complex(product @ f.zeta.take(k)) * f.q / f.m
 
@@ -182,13 +183,13 @@ def test_row_batches_do_not_change_series_bits(p, e):
     h = m // 2
     for x in (1, 2, f.q - 1):
         for tops, bottoms in (([h, h], [0]), ([3, m - 5], [7]), ([h, h, h], [0, 0]), ([1, 2, 3], [4, 5])):
-            want = _one_product_series(f, tops, [0, *bottoms], [1] * len(tops), x)
-            assert series_value(f, tops, bottoms, x) == want
+            rows = [f.binom_row(t, b) for t, b in zip(tops, [0, *bottoms])]
+            assert series_value(f, tops, bottoms, x) == _one_product_series(f, rows, x)
         x4 = f.div(x, f.from_rational(4))
         for a, b in ((h, 0), (2, m - 3)):
-            want = _one_product_series(f, [a, a], [0, b], [2, 1], x4)
+            want = _one_product_series(f, [evans_row(f, a), f.binom_row(a, b)], x4)
             assert evans_F(Character(f, a), Character(f, b), x) == want
-        want = _one_product_series(f, [1, h], [0, 3], [1, 1], x)
+        want = _one_product_series(f, [f.binom_row(1, 0), f.binom_row(h, 3)], x)
         assert hgf_2f1(Character(f, 1), Character(f, h), Character(f, 3), x) == want
 
 
@@ -220,7 +221,7 @@ def test_ono_3f2_is_integral_at_the_field_size_cap(monkeypatch):
     lams = (Fraction(1, 4), Fraction(2), Fraction(-3, 4))
     xs = [f.from_rational((1 + lam) / lam) for lam in lams]
     got = [series_value(f, [h, h, h], [0, 0], x) * q2 for x in xs]
-    monkeypatch.setattr(f, "binom_row", lambda *row: oracle.binom_row(f, *row))
+    monkeypatch.setattr(f, "binom_row", lambda t, b: oracle.binom_row(f, t, b, 1))
     want = [series_value(f, [h, h, h], [0, 0], x) * q2 for x in xs]
     for g, w in zip(got, want):
         assert abs(g.real - round(g.real)) <= 1e-6 and abs(g.imag) <= 1e-6, g
