@@ -6,12 +6,10 @@ from .characters import Character, character_of_order, parse_character
 from .curves import (
     CurveSpec,
     PointCount,
-    brute_force_count,
     character_sum_count,
     cornacchia_3,
     good_reduction,
     reduce_lambda,
-    weierstrass_count_l3,
 )
 from .errors import (
     BadReductionError,
@@ -26,7 +24,7 @@ from .errors import (
     OrderNotDividingError,
 )
 from .field import DEFAULT_Q_CAP, Field, is_prime, make_field
-from .hgf import evans_F, series_value
+from .hgf import series_value
 from .report import VerificationReport, build_report
 from .verifier import (
     SweepConfig,
@@ -64,12 +62,10 @@ __all__ = [
     "PointCount",
     "SweepConfig",
     "VerificationReport",
-    "brute_force_count",
     "build_report",
     "character_of_order",
     "character_sum_count",
     "cornacchia_3",
-    "evans_F",
     "good_reduction",
     "is_prime",
     "make_field",
@@ -88,5 +84,4 @@ __all__ = [
     "verify_main_square",
     "verify_mccarthy",
     "verify_ono",
-    "weierstrass_count_l3",
 ]

@@ -16,11 +16,12 @@ times the e x e matrix of multiplication by g^w.  The exp and dlog tables
 are kept as Python int lists, which the scalar arithmetic indexes; the dlog
 table also as the int64 array it is built as (-1 at 0), which the point
 counts and Z[t] below index; and the trace along the powers, Tr(g^t), as an
-int64 array.  The scalar loop they replace is the oracle in the tests.
+int64 array, which `gauss_sums` reads.  The scalar loop they replace is the
+oracle in the tests.
 
 Encodings are the only element type.  `Field.check` raises `ValueError`
 for an encoding outside [0, q); the public functions that take an element
-call it once, and so do the table reads `dlog`, `char_value` and `trace`.
+call it once, and so do the table reads `dlog` and `char_value`.
 The arithmetic methods (`add`, `mul`, `pow`, ...) assume a valid encoding
 and do not check.
 
@@ -322,12 +323,6 @@ class Field:
         if x == 0:
             raise LogOfZeroError("the discrete logarithm of zero is undefined")
         return self._dlog[self.check(x)]
-
-    def trace(self, x: int) -> int:
-        """Tr(x), read along the powers as Tr(g^dlog x); Tr(0) = 0."""
-        if self.check(x) == 0:
-            return 0
-        return int(self._trace_pow[self._dlog[x]])
 
     def check(self, x: int) -> int:
         """x itself, once it is known to be an element encoding in [0, q)."""

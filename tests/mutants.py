@@ -83,6 +83,44 @@ MUTANTS = (
         "return 3 if l == 3 and field.q % 3 == 1 else 1",
         ("tests/test_curves.py::test_points_at_infinity_rule",),
     ),
+    # Three points at infinity keyed on p, not on q: wrong on F_{p^2} with p = 2 (mod 3).
+    Mutant(
+        "src/hgfq/curves.py",
+        "field.q % 3 == 1 else 1",
+        "field.p % 3 == 1 else 1",
+        ("tests/test_curves.py::test_points_at_infinity_rule",),
+    ),
+    # phi(lambda) for phi(-lambda) on the right side of Ono's 3F2 identity.
+    Mutant(
+        "src/hgfq/verifier.py",
+        "return lhs, _phi(f, -lam) * (aq * aq - q) / q**2",
+        "return lhs, _phi(f, lam) * (aq * aq - q) / q**2",
+        ("tests/test_acceptance.py::test_criterion_02_quadratic_3f2_identity",),
+    ),
+    # The points at infinity - 1 dropped from every -a_q closed form.
+    Mutant(
+        "src/hgfq/verifier.py",
+        "return rhs + extra if extra else rhs",
+        "return rhs",
+        ("tests/test_acceptance.py::test_criterion_04_trace_2f1",),
+    ),
+    # The phi(lambda)/q term of chi4_square's right side with its sign flipped.
+    Mutant(
+        "src/hgfq/verifier.py",
+        "return lhs, sign * inner * inner - sign / q",
+        "return lhs, sign * inner * inner + sign / q",
+        ("tests/test_curves.py::test_chi4_square_at_every_lambda",),
+    ),
+    # The Jacobi ratio of the sqrt_2f1 part taken from the other branch's formula.
+    Mutant(
+        "src/hgfq/verifier.py",
+        "return lhs, q * j_phi / j_root * series_value(f, [r + h, r], [-2 * s], one_plus)",
+        "return lhs, q * j_root / j_phi * series_value(f, [r + h, r], [-2 * s], one_plus)",
+        ("tests/test_curves.py::test_charsum_parts_at_every_lambda",),
+    ),
+    # Not a row: the first `% p` of the prime-field `curve_values` dropped.  The
+    # product (x^2 + lambda)(x - 1) stays below p^3 < 2^63 for p below about
+    # 2.1e6, so the mutant is equivalent on every field under the cap.
 )
 
 

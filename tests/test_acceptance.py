@@ -26,7 +26,6 @@ import pytest
 from hgfq import (
     Character,
     CurveSpec,
-    brute_force_count,
     character_sum_count,
     good_reduction,
     is_prime,
@@ -44,6 +43,7 @@ from hgfq import (
     verify_ono,
 )
 from hgfq.cli import main as cli_main
+from hgfq.curves import brute_force_count
 from hgfq.report import RELATIVE_TOLERANCE
 
 import naive_oracles as naive

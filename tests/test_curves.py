@@ -14,7 +14,6 @@ from hgfq import (
     CongruenceError,
     CurveSpec,
     NotPrimeError,
-    brute_force_count,
     character_sum_count,
     cornacchia_3,
     good_reduction,
@@ -26,9 +25,15 @@ from hgfq import (
     verify_charsum_lemmas,
     verify_corollary_chi4,
     verify_main_square,
+)
+from hgfq.curves import (
+    brute_force_count,
+    curve_char_sum,
+    curve_histogram,
+    curve_values,
+    points_at_infinity,
     weierstrass_count_l3,
 )
-from hgfq.curves import curve_char_sum, curve_histogram, curve_values, points_at_infinity
 
 import naive_oracles as naive
 import oracle_helpers as oracle

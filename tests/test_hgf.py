@@ -11,12 +11,11 @@ from hgfq import (
     CurveSpec,
     FieldMismatchError,
     character_sum_count,
-    evans_F,
     good_reduction,
     make_field,
     series_value,
 )
-from hgfq.hgf import evans_row
+from hgfq.hgf import evans_F, evans_row
 from hgfq.report import RELATIVE_TOLERANCE
 
 import naive_oracles as naive

@@ -12,6 +12,7 @@ from hgfq import (
     Character,
     SweepConfig,
     character_of_order,
+    is_prime,
     make_field,
     sweep,
     verify_2f1_specials,
@@ -439,6 +440,22 @@ def test_3f2_at_4_boundary_orders_recorded_not_failed():
     # both sides were still evaluated and genuinely disagree at order 3
     assert r.abs_diff > 0.1
     assert verify_3f2_at_4(character_of_order(f, 6)).status == "pass"
+    # the paper's exclusion of orders 3 and 4 is needed: on every field
+    # q = p^e <= 5000 with p in 5..100 and e in {1, 2}, the identity misses
+    # at each excluded order that exists, and the record is a skip
+    records = [
+        (q, order, verify_3f2_at_4(character_of_order(make_field(p, e), order)))
+        for p in range(5, 101)
+        if is_prime(p)
+        for e in (1, 2)
+        if (q := p**e) <= 5000
+        for order in (3, 4)
+        if (q - 1) % order == 0
+    ]
+    assert len(records) == 56
+    for q, order, r in records:
+        assert r.status == "skip" and r.hypotheses["order_admissible"] is False, (q, order)
+        assert r.abs_diff > r.tolerance, (q, order, r.abs_diff)
 
 
 @pytest.mark.parametrize("p, e", [(7, 1), (13, 1), (5, 2)])
