@@ -28,7 +28,7 @@ from fractions import Fraction
 from .characters import parse_character
 from .curves import CurveSpec, character_sum_count
 from .errors import HgfqError
-from .field import make_field
+from .field import Field
 from .hgf import series_value
 from .report import csv_header, report_to_csv_row
 from .verifier import THEOREM_KEYS, SweepConfig, row_blocks
@@ -183,7 +183,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _cmd_fieldinfo(args: argparse.Namespace) -> int:
-    f = make_field(args.p, args.e)
+    f = Field(args.p, args.e)
     orders = sorted(d for d in range(1, f.m + 1) if f.m % d == 0)
     info = {
         "p": f.p,
@@ -198,7 +198,7 @@ def _cmd_fieldinfo(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    f = make_field(args.p, args.e)
+    f = Field(args.p, args.e)
     pc = character_sum_count(f, CurveSpec(args.l, args.lam))
     print(json.dumps({"q": f.q, "affine": pc.affine, "projective": pc.projective, "a_q": pc.a_q}))
     return 0
@@ -212,7 +212,7 @@ EXACT_TOLERANCE = 1e-6
 
 
 def _cmd_hgf(args: argparse.Namespace) -> int:
-    f = make_field(args.p, args.e)
+    f = Field(args.p, args.e)
     tops = [parse_character(f, spec).index for spec in args.top.split(",")]
     bottoms = [parse_character(f, spec).index for spec in args.bottom.split(",")]
     value = series_value(f, tops, bottoms, args.x)

@@ -10,9 +10,9 @@ these are what the verification sweep and `hgfq count` use.  The values
 themselves come from `curve_values`, an int64 array.
 `brute_force_count` (enumeration of affine pairs) and, for l = 3,
 `weierstrass_count_l3` (the short Weierstrass model) are oracles for the
-tests, which import them from this module; the package does not export
-them, and they stay here because `bench/tracer.py` counts their calls
-here.  `good_reduction` decides from the residues of l and of lambda =
+tests; they stay here because `bench/tracer.py` counts their calls here,
+and `tests/test_fence.py` checks that no command reaches them.
+`good_reduction` decides from the residues of l and of lambda =
 a/b modulo the field's characteristic, which is prime because the field
 exists; `reduce_lambda` is lambda in the field under it, and the one
 refusal of bad reduction, for every count.  `points_at_infinity` is the

@@ -33,11 +33,12 @@ row k -> (chi_{t+k} | chi_{b+k}) is a product of rolled copies of G and of
 H[k] = 1/G[k] (`Field.binom_row(t, b)`).  Where a character in the quotient is
 trivial, the closed forms under chi(0) = 0 are in `Field.binom_c` alone,
 through `Field.jacobi_c`: a row reads its entries at k = -t and k = -b from
-`binom_c`, and is -1/q everywhere else when t = b.  The exact
-root-of-unity counts of `Field.jacobi_counts` read the table
-Z[t] = dlog(1 - g^t), the attribute `Field.log_one_minus`, also built on
-first use.  No command reads either: they serve the exact Jacobi and
-g-sums that the tests keep as oracles (`tests/oracle_helpers.py`).
+`binom_c`, and is -1/q everywhere else when t = b.  The exact root-of-unity
+counts of `Field.jacobi_counts` read Z[t] = dlog(1 - g^t), the attribute
+`Field.log_one_minus`, built on first use, for the tests' exact oracles
+(`tests/oracle_helpers.py`).  Both, with `div`, `inv` and `pow`, stay here
+only because `bench/tracer.py` binds them; `tests/test_fence.py` checks
+that no command reaches them.
 """
 
 from __future__ import annotations
@@ -331,11 +332,11 @@ class Field:
         return x
 
     def from_rational(self, r: Fraction | int) -> int:
+        """r in the prime subfield, whose elements are encoded by their residues for every e."""
         fr = Fraction(r)
-        den = fr.denominator % self.p
-        if den == 0:
+        if fr.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator of {fr} vanishes mod {self.p}")
-        return self.div(fr.numerator % self.p, den)
+        return fr.numerator * pow(fr.denominator, -1, self.p) % self.p
 
     # ------------------------------------------------------------------
     # the Gauss-sum table: complex character sums and whole binomial rows
@@ -465,6 +466,4 @@ class Field:
         return f"Field(p={self.p}, e={self.e})"
 
 
-def make_field(p: int, e: int = 1) -> Field:
-    """Construct the tabulated field F_{p**e}, q = p**e <= DEFAULT_Q_CAP."""
-    return Field(p, e)
+make_field = Field  # the name bench/worker.py, the tests and README.md call

@@ -14,8 +14,8 @@ into one running product that starts at 1, so a series holds about 3.5 complex
 q = 99991 a 3F2 call peaks about 13 MB above the field's own tables, the
 3.2 MB Gauss table included (README.md).  The variant F(A, B; x) sums
 (A chi^2 | chi)(A chi | B chi) chi(x/4) instead; its first row is `evans_row`.
-Only the tests call `evans_F`, imported from this module; the package does not
-export it, and it stays here because `bench/tracer.py` spans it here.
+Only the tests call `evans_F`; it stays here because `bench/tracer.py` spans
+it here, and `tests/test_fence.py` checks that no command reaches it.
 The wrappers that only the tests call, `hgf_2f1` on characters and
 F* = F + A B(-1) Abar(x/4) / q, are in `tests/oracle_helpers.py`.
 """

@@ -41,7 +41,7 @@ from .characters import Character, character_of_order
 from .curves import (
     CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction, points_at_infinity
 )
-from .field import DEFAULT_Q_CAP, Field, fits_cap, is_prime, make_field
+from .field import DEFAULT_Q_CAP, Field, fits_cap, is_prime
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
 
@@ -633,7 +633,7 @@ def row_blocks(config: SweepConfig) -> Iterator[list[VerificationReport]]:
     # any() stops at the first odd prime at or above lo; prime gaps are small.
     if not grid and any(_odd_primes(lo, hi)):
         raise ValueError(f"no field of the grid has q = p^e <= q_cap = {config.q_cap}")
-    fields = (make_field(p, e) for _, p, e in grid)
+    fields = (Field(p, e) for _, p, e in grid)
     return (
         sorted(CATALOG[key](f, config), key=report_sort_key) for f in fields for key in keys
     )

@@ -2,14 +2,15 @@
 
 Each row of MUTANTS is one small fault put into a file under `src/`: the
 exact old text, which must occur in that file exactly once, the new text
-that replaces it, and the tests that are expected to fail once it is in.
+that replaces it, and the tests that are expected to fail once it is in:
+tier-1 tests under `tests/`, or cap-tier tests under `cap/`.
 `tests/test_mutants.py` checks in tier-1 that every old text still occurs
 once and that every named test still exists.
 
     python tests/mutants.py
 
 applies the mutants one at a time, each to a fresh temporary copy of `src`,
-`tests` and `pyproject.toml`, and runs only its named tests there with
+`tests`, `cap` and `pyproject.toml`, and runs only its named tests there with
 `pytest -x`.  It never edits the checkout and starts one pytest process at
 a time.  It exits 1 when any mutant survives (its tests all pass) or its
 tests cannot run (pytest exits with anything but 1), and 0 when every
@@ -118,6 +119,31 @@ MUTANTS = (
         "return lhs, q * j_root / j_phi * series_value(f, [r + h, r], [-2 * s], one_plus)",
         ("tests/test_curves.py::test_charsum_parts_at_every_lambda",),
     ),
+    # from_rational's denominator not inverted: n * d for n / d.
+    Mutant(
+        "src/hgfq/field.py",
+        "pow(fr.denominator, -1, self.p)",
+        "pow(fr.denominator, 1, self.p)",
+        ("tests/test_field.py::test_from_rational_reduces_in_the_prime_subfield",),
+    ),
+    # A grid bound of exactly the cap refused.  Tier-1 checks only the refusals
+    # around it, so only the cap tier's sweeps at --q-cap 100000 see it.
+    Mutant(
+        "src/hgfq/verifier.py",
+        "if not 3 <= self.q_cap <= DEFAULT_Q_CAP:",
+        "if not 3 <= self.q_cap < DEFAULT_Q_CAP:",
+        ("cap/test_cap.py::test_verify_at_the_cap",),
+    ),
+    # Every binomial row of a series held at once, not one at a time.
+    Mutant(
+        "src/hgfq/hgf.py",
+        "(field.binom_row(t, b) for t, b in zip(tops, [0, *bottoms]))",
+        "[field.binom_row(t, b) for t, b in zip(tops, [0, *bottoms])]",
+        ("tests/test_hgf.py::test_series_working_set_does_not_grow_with_rows",),
+    ),
+    # Not rows: `del digits` or `del exp` dropped from `Field._build_tables`.
+    # They keep 4.7 MB and 0.5 MB more at 3^10, where the tables peak 6.3 MB
+    # above F_9's, inside the cap tier's 16 MB bound, so no test sees them.
     # Not a row: the first `% p` of the prime-field `curve_values` dropped.  The
     # product (x^2 + lambda)(x - 1) stays below p^3 < 2^63 for p below about
     # 2.1e6, so the mutant is equivalent on every field under the cap.
@@ -128,7 +154,7 @@ def run(mutant: Mutant) -> int:
     """Apply `mutant` to a temporary copy of the tree and return the exit status of its tests."""
     with tempfile.TemporaryDirectory(prefix="hgfq-mutant-") as tmp:
         junk = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "cap"):
             shutil.copytree(ROOT / name, Path(tmp, name), ignore=junk)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         path = Path(tmp, mutant.file)

@@ -318,6 +318,24 @@ def test_from_rational_is_a_ring_homomorphism(data):
         assert f.from_rational(1 / r) == f.inv(fr)
 
 
+@pytest.mark.parametrize("p, e", [(13, 1), (13, 2), (3, 5)])
+def test_from_rational_reduces_in_the_prime_subfield(p, e):
+    # F_p is the encodings below p for every e, so n/d is n * d^-1 mod p there;
+    # the field division that from_rational used to call is the reference.
+    f = make_field(p, e)
+    refused = 0
+    for n in range(-30, 31):
+        for d in range(1, 31):
+            r = Fraction(n, d)
+            if d % p:
+                assert f.from_rational(r) == f.div(n % p, d % p), (n, d)
+            elif r.denominator % p == 0:
+                with pytest.raises(ZeroDivisionError):
+                    f.from_rational(r)
+                refused += 1
+    assert refused
+
+
 def test_element_encoding_base_p_digits():
     f = make_field(3, 2)
     assert f.add(2, 3) == 5  # 2 + x encodes as 2 + 1*3

@@ -1,6 +1,7 @@
 """The mutant table of `tests/mutants.py` still applies: each old text occurs
-exactly once in its file, and each test named to kill it still exists.  The
-mutants themselves run outside tier-1, with `python tests/mutants.py`."""
+exactly once in its file, and each test named to kill it, in tier-1 or in
+the cap tier, still exists.  The mutants themselves run outside tier-1, with
+`python tests/mutants.py`."""
 
 import re
 
@@ -15,4 +16,5 @@ def test_each_mutant_applies_to_exactly_one_place():
         assert mutant.new != mutant.old and mutant.tests, mutant
         for test in mutant.tests:
             path, name = test.split("::")
+            assert path.startswith(("tests/", "cap/")), test
             assert re.search(rf"^def {re.escape(name)}\(", (ROOT / path).read_text(), re.M), test

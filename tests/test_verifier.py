@@ -241,7 +241,7 @@ def test_row_blocks_yields_a_field_before_building_the_next(monkeypatch):
         built.append(p**e)
         return make_field(p, e, **kw)
 
-    monkeypatch.setattr(hgfq.verifier, "make_field", counting_make_field)
+    monkeypatch.setattr(hgfq.verifier, "Field", counting_make_field)
     blocks = row_blocks(SweepConfig(prime_min=5, prime_max=7, degrees=(1, 2)))
     assert built == []
     first = next(blocks)
