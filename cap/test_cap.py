@@ -145,12 +145,17 @@ def test_series_peak_memory_and_integrality_at_the_cap():
 
 
 PINNED = {(3, 10): ("x^10 + 2*x^8 + 1", 34), (313, 2): ("x^2 + 3*x + 1", 321), (99991, 1): ("x", 6)}
+# MB above the F_9 child.  3^10 peaks about 6.1 MB above it, and 9.8 MB when
+# `Field._build_tables` keeps its digit array alive through the list builds,
+# so its bound of 8 sees that; 313^2 and 99991 peak 8.6-8.9 MB above it.
+BOUND_MB = {(3, 10): 8, (313, 2): 16, (99991, 1): 16}
 
 
 @pytest.mark.parametrize("p, e", PINNED)
 def test_field_tables_at_the_cap(p, e):
-    """A field at the cap peaks within 16 MB of the F_9 child and keeps its
-    modulus and generator."""
+    """A field at the cap peaks within `BOUND_MB` of the F_9 child and keeps
+    its modulus and generator."""
     base, _ = peak_mb("fieldinfo", "--p", "3", "--e", "2")
     peak, info = peak_mb("fieldinfo", "--p", str(p), "--e", str(e))
-    assert peak - base <= 16 and (info["modulus"], info["generator"]) == PINNED[p, e], (peak, base, info)
+    assert peak - base <= BOUND_MB[p, e], (peak, base, info)
+    assert (info["modulus"], info["generator"]) == PINNED[p, e], info

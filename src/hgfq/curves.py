@@ -8,10 +8,11 @@ gather of the field's int64 dlog array and a `bincount`.
 `curve_char_sum` the sum W(S) of a character over the curve polynomial;
 these are what the verification sweep and `hgfq count` use.  The values
 themselves come from `curve_values`, an int64 array.
-`brute_force_count` (enumeration of affine pairs) and, for l = 3,
-`weierstrass_count_l3` (the short Weierstrass model) are oracles for the
-tests; they stay here because `bench/tracer.py` counts their calls here,
-and `tests/test_fence.py` checks that no command reaches them.
+`brute_force_count` (enumeration of affine pairs, f(x) by scalar field
+ops) and, for l = 3, `weierstrass_count_l3` (the short Weierstrass model)
+are oracles for the tests; they stay here because `bench/tracer.py`
+counts their calls here, and `tests/test_fence.py` checks that no command
+reaches them.
 `good_reduction` decides from the residues of l and of lambda =
 a/b modulo the field's characteristic, which is prime because the field
 exists; `reduce_lambda` is lambda in the field under it, and the one
@@ -112,9 +113,13 @@ def _projective(field: Field, l: int, affine: int) -> PointCount:
 
 
 def brute_force_count(field: Field, curve: CurveSpec) -> PointCount:
+    """Count the affine pairs with y**l = f(x), f evaluated by scalar field ops,
+    so that no numpy kernel of `curve_values` is shared with the counts it checks."""
     lam = reduce_lambda(field, curve)
     power_counts = Counter(field.pow(y, curve.l) for y in range(field.q))
-    affine = sum(power_counts[f] for f in curve_values(field, lam).tolist())
+    affine = 0
+    for x in range(field.q):
+        affine += power_counts[field.mul(field.sub(x, 1), field.add(field.mul(x, x), lam))]
     return _projective(field, curve.l, affine)
 
 

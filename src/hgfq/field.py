@@ -36,9 +36,10 @@ through `Field.jacobi_c`: a row reads its entries at k = -t and k = -b from
 `binom_c`, and is -1/q everywhere else when t = b.  The exact root-of-unity
 counts of `Field.jacobi_counts` read Z[t] = dlog(1 - g^t), the attribute
 `Field.log_one_minus`, built on first use, for the tests' exact oracles
-(`tests/oracle_helpers.py`).  Both, with `div`, `inv` and `pow`, stay here
-only because `bench/tracer.py` binds them; `tests/test_fence.py` checks
-that no command reaches them.
+(`tests/oracle_helpers.py`).  `jacobi_counts`, `div`, `inv` and `pow` stay
+here only because `bench/tracer.py` binds them, and `log_one_minus` because
+`jacobi_counts` reads it; `tests/test_fence.py` checks that no command
+reaches any of them.
 """
 
 from __future__ import annotations

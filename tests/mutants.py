@@ -10,13 +10,14 @@ once and that every named test still exists.
     python tests/mutants.py
 
 applies the mutants one at a time, each to a fresh temporary copy of `src`,
-`tests`, `cap` and `pyproject.toml`, and runs only its named tests there with
-`pytest -x`.  It never edits the checkout and starts one pytest process at
-a time.  It exits 1 when any mutant survives (its tests all pass) or its
-tests cannot run (pytest exits with anything but 1), and 0 when every
-mutant is killed.  A change that adds an oracle adds its mutants here
-(mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
-selection", IEEE Computer, 1978).
+`tests`, `cap`, `bench` (without its `results/`) and `pyproject.toml`, and
+runs only its named tests there with `pytest -x`.  `bench` is copied because
+two tier-1 tests start `bench/tracer.py`.  It never edits the checkout and
+starts one pytest process at a time.  It exits 1 when any mutant survives
+(its tests all pass) or its tests cannot run (pytest exits with anything
+but 1), and 0 when every mutant is killed.  A change that adds an oracle
+adds its mutants here (mutation analysis: DeMillo, Lipton and Sayward,
+"Hints on test data selection", IEEE Computer, 1978).
 """
 
 from __future__ import annotations
@@ -137,13 +138,27 @@ MUTANTS = (
     # Every binomial row of a series held at once, not one at a time.
     Mutant(
         "src/hgfq/hgf.py",
-        "(field.binom_row(t, b) for t, b in zip(tops, [0, *bottoms]))",
-        "[field.binom_row(t, b) for t, b in zip(tops, [0, *bottoms])]",
+        "for t, b in zip(tops, [0, *bottoms]):\n        product *= field.binom_row(t, b)",
+        "for row in [field.binom_row(t, b) for t, b in zip(tops, [0, *bottoms])]:\n        product *= row",
         ("tests/test_hgf.py::test_series_working_set_does_not_grow_with_rows",),
     ),
-    # Not rows: `del digits` or `del exp` dropped from `Field._build_tables`.
-    # They keep 4.7 MB and 0.5 MB more at 3^10, where the tables peak 6.3 MB
-    # above F_9's, inside the cap tier's 16 MB bound, so no test sees them.
+    # Evans's first binomial (A chi^2 | chi) read as (A chi | chi).
+    Mutant(
+        "src/hgfq/hgf.py",
+        "field.binom_c(a.index + 2 * k, k)",
+        "field.binom_c(a.index + k, k)",
+        ("tests/test_hgf.py::test_evans_f_matches_naive_oracle",),
+    ),
+    # The digit array kept alive through the list builds of `Field._build_tables`:
+    # about 3.7 MB more at 3^10, over that field's 8 MB cap-tier bound.
+    Mutant(
+        "src/hgfq/field.py",
+        "del digits",
+        "pass  # the digit array kept alive",
+        ("cap/test_cap.py::test_field_tables_at_the_cap",),
+    ),
+    # Not a row: `del exp` dropped from `Field._build_tables`.  It keeps about
+    # 0.5 MB more at 3^10, inside the noise of any bound a cap test could hold.
     # Not a row: the first `% p` of the prime-field `curve_values` dropped.  The
     # product (x^2 + lambda)(x - 1) stays below p^3 < 2^63 for p below about
     # 2.1e6, so the mutant is equivalent on every field under the cap.
@@ -153,8 +168,8 @@ MUTANTS = (
 def run(mutant: Mutant) -> int:
     """Apply `mutant` to a temporary copy of the tree and return the exit status of its tests."""
     with tempfile.TemporaryDirectory(prefix="hgfq-mutant-") as tmp:
-        junk = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests", "cap"):
+        junk = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "results")
+        for name in ("src", "tests", "cap", "bench"):
             shutil.copytree(ROOT / name, Path(tmp, name), ignore=junk)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         path = Path(tmp, mutant.file)

@@ -5,8 +5,8 @@ in `naive_oracles`.  `weil_predict` reads no field at all: it predicts the
 traces of a curve over F_{p^e} from those over F_p, ..., F_{p^g}, in
 integers.
 
-The oracles after it take a package `Field` of any degree: the loop
-oracles sum its scalar binomials over k one at a time,
+The oracles after it take a package `Field` of any degree: `series_loop`
+sums its scalar binomials over k one at a time,
 `curve_values_by_field_ops` evaluates the curve polynomial at every x by
 scalar field ops, `binom_row` builds a whole binomial row from Jacobi
 weights by bincount and inverse FFT, and `scalar_field_tables` rebuilds
@@ -85,20 +85,6 @@ def series_loop(field, tops, bottoms, x: int) -> complex:
     return total * field.q / m
 
 
-def evans_F_loop(field, a: int, b: int, x: int) -> complex:
-    """F(A, B; x) as a Python loop over k of scalar `field.binom_c` products."""
-    x4 = field.div(x, field.from_rational(4))
-    if x4 == 0:
-        return 0j
-    m = field.m
-    d = field.dlog(x4)
-    total = 0j
-    for k in range(m):
-        term = field.binom_c(a + 2 * k, k) * field.binom_c(a + k, b + k)
-        total += term * field.zeta[(k * d) % m]
-    return total * field.q / m
-
-
 def trace_frobenius(field) -> list[int]:
     """Tr(x) = x + x**p + ... + x**(p**(e-1)) for every encoding x, by scalar field ops."""
     out = []
@@ -121,22 +107,21 @@ def curve_values_by_field_ops(field, lam: int) -> list[int]:
     return out
 
 
-def binom_row(field, t, b, s):
-    """The row k -> (chi_{t+sk} | chi_{b+k}), a complex (q-1)-vector.
+def binom_row(field, t, b):
+    """The row k -> (chi_{t+k} | chi_{b+k}), a complex (q-1)-vector.
 
-    With v = 1/(x-1), (chi_{t+sk} | chi_{b+k}) = 1/q * sum over x of
-    zeta^(t dlog x + b dlog v + k (s dlog x + dlog v)): one inverse DFT
-    of the weights bucketed by s dlog x + dlog v.  The oracle for
-    `Field.binom_row(t, b)` at s = 1 and for `hgf.evans_row(a)` at
-    (a, 0, 2): it shares nothing with the field's Gauss-sum table but the
-    dlog and zeta tables.
+    With v = 1/(x-1), (chi_{t+k} | chi_{b+k}) = 1/q * sum over x of
+    zeta^(t dlog x + b dlog v + k (dlog x + dlog v)): one inverse DFT of
+    the weights bucketed by dlog x + dlog v.  The oracle for
+    `Field.binom_row(t, b)`: it shares nothing with the field's Gauss-sum
+    table but the dlog and zeta tables.
     """
     m = field.m
-    t, b, s = int(t) % m, int(b) % m, int(s) % m
+    t, b = int(t) % m, int(b) % m
     jx = np.arange(1, m, dtype=np.int64)  # x = g^jx runs over F_q minus {0, 1}
     lv = (m // 2 - field.log_one_minus[1:]) % m  # 1/(x-1) = -1/(1-x)
     w = field.zeta.take((t * jx + b * lv) % m)
-    bins = (s * jx + lv) % m
+    bins = (jx + lv) % m
     spectrum = np.empty(m, dtype=complex)
     spectrum.real = np.bincount(bins, w.real, m)
     spectrum.imag = np.bincount(bins, w.imag, m)

@@ -110,9 +110,8 @@ def _assert_curve_values_match_oracle(f, lam):
 
 
 def test_curve_values_match_the_field_ops_oracle_on_prime_fields():
-    # brute_force_count reads curve_values as well, so the two counts agreeing
-    # does not check it; the field-ops loop does, at three lambdas on every
-    # odd prime up to 2000 and at every lambda up to p = 61
+    # the field-ops loop, at three lambdas on every odd prime up to 2000 and
+    # at every lambda up to p = 61
     primes = [p for p in range(3, 2001, 2) if is_prime(p)]
     for p in primes:
         f = make_field(p)
@@ -299,6 +298,27 @@ def test_curve_char_sum_matches_per_x_sums():
                 want = sum(f.char_value(s, v) for v in values)
                 assert abs(curve_char_sum(f, s, le) - want) < 1e-9, (p, e, lam, s)
     assert zeros == {1, 3}
+
+
+def test_second_moment_of_curve_char_sums_over_lambda():
+    # sum over lambda in F_q of |W_s(lambda)|^2 = q (q - 2 - chi_s(-1)) for every
+    # nontrivial chi_s: swap the sums, use sum over lambda of chi(lambda + a)
+    # chi-bar(lambda + b) = q [a = b] - 1, and x -> (x + 1)/(x - 1) permuting
+    # F_q minus {1}.  The program's W_s at every lambda on small fields, the
+    # every-lambda FFT oracle on larger ones.
+    def check(f, moments):
+        minus_one = f.from_rational(-1)
+        for s, total in zip(range(1, f.m), moments):
+            want = f.q * (f.q - 2 - f.char_value(s, minus_one).real)
+            assert abs(total - want) < 1e-6, (f, s, total, want)
+
+    for p, e in ((13, 1), (3, 2), (5, 2), (3, 3)):
+        f = make_field(p, e)
+        check(f, (sum(abs(curve_char_sum(f, s, lam)) ** 2 for lam in range(f.q)) for s in range(1, f.m)))
+    for p, e in ((101, 1), (3, 5), (1009, 1)):
+        f = make_field(p, e)
+        w = (oracle.curve_char_sums_all_lambda(f, s) for s in range(1, f.m))
+        check(f, (np.vdot(v, v).real for v in w))
 
 
 def test_weierstrass_model_agrees():

@@ -19,7 +19,7 @@ from hgfq.field import Field
 # is a cached property, so it is fenced by a property.
 FIELD_NAMES = ("div", "inv", "pow", "jacobi_counts", "log_one_minus")
 MODULE_NAMES = {
-    hgfq.hgf: ("evans_F", "evans_row"),
+    hgfq.hgf: ("evans_F",),
     hgfq.curves: ("brute_force_count", "weierstrass_count_l3"),
     hgfq.characters: ("same_field",),
     hgfq.verifier: ("sweep",),
