@@ -94,6 +94,42 @@ def test_every_lambda_at_the_cap(tid, q, sides, comparison, count):
     assert (len(lams), int(np.count_nonzero(bad))) == (count, 0), tid
 
 
+def test_hasse_davenport_at_the_cap():
+    """G_q(chi o N) = (-1)^(e-1) G_p(chi)^e for every character chi of F_p
+    (`oh.hasse_davenport_sides`), on every p^e <= 100000 with p <= 11 and
+    e >= 2, and on 313^2."""
+    fields = [(p, e) for p in (3, 5, 7, 11) for e in range(2, 11) if p**e <= DEFAULT_Q_CAP] + [(313, 2)]
+    assert len(fields) == 23
+    for p, e in fields:
+        f = make_field(p, e)
+        lhs, rhs = oh.hasse_davenport_sides(f)
+        assert np.abs(lhs - rhs).max() <= 1e-9 * f.q**0.5, (p, e)
+
+
+def test_second_moment_at_the_cap():
+    """sum over lambda of |W_s(lambda)|^2 = q (q - 2 - chi_s(-1)) at q = 99991,
+    from the every-lambda kernel, for the characters of order 2, 3, 5 and 6
+    (99990 = 2 3^2 5 11 101)."""
+    f = make_field(99991)
+    q, minus_one = f.q, f.from_rational(-1)
+    for order in (2, 3, 5, 6):
+        s = f.m // order
+        w = oh.curve_char_sums_all_lambda(f, s)
+        want = q * (q - 2 - f.char_value(s, minus_one).real)
+        assert abs(np.vdot(w, w).real - want) <= 1e-12 * q * q, order
+
+
+def test_series_second_moment_at_the_cap():
+    """The same moment on the series side, by Parseval over two binomial rows
+    (`oh.series_second_moment_sides`), at q = 99991 for the squares of
+    eleven odd orders, in both square-root branches."""
+    f = make_field(99991)
+    for order in (5, 9, 11, 15, 33, 45, 55, 99, 101, 505, 49995):
+        for branch in ("first", "second"):
+            lhs, rhs = oh.series_second_moment_sides(f, f.m // order, branch)
+            assert abs(lhs - rhs) <= 1e-12 * f.q**2, (order, branch, lhs, rhs)
+
+
 @pytest.mark.parametrize(
     "argv, records, summary",
     [

@@ -7,18 +7,15 @@ from .curves import (
     CurveSpec,
     PointCount,
     character_sum_count,
-    cornacchia_3,
     good_reduction,
     reduce_lambda,
 )
 from .errors import (
     BadReductionError,
-    CongruenceError,
     FieldMismatchError,
     FieldTooLargeError,
     HgfqError,
     LogOfZeroError,
-    NoRepresentationError,
     NotPrimeError,
     OddPrimeRequiredError,
     OrderNotDividingError,
@@ -47,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadReductionError",
     "Character",
-    "CongruenceError",
     "CurveSpec",
     "DEFAULT_Q_CAP",
     "Field",
@@ -55,7 +51,6 @@ __all__ = [
     "FieldTooLargeError",
     "HgfqError",
     "LogOfZeroError",
-    "NoRepresentationError",
     "NotPrimeError",
     "OddPrimeRequiredError",
     "OrderNotDividingError",
@@ -65,7 +60,6 @@ __all__ = [
     "build_report",
     "character_of_order",
     "character_sum_count",
-    "cornacchia_3",
     "good_reduction",
     "is_prime",
     "make_field",

@@ -25,11 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
-from .errors import BadReductionError, CongruenceError, NoRepresentationError
+from .errors import BadReductionError
 from .field import Field
 
 
@@ -166,16 +166,3 @@ def weierstrass_count_l3(field: Field, curve: CurveSpec) -> PointCount:
         affine += square_counts[field.add(field.pow(x, 3), c)]
     return PointCount(affine, affine + 1, field.q - affine)
 
-
-def cornacchia_3(p: int) -> tuple[int, int]:
-    """The nonnegative solution of x**2 + 3*y**2 = p for p = 1 mod 3."""
-    if p % 3 != 1:
-        raise CongruenceError(f"p = {p} is not 1 mod 3")
-    for x in range(isqrt(p) + 1):
-        rem = p - x * x
-        if rem % 3:
-            continue
-        y = isqrt(rem // 3)
-        if 3 * y * y == rem:
-            return x, y
-    raise NoRepresentationError(f"no representation x^2 + 3y^2 = {p}")

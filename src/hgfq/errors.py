@@ -32,10 +32,3 @@ class OrderNotDividingError(HgfqError):
 class BadReductionError(HgfqError):
     """The curve does not reduce to a nonsingular curve over this field."""
 
-
-class CongruenceError(HgfqError):
-    """A required congruence on the field size does not hold."""
-
-
-class NoRepresentationError(HgfqError):
-    """No representation of the requested shape exists."""

@@ -35,12 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import lcm
+from math import isqrt, lcm
 
 from .characters import Character, character_of_order
-from .curves import (
-    CurveSpec, character_sum_count, cornacchia_3, curve_char_sum, good_reduction, points_at_infinity
-)
+from .curves import CurveSpec, character_sum_count, curve_char_sum, good_reduction, points_at_infinity
 from .field import DEFAULT_Q_CAP, Field, fits_cap, is_prime
 from .hgf import series_value
 from .report import VerificationReport, build_report, report_sort_key
@@ -374,6 +372,15 @@ def verify_2f1_specials(
 # corollaries
 
 
+def _cornacchia_3(p: int) -> tuple[int, int]:
+    """The nonnegative solution of x**2 + 3*y**2 = p, for a prime p = 1 (mod 3),
+    which has exactly one (Fermat, Euler); the cubic corollary reads no other p."""
+    for x in range(isqrt(p) + 1):
+        y = isqrt((p - x * x) // 3)
+        if x * x + 3 * y * y == p:
+            return x, y
+
+
 def verify_corollary_c3(f: Field) -> list[VerificationReport]:
     """Prime-field cubic member at lambda = -1/2: the trace against the
     x**2 + 3y**2 = p representation, and the matching 2F1(1/2) sum."""
@@ -385,7 +392,7 @@ def verify_corollary_c3(f: Field) -> list[VerificationReport]:
 
     @cache
     def both():
-        x, y = cornacchia_3(p)
+        x, y = _cornacchia_3(p)
         sym = 1 if x % 3 == 1 else -1
         aq = character_sum_count(f, CurveSpec(3, lam)).a_q
         phi2 = _phi(f, 2)

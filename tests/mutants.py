@@ -157,6 +157,65 @@ MUTANTS = (
         "pass  # the digit array kept alive",
         ("cap/test_cap.py::test_field_tables_at_the_cap",),
     ),
+    # The additive character psi(g x) in place of psi(x) in the Gauss table.  Every
+    # Jacobi sum, binomial and series is unchanged, since each reads a quotient in
+    # which chi(g) cancels; Hasse-Davenport ties the table to the prime field's,
+    # and the exact Gauss sums and the oracle trace see it too.
+    Mutant(
+        "src/hgfq/field.py",
+        "psi = np.exp(2j * np.pi / self.p * self._trace_pow)",
+        "psi = np.exp(2j * np.pi / self.p * np.roll(self._trace_pow, -1))",
+        (
+            "tests/test_charsums.py::test_hasse_davenport_on_the_gauss_tables",
+            "tests/test_charsums.py::test_gauss_table_matches_exact_gauss_sums",
+            "tests/test_field.py::test_gauss_table_is_read_off_the_oracle_trace",
+            "cap/test_cap.py::test_hasse_davenport_at_the_cap",
+        ),
+    ),
+    # The three binomial-row faults of the Parseval second moment: G rolled one
+    # place too far, H conjugated, and the closed-form entries at trivial
+    # characters with their sign flipped.  About forty existing tests kill each one
+    # as well, the bincount row oracle first among them.
+    Mutant(
+        "src/hgfq/field.py",
+        "row = np.concatenate((g[t:], g[:t]))",
+        "row = np.concatenate((g[t + 1 :], g[: t + 1]))",
+        (
+            "tests/test_curves.py::test_second_moment_on_the_series_side",
+            "tests/test_hgf.py::test_series_congruent_to_truncated_classical_series",
+            "tests/test_charsums.py::test_binom_rows_match_bincount_oracle",
+            "cap/test_cap.py::test_series_second_moment_at_the_cap",
+        ),
+    ),
+    Mutant(
+        "src/hgfq/field.py",
+        "g, h = self.gauss_sums",
+        "g, h = self.gauss_sums[0], self.gauss_sums[1].conj()",
+        (
+            "tests/test_curves.py::test_second_moment_on_the_series_side",
+            "tests/test_hgf.py::test_series_congruent_to_truncated_classical_series",
+            "tests/test_charsums.py::test_binom_rows_match_bincount_oracle",
+            "cap/test_cap.py::test_series_second_moment_at_the_cap",
+        ),
+    ),
+    Mutant(
+        "src/hgfq/field.py",
+        "row[k] = self.binom_c(t + k, b + k).real",
+        "row[k] = -self.binom_c(t + k, b + k).real",
+        (
+            "tests/test_curves.py::test_second_moment_on_the_series_side",
+            "tests/test_hgf.py::test_series_congruent_to_truncated_classical_series",
+            "tests/test_charsums.py::test_binom_rows_match_bincount_oracle",
+            "cap/test_cap.py::test_series_second_moment_at_the_cap",
+        ),
+    ),
+    # x and y swapped in the cubic corollary's p = x^2 + 3y^2.
+    Mutant(
+        "src/hgfq/verifier.py",
+        "return x, y",
+        "return y, x",
+        ("tests/test_verifier.py::test_c3_pair", "tests/test_curves.py::test_cornacchia_values"),
+    ),
     # Not a row: `del exp` dropped from `Field._build_tables`.  It keeps about
     # 0.5 MB more at 3^10, inside the noise of any bound a cap test could hold.
     # Not a row: the first `% p` of the prime-field `curve_values` dropped.  The

@@ -3,7 +3,8 @@
 The naive prime-field oracles, which import nothing from the package, are
 in `naive_oracles`.  `weil_predict` reads no field at all: it predicts the
 traces of a curve over F_{p^e} from those over F_p, ..., F_{p^g}, in
-integers.
+integers.  Nor do `truncated_2f1_mod_p` and `truncated_3f2_mod_p`, the
+truncated classical series mod p that the l = 2 series are congruent to.
 
 The oracles after it take a package `Field` of any degree: `series_loop`
 sums its scalar binomials over k one at a time,
@@ -15,6 +16,8 @@ Greene's exact character sums are here too, since no command of the
 package reads them: `CyclotomicSum` holds a sum of roots of unity as
 integer counts, and `jacobi_sum`, `gauss_sum` and `g_sum` give one sum
 each in that form, independent of the field's Gauss-sum table.
+`hasse_davenport_sides` ties an extension field's Gauss table to its
+prime field's.
 With them are the small helpers that only the tests call: `hgf_2f1`,
 `evans_F_star`, `sqrt_character`, `delta_char`, `genus`,
 `hasse_weil_bound` and `summarize`.
@@ -30,7 +33,8 @@ of the curve at every lambda, and `ono_3f2_every_lambda`,
 `charsum_every_lambda` both sides of Ono's 3F2 evaluation, of the
 squared-trace expansion, of the cubic and square-root trace identities,
 of the chi_4 corollary and of the three lambda-valued character-sum
-lemmas at every admissible lambda.
+lemmas at every admissible lambda.  `series_second_moment_sides` reads
+the second moment of W_s over lambda off two binomial rows, by Parseval.
 """
 
 from dataclasses import dataclass
@@ -39,6 +43,8 @@ from math import gcd
 import numpy as np
 
 from hgfq.characters import Character, same_field
+from hgfq.curves import curve_char_sum
+from hgfq.field import make_field
 from hgfq.hgf import evans_F, series_value
 
 
@@ -68,6 +74,32 @@ def weil_predict(traces, p: int, g: int, e_max: int) -> dict[int, int]:
     for k in range(g + 1, e_max + 1):
         s.append(-k * c[k] - sum(c[i] * s[k - i] for i in range(1, k)))
     return {e: s[e] for e in range(g + 1, e_max + 1)}
+
+
+def _central_binomials_mod_p(p: int) -> list[int]:
+    """C(2k, k) mod p for k = 0, ..., (p-1)/2, by C(2k+2, k+1) = C(2k, k) 2(2k+1)/(k+1)."""
+    out = [1]
+    for k in range(p // 2):
+        out.append(out[-1] * 2 * (2 * k + 1) * pow(k + 1, -1, p) % p)
+    return out
+
+
+def truncated_2f1_mod_p(p: int, x: int) -> int:
+    """-sum over k <= (p-1)/2 of C(2k, k)^2 (x/16)^k mod p, in [0, p).
+
+    For a prime p >= 7 it is q 2F1(phi, phi; eps | x) mod p (Koike 1995;
+    Ono 1998): an integer oracle with no character sum."""
+    y = x * pow(16, -1, p) % p
+    return -sum(c * c * pow(y, k, p) for k, c in enumerate(_central_binomials_mod_p(p))) % p
+
+
+def truncated_3f2_mod_p(p: int, x: int) -> int:
+    """sum over k <= (p-1)/2 of C(2k, k)^3 (x/64)^k mod p, in [0, p).
+
+    For a prime p >= 7 it is q^2 3F2(phi, phi, phi; eps, eps | x) mod p
+    (Ono 1998)."""
+    y = x * pow(64, -1, p) % p
+    return sum(c * c * c * pow(y, k, p) for k, c in enumerate(_central_binomials_mod_p(p))) % p
 
 
 def series_loop(field, tops, bottoms, x: int) -> complex:
@@ -224,6 +256,25 @@ def gauss_sum(chi: Character) -> CyclotomicSum:
     t = (p * t + m * field._trace_pow) % order
     exponents, counts = np.unique(t, return_counts=True)
     return CyclotomicSum(order, exponents, counts.astype(np.int64))
+
+
+def hasse_davenport_sides(fq):
+    """Both sides of Hasse-Davenport, G_q(chi o N) = (-1)^(e-1) G_p(chi)^e,
+    for every character chi = chi_k of F_p, k < p - 1, as complex vectors.
+
+    The norm maps g to g^M, M = (q-1)/(p-1), a generator of F_p^*; with c
+    its F_p dlog (an element of F_p is encoded by its residue), chi_k o N is
+    the F_q character of index k c M.  The left side reads the F_q Gauss
+    table there, the right side the F_p table: the identity ties the two
+    fields' exp, trace and Gauss tables by a fact their construction never
+    uses (Ireland-Rosen, ch. 11 section 4)."""
+    p, e = fq.p, fq.e
+    fp = make_field(p)
+    big_m = fq.m // fp.m
+    c = fp.dlog(fq._exp[big_m])
+    k = np.arange(fp.m, dtype=np.int64)
+    lhs = fq.gauss_sums[0][k * c * big_m % fq.m]
+    return lhs, (-1) ** (e - 1) * fp.gauss_sums[0] ** e
 
 
 def g_sum(a: Character, b: Character, x: int) -> CyclotomicSum:
@@ -577,3 +628,32 @@ def charsum_every_lambda(field, s, part, sqrt_branch):
         ratio = field.jacobi_c(h, s) / field.jacobi_c(-2 * s - r, h - r)
         return lam, w, q * ratio * series_every_x(field, [r + h, r], [-2 * s])[lam_plus_1]
     return lam, w, q * series_every_x(field, [h, 0], [s])[lam_plus_1]
+
+
+def series_second_moment_sides(field, s, sqrt_branch):
+    """Both sides of the second moment of W_s over lambda, read on the series
+    side, for a square S = chi_s of order other than 1 and 3.
+
+    The "sqrt_2f1" lemma gives W_s(lambda) = q ratio F(1 + lambda) for
+    lambda != 0, -1, with F = 2F1(R phi, R; S^-2 | .) and ratio = J(phi, S) /
+    J(S^-2 R^-1, phi R^-1), R as in `charsum_every_lambda`.  Greene's series
+    is a DFT of its row product P, so by Parseval the sum over x != 0 of
+    |F(x)|^2 is q^2/(q-1) times the sum of |P[k]|^2, and the second moment
+    sum over lambda of |W_s(lambda)|^2 = q (q - 2 - S(-1)) becomes
+
+        q^2 |ratio|^2 (q^2/(q-1) sum_k |P[k]|^2 - |F(1)|^2)
+            = q (q - 2 - S(-1)) - |W_s(0)|^2 - |W_s(-1)|^2,
+
+    returned as (left, right).  It checks every entry of the two
+    `Field.binom_row` rows against an integer, with no work per lambda.
+    """
+    q, m, h = field.q, field.m, field.m // 2
+    r = -3 * s % m // 2 + {"first": 0, "second": h}[sqrt_branch]
+    ratio = field.jacobi_c(h, s) / field.jacobi_c(-2 * s - r, h - r)
+    product = field.binom_row(r + h, 0) * field.binom_row(r, -2 * s)
+    at_one = product.sum() * q / m
+    left = q * q * abs(ratio) ** 2 * (q * q / m * np.vdot(product, product).real - abs(at_one) ** 2)
+    minus_one = field.from_rational(-1)
+    right = q * (q - 2 - field.char_value(s, minus_one).real)
+    right -= abs(curve_char_sum(field, s, 0)) ** 2 + abs(curve_char_sum(field, s, minus_one)) ** 2
+    return left, right

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hgfq import (
     Character,
+    is_prime,
     make_field,
 )
 
@@ -142,6 +143,19 @@ def test_gauss_table_matches_exact_gauss_sums(p, e):
         if k:
             assert g[k] * h[k] == pytest.approx(1.0, abs=1e-12)
     assert g[0] == -1.0 and f.gauss_sums is f.gauss_sums
+
+
+def test_hasse_davenport_on_the_gauss_tables():
+    # G_q(chi o N) = (-1)^(e-1) G_p(chi)^e for every character chi of F_p ties
+    # each extension field's exp, trace and Gauss tables to its prime field's,
+    # by an identity their construction never uses: every odd q = p^e <= 2000
+    # with e >= 2.  |G| = sqrt(q) on both sides.
+    fields = [(p, e) for p in range(3, 45, 2) if is_prime(p) for e in range(2, 11) if p**e <= 2000]
+    assert len(fields) == 21
+    for p, e in fields:
+        f = make_field(p, e)
+        lhs, rhs = oracle.hasse_davenport_sides(f)
+        assert len(lhs) == p - 1 and np.abs(lhs - rhs).max() <= 1e-9 * f.q**0.5, (p, e)
 
 
 @pytest.mark.parametrize("p, e", [(7, 1), (3, 2), (13, 1), (5, 2)])

@@ -11,11 +11,9 @@ import pytest
 
 from hgfq import (
     BadReductionError,
-    CongruenceError,
     CurveSpec,
     NotPrimeError,
     character_sum_count,
-    cornacchia_3,
     good_reduction,
     is_prime,
     make_field,
@@ -34,6 +32,7 @@ from hgfq.curves import (
     points_at_infinity,
     weierstrass_count_l3,
 )
+from hgfq.verifier import SQRT_BRANCHES, _cornacchia_3
 
 import naive_oracles as naive
 import oracle_helpers as oracle
@@ -321,6 +320,22 @@ def test_second_moment_of_curve_char_sums_over_lambda():
         check(f, (np.vdot(v, v).real for v in w))
 
 
+def test_second_moment_on_the_series_side():
+    # The same second moment, read off the two binomial rows of the sqrt_2f1
+    # lemma's 2F1 by Parseval (`oracle.series_second_moment_sides`): every
+    # square chi_s away from orders 1 and 3, in both square-root branches.
+    cases = 0
+    for p, e in ((13, 1), (7, 2), (3, 4), (101, 1), (5, 3), (1009, 1)):
+        f = make_field(p, e)
+        for s in range(2, f.m, 2):
+            if 3 * s % f.m:
+                for branch in SQRT_BRANCHES:
+                    lhs, rhs = oracle.series_second_moment_sides(f, s, branch)
+                    assert abs(lhs - rhs) <= 1e-9 * f.q**2, (f, s, branch, lhs, rhs)
+                    cases += 1
+    assert cases == 1348
+
+
 def test_weierstrass_model_agrees():
     for p in (7, 13, 19, 31):
         f = make_field(p)
@@ -549,12 +564,11 @@ def test_genus_and_hasse_weil():
 
 
 def test_cornacchia_values():
-    assert cornacchia_3(7) == (2, 1)
-    assert cornacchia_3(13) == (1, 2)
-    assert cornacchia_3(31) == (2, 3)
+    # the cubic corollary's private step, called only on primes p = 1 (mod 3)
+    assert _cornacchia_3(7) == (2, 1)
+    assert _cornacchia_3(13) == (1, 2)
+    assert _cornacchia_3(31) == (2, 3)
     for p in (19, 37, 43, 61, 67, 73, 79, 97, 103):
-        x, y = cornacchia_3(p)
+        x, y = _cornacchia_3(p)
         assert x >= 0 and y >= 0
         assert x * x + 3 * y * y == p
-    with pytest.raises(CongruenceError):
-        cornacchia_3(11)

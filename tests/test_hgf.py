@@ -12,6 +12,7 @@ from hgfq import (
     FieldMismatchError,
     character_sum_count,
     good_reduction,
+    is_prime,
     make_field,
     series_value,
 )
@@ -256,6 +257,27 @@ def test_ono_3f2_follows_the_prime_field_trace_across_degrees():
                 assert abs(lhs - phi * (aq * aq - q)) <= 1e-6, (p, e, lam, lhs, aq)
                 cases += 1
     assert cases == 94
+
+
+def test_series_congruent_to_truncated_classical_series():
+    # q 2F1(phi, phi; eps | x) and q^2 3F2(phi, phi, phi; eps, eps | x) are integers
+    # congruent mod p to -sum C(2k, k)^2 (x/16)^k and sum C(2k, k)^3 (x/64)^k over
+    # k <= (p-1)/2 (Koike 1995; Ono 1998), oracles that compute no character sum:
+    # every prime 7 <= p <= 200 and every x in [2, p - 1].
+    cases = 0
+    for p in filter(is_prime, range(7, 201)):
+        f = make_field(p)
+        h = f.m // 2
+        for x in range(2, p):
+            for scale, tops, bottoms, truncated in (
+                (p, [h, h], [0], oracle.truncated_2f1_mod_p),
+                (p * p, [h, h, h], [0, 0], oracle.truncated_3f2_mod_p),
+            ):
+                value = scale * series_value(f, tops, bottoms, x)
+                n = round(value.real)
+                assert abs(value - n) <= 1e-6 and (n - truncated(p, x)) % p == 0, (p, x, tops, value)
+            cases += 1
+    assert cases == 4131
 
 
 SMALL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
